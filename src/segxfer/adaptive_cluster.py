@@ -2,9 +2,18 @@
 
 A feature map is seeded with a regular r x r grid of region centers.  Each
 round computes temperature-scaled cosine similarity between every pixel and
-the 3 x 3 block of grid cells around it (-inf elsewhere), softmax-normalizes
-per pixel, and recomputes centers as assignment-weighted feature means.
-Nothing here is trained; clustering is a gradient-free preprocessing step.
+the centers of the 3 x 3 block of grid cells around the pixel's own cell,
+softmax-normalizes per pixel, and recomputes centers as assignment-weighted
+feature means.  Nothing here is trained; clustering is a gradient-free
+preprocessing step.
+
+Only those nine candidates are stored, so cost and memory grow linearly
+with H*W (the locality trick of SLIC and of superpixel sampling networks).
+Similarities and soft assignments are (9, H*W) arrays: row j is the cell
+offset OFFSETS[j] = (dy, dx), row-major over {-1, 0, 1}^2, so row 4 is the
+pixel's own cell.  Candidates that fall off the grid hold -inf similarity
+and exactly 0 assignment.  In this row order the candidates' region indices
+increase, so an argmax over rows breaks ties toward the lowest region index.
 """
 
 from __future__ import annotations
@@ -58,18 +67,21 @@ class FeatureMap:
         return cls(h, w, grid.reshape(h * w, d))
 
 
+OFFSETS = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1))
+OWN_CELL = OFFSETS.index((0, 0))
+
+
 @dataclass
 class ClusterState:
-    """Grid stride, centers, soft assignment, hard labels and locality mask."""
+    """Grid stride, centers, soft assignment over the 9 candidates, hard labels."""
 
     height: int
     width: int
     stride: int
     tau: float
-    centers: np.ndarray        # (N_p, d)
-    assign: np.ndarray         # (N_p, H*W), column-stochastic
-    hard_labels: np.ndarray    # (H*W,) region indices
-    neighbor_mask: np.ndarray  # (N_p, H*W) bool, True where the center is nearby
+    centers: np.ndarray      # (N_p, d), region i is grid cell i, row-major
+    assign: np.ndarray       # (9, H*W), column-stochastic, rows as in OFFSETS
+    hard_labels: np.ndarray  # (H*W,) region indices
 
     @property
     def num_regions(self) -> int:
@@ -80,86 +92,111 @@ class ClusterState:
         return self.height // self.stride, self.width // self.stride
 
 
-def _cell_index(height: int, width: int, stride: int) -> np.ndarray:
-    """Grid-cell id of every pixel, row-major over cells."""
-    grid_w = width // stride
-    rows = np.arange(height) // stride
-    cols = np.arange(width) // stride
-    return (rows[:, None] * grid_w + cols[None, :]).reshape(-1)
+def _grid_shape(height: int, width: int, stride: int) -> tuple[int, int]:
+    if stride < 1 or height % stride or width % stride:
+        raise ConfigError(f"stride {stride} must divide image {height}x{width}")
+    return height // stride, width // stride
 
 
-def _neighbor_mask(height: int, width: int, stride: int) -> np.ndarray:
-    """(N_p, H*W) mask of the 3 x 3 block of cells around each pixel's cell."""
-    grid_h, grid_w = height // stride, width // stride
-    n_regions = grid_h * grid_w
-    cell = _cell_index(height, width, stride)
-    pix_cy, pix_cx = cell // grid_w, cell % grid_w
-    reg = np.arange(n_regions)
-    reg_cy, reg_cx = reg // grid_w, reg % grid_w
-    return (np.abs(reg_cy[:, None] - pix_cy[None, :]) <= 1) & (
-        np.abs(reg_cx[:, None] - pix_cx[None, :]) <= 1
-    )
+def _by_cell(pixels: np.ndarray, grid_h: int, grid_w: int, stride: int) -> np.ndarray:
+    """(H*W, k) pixel rows -> (cells, stride**2, k), grouped by grid cell."""
+    k = pixels.shape[1]
+    return (pixels.reshape(grid_h, stride, grid_w, stride, k)
+            .transpose(0, 2, 1, 3, 4)
+            .reshape(grid_h * grid_w, stride * stride, k))
+
+
+def _neighbors(values: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:
+    """(N_p, ...) per-region values -> (cells, ..., 9), the values of each
+    cell's OFFSETS neighbors in the last axis; zero (or False) off the grid."""
+    padded = np.zeros((grid_h + 2, grid_w + 2) + values.shape[1:], dtype=values.dtype)
+    padded[1:-1, 1:-1] = values.reshape((grid_h, grid_w) + values.shape[1:])
+    shifted = [padded[1 + dy:1 + dy + grid_h, 1 + dx:1 + dx + grid_w] for dy, dx in OFFSETS]
+    stacked = np.stack(shifted, axis=-1)
+    return stacked.reshape((grid_h * grid_w,) + stacked.shape[2:])
+
+
+def candidate_regions(height: int, width: int, stride: int) -> np.ndarray:
+    """(9, H*W) region index of every pixel's candidates, -1 off the grid."""
+    grid_h, grid_w = _grid_shape(height, width, stride)
+    cells = _neighbors(np.arange(1, grid_h * grid_w + 1), grid_h, grid_w) - 1  # (cells, 9)
+    cells = cells.reshape(grid_h, 1, grid_w, 1, len(OFFSETS))
+    pixels = np.broadcast_to(cells, (grid_h, stride, grid_w, stride, len(OFFSETS)))
+    return pixels.reshape(height * width, len(OFFSETS)).T.copy()
 
 
 def init_grid(fm: FeatureMap, stride: int, tau: float = 0.07) -> ClusterState:
     """Seed regions from a regular grid; centers are per-cell feature means."""
-    if stride < 1 or fm.height % stride or fm.width % stride:
-        raise ConfigError(
-            f"stride {stride} must divide image {fm.height}x{fm.width}"
-        )
+    regions = candidate_regions(fm.height, fm.width, stride)
     if tau <= 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
-    cell = _cell_index(fm.height, fm.width, stride)
-    n_regions = (fm.height // stride) * (fm.width // stride)
-    assign = np.zeros((n_regions, fm.num_pixels))
-    assign[cell, np.arange(fm.num_pixels)] = 1.0
-    centers = update_centers(assign, fm)
+    assign = np.zeros((len(OFFSETS), fm.num_pixels))
+    assign[OWN_CELL] = 1.0
     return ClusterState(
         height=fm.height,
         width=fm.width,
         stride=stride,
         tau=tau,
-        centers=centers,
+        centers=update_centers(assign, fm, stride),
         assign=assign,
-        hard_labels=cell.copy(),
-        neighbor_mask=_neighbor_mask(fm.height, fm.width, stride),
+        hard_labels=regions[OWN_CELL].copy(),
     )
 
 
 def compute_similarity(state: ClusterState, fm: FeatureMap) -> np.ndarray:
-    """Temperature-scaled cosine similarity, -inf outside the locality mask.
+    """(9, H*W) temperature-scaled cosine similarity, -inf off the grid.
 
     Norms are guarded by +1e-12, so zero vectors never raise.
     """
     if state.tau <= 0:
         raise ConfigError(f"temperature must be positive, got {state.tau}")
-    if fm.num_pixels != state.assign.shape[1]:
+    grid_h, grid_w = state.grid_shape
+    if ((fm.height, fm.width) != (state.height, state.width)
+            or state.centers.shape != (grid_h * grid_w, fm.channels)):
         raise ShapeError("feature map does not match cluster state geometry")
-    q = state.centers
-    k = fm.features
-    q_norm = np.linalg.norm(q, axis=1) + NORM_GUARD
-    k_norm = np.linalg.norm(k, axis=1) + NORM_GUARD
-    sims = (q @ k.T) / (q_norm[:, None] * k_norm[None, :]) / state.tau
-    return np.where(state.neighbor_mask, sims, -np.inf)
+    r = state.stride
+    k_norm = np.linalg.norm(fm.features, axis=1) + NORM_GUARD
+    q_norm = _neighbors(np.linalg.norm(state.centers, axis=1), grid_h, grid_w) + NORM_GUARD
+    dots = _by_cell(fm.features, grid_h, grid_w, r) @ _neighbors(state.centers, grid_h, grid_w)
+    sims = dots / (q_norm[:, None, :] * _by_cell(k_norm[:, None], grid_h, grid_w, r)) / state.tau
+    on_grid = _neighbors(np.ones(grid_h * grid_w, dtype=bool), grid_h, grid_w)
+    sims = np.where(on_grid[:, None, :], sims, -np.inf)                # (cells, r*r, 9)
+    return (sims.reshape(grid_h, grid_w, r, r, len(OFFSETS))
+            .transpose(4, 0, 2, 1, 3).reshape(len(OFFSETS), fm.num_pixels))
 
 
 def soft_assign(similarity: np.ndarray) -> np.ndarray:
-    """Per-pixel softmax over nearby centers; zeros exactly at non-neighbors."""
+    """Per-pixel softmax over the 9 candidates; exactly 0 off the grid."""
     return softmax_columns(similarity)
 
 
-def update_centers(assign: np.ndarray, fm: FeatureMap) -> np.ndarray:
+def update_centers(assign: np.ndarray, fm: FeatureMap, stride: int) -> np.ndarray:
     """Assignment-weighted mean of pixel features per region.
 
-    The raw product assign @ features is normalized by each region's
-    assignment mass (guarded at 1e-12) so centers stay on the feature scale
-    regardless of region size.
+    Each candidate row's weighted feature sums are added onto the cell it
+    points at.  The sums are normalized by each region's assignment mass
+    (guarded at 1e-12) so centers stay on the feature scale regardless of
+    region size.
     """
     assign = np.asarray(assign, dtype=float)
-    if assign.shape[1] != fm.num_pixels:
-        raise ShapeError(f"assignment {assign.shape} does not cover {fm.num_pixels} pixels")
-    mass = assign.sum(axis=1)
-    return (assign @ fm.features) / np.maximum(mass, MASS_GUARD)[:, None]
+    if assign.shape != (len(OFFSETS), fm.num_pixels):
+        raise ShapeError(f"assignment {assign.shape} does not cover {fm.num_pixels} pixels "
+                         f"with {len(OFFSETS)} candidates")
+    grid_h, grid_w = _grid_shape(fm.height, fm.width, stride)
+    weights = (assign.reshape(len(OFFSETS), grid_h, stride, grid_w, stride)
+               .transpose(1, 3, 0, 2, 4)
+               .reshape(grid_h * grid_w, len(OFFSETS), stride * stride))
+    # a last column of ones turns its weighted sum into the assignment mass;
+    # sums and mass then round alike, so an all-ones image keeps centers of
+    # exactly 1 and its similarity ties stay exact
+    keys = np.hstack([fm.features, np.ones((fm.num_pixels, 1))])
+    sums = weights @ _by_cell(keys, grid_h, grid_w, stride)            # (cells, 9, d + 1)
+    sums = sums.reshape(grid_h, grid_w, len(OFFSETS), fm.channels + 1)
+    total = np.zeros((grid_h + 2, grid_w + 2, fm.channels + 1))
+    for j, (dy, dx) in enumerate(OFFSETS):
+        total[1 + dy:1 + dy + grid_h, 1 + dx:1 + dx + grid_w] += sums[:, :, j]
+    total = total[1:-1, 1:-1].reshape(grid_h * grid_w, fm.channels + 1)
+    return total[:, :-1] / np.maximum(total[:, -1], MASS_GUARD)[:, None]
 
 
 def cluster(fm: FeatureMap, stride: int, tau: float = 0.07, iters: int = 6) -> ClusterState:
@@ -178,8 +215,9 @@ def cluster(fm: FeatureMap, stride: int, tau: float = 0.07, iters: int = 6) -> C
         state.centers = centers
         similarity = compute_similarity(state, fm)
         assign = soft_assign(similarity)
-        centers = update_centers(assign, fm)
-    hard = np.argmax(assign, axis=0)
+        centers = update_centers(assign, fm, stride)
+    best = np.argmax(assign, axis=0)
+    hard = candidate_regions(fm.height, fm.width, stride)[best, np.arange(fm.num_pixels)]
     return ClusterState(
         height=state.height,
         width=state.width,
@@ -188,7 +226,6 @@ def cluster(fm: FeatureMap, stride: int, tau: float = 0.07, iters: int = 6) -> C
         centers=centers,
         assign=assign,
         hard_labels=hard,
-        neighbor_mask=state.neighbor_mask,
     )
 
 

@@ -81,6 +81,8 @@ class ConfusionMatrix:
         k = self.counts.shape[0]
         if truth.shape != pred.shape:
             raise InputError("label maps differ in size")
+        if truth.size == 0:
+            raise InputError("label maps are empty")
         if truth.min() < 0 or truth.max() >= k or pred.min() < 0 or pred.max() >= k:
             raise InputError(f"labels outside [0, {k})")
         np.add.at(self.counts, (truth, pred), 1)

@@ -40,13 +40,16 @@ def write_ppm(path: str | Path, rgb: np.ndarray) -> None:
 
 
 def _read_header(f) -> tuple[bytes, int, int, int]:
-    magic = f.readline().strip()
+    """Magic, width, height and maxval; '#' comments run to the end of a line."""
+    magic = f.readline().split(b"#", 1)[0].strip()
     fields: list[int] = []
     while len(fields) < 3:
         line = f.readline()
         if not line:
             raise InputError("truncated netpbm header")
-        for tok in line.split():
+        for tok in line.split(b"#", 1)[0].split():
+            if not tok.isdigit():
+                raise InputError(f"netpbm header field {tok!r} is not a non-negative integer")
             fields.append(int(tok))
     return magic, fields[0], fields[1], fields[2]
 

@@ -17,6 +17,11 @@ def four_block_map(block_size=4):
     return block_image(protos, block_size)
 
 
+def offset_row(dy, dx):
+    """Candidate row of the cell at offset (dy, dx) from a pixel's own cell."""
+    return ac.OFFSETS.index((dy, dx))
+
+
 # ---------------------------------------------------------------------------
 # init_grid
 # ---------------------------------------------------------------------------
@@ -48,8 +53,12 @@ def test_init_grid_neighbor_counts_12x12():
     assert state.num_regions == 9
     corner = 0            # pixel (0, 0): its cell plus right, down, diag
     center = 5 * 12 + 5   # pixel (5, 5) sits in the middle cell
-    assert state.neighbor_mask[:, corner].sum() == 4
-    assert state.neighbor_mask[:, center].sum() == 9
+    regions = ac.candidate_regions(12, 12, 4)
+    assert np.count_nonzero(regions[:, corner] >= 0) == 4
+    assert np.count_nonzero(regions[:, center] >= 0) == 9
+    d = ac.compute_similarity(state, fm)
+    assert np.count_nonzero(np.isfinite(d[:, corner])) == 4
+    assert np.count_nonzero(np.isfinite(d[:, center])) == 9
 
 
 def test_init_grid_stride_must_divide():
@@ -64,7 +73,9 @@ def test_init_grid_assignment_is_cell_one_hot():
     fm = ac.FeatureMap.from_grid(rng.normal(size=(8, 8, 2)))
     state = ac.init_grid(fm, 4)
     npt.assert_allclose(state.assign.sum(axis=0), 1.0, atol=1e-12)
-    assert np.all(state.assign[state.hard_labels, np.arange(64)] == 1.0)
+    assert np.all(state.assign[ac.OWN_CELL] == 1.0)
+    regions = ac.candidate_regions(8, 8, 4)
+    npt.assert_array_equal(regions[ac.OWN_CELL], state.hard_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -77,15 +88,16 @@ def test_similarity_identical_vectors():
     state = ac.init_grid(fm, 4, tau=1.0)
     d = ac.compute_similarity(state, fm)
     # pixel 0 lives in region 0 whose center equals its feature
-    assert d[0, 0] == pytest.approx(1.0, abs=1e-9)
+    assert d[ac.OWN_CELL, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_similarity_orthogonal_vectors():
     fm = four_block_map()
     state = ac.init_grid(fm, 4, tau=1.0)
     d = ac.compute_similarity(state, fm)
-    # region 1's prototype is orthogonal to pixel 0's feature
-    assert d[1, 0] == pytest.approx(0.0, abs=1e-9)
+    # region 1, the cell right of pixel 0's, has a prototype orthogonal to it
+    assert ac.candidate_regions(8, 8, 4)[offset_row(0, 1), 0] == 1
+    assert d[offset_row(0, 1), 0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_similarity_non_neighbor_is_minus_inf():
@@ -93,7 +105,12 @@ def test_similarity_non_neighbor_is_minus_inf():
     fm = ac.FeatureMap.from_grid(rng.normal(size=(12, 12, 2)))
     state = ac.init_grid(fm, 4)
     d = ac.compute_similarity(state, fm)
-    assert d[8, 0] == -np.inf  # far corner region vs pixel (0, 0)
+    # pixel (0, 0): the far corner region 8 is not a candidate, and the
+    # candidates above and left of the grid are -inf
+    regions = ac.candidate_regions(12, 12, 4)
+    assert 8 not in regions[:, 0]
+    assert d[offset_row(-1, -1), 0] == -np.inf
+    npt.assert_array_equal(np.isfinite(d), regions >= 0)
 
 
 def test_similarity_temperature_scales():
@@ -149,40 +166,58 @@ def test_soft_assign_two_neighbor_softmax():
 
 def test_update_centers_one_hot_means():
     rng = np.random.default_rng(5)
-    fm = ac.FeatureMap(2, 3, rng.normal(size=(6, 2)))
-    assign = np.zeros((2, 6))
-    assign[0, :4] = 1.0
-    assign[1, 4:] = 1.0
-    centers = ac.update_centers(assign, fm)
-    npt.assert_allclose(centers[0], fm.features[:4].mean(axis=0), atol=1e-12)
-    npt.assert_allclose(centers[1], fm.features[4:].mean(axis=0), atol=1e-12)
+    # 2 x 4 image, stride 2: cell 0 holds pixels 0, 1, 4, 5; cell 1 the rest
+    fm = ac.FeatureMap(2, 4, rng.normal(size=(8, 2)))
+    assign = np.zeros((9, 8))
+    assign[ac.OWN_CELL, [0, 1, 4, 2, 3, 6, 7]] = 1.0
+    assign[offset_row(0, 1), 5] = 1.0  # pixel 5 goes to the cell on its right
+    centers = ac.update_centers(assign, fm, 2)
+    npt.assert_allclose(centers[0], fm.features[[0, 1, 4]].mean(axis=0), atol=1e-12)
+    npt.assert_allclose(centers[1], fm.features[[2, 3, 5, 6, 7]].mean(axis=0), atol=1e-12)
 
 
 def test_update_centers_uniform_pair_mean():
     u, v = np.array([1.0, 0.0]), np.array([0.0, 3.0])
     fm = ac.FeatureMap(1, 2, np.vstack([u, v]))
-    centers = ac.update_centers(np.array([[0.5, 0.5]]), fm)
-    npt.assert_allclose(centers[0], (u + v) / 2.0, atol=1e-12)
+    # stride 1: each pixel splits evenly between its own cell and the other one
+    assign = np.zeros((9, 2))
+    assign[ac.OWN_CELL] = 0.5
+    assign[offset_row(0, 1), 0] = 0.5
+    assign[offset_row(0, -1), 1] = 0.5
+    centers = ac.update_centers(assign, fm, 1)
+    npt.assert_allclose(centers, [(u + v) / 2.0] * 2, atol=1e-12)
 
 
 def test_update_centers_weighted_mean_oracle():
     rng = np.random.default_rng(6)
-    fm = ac.FeatureMap(2, 3, rng.normal(size=(6, 4)))
-    assign = rng.random((3, 6))
+    height, width, stride = 4, 6, 2
+    grid_h, grid_w = height // stride, width // stride
+    fm = ac.FeatureMap(height, width, rng.normal(size=(height * width, 4)))
+    assign = rng.random((9, height * width))
+    assign[ac.candidate_regions(height, width, stride) < 0] = 0.0
     assign /= assign.sum(axis=0)
-    centers = ac.update_centers(assign, fm)
-    for i in range(3):
-        expected = np.zeros(4)
-        for j in range(6):
-            expected += assign[i, j] * fm.features[j]
-        expected /= assign[i].sum()
-        npt.assert_allclose(centers[i], expected, atol=1e-10)
+    centers = ac.update_centers(assign, fm, stride)
+    expected = np.zeros((grid_h * grid_w, 4))
+    mass = np.zeros(grid_h * grid_w)
+    for p in range(height * width):
+        cy, cx = p // width // stride, p % width // stride
+        for j, (dy, dx) in enumerate(ac.OFFSETS):
+            if 0 <= cy + dy < grid_h and 0 <= cx + dx < grid_w:
+                region = (cy + dy) * grid_w + cx + dx
+                expected[region] += assign[j, p] * fm.features[p]
+                mass[region] += assign[j, p]
+    npt.assert_allclose(centers, expected / mass[:, None], atol=1e-10)
 
 
 def test_update_centers_empty_region_guarded():
     fm = ac.FeatureMap(1, 2, np.array([[1.0], [2.0]]))
-    centers = ac.update_centers(np.array([[1.0, 1.0], [0.0, 0.0]]), fm)
+    # stride 1: both pixels go to region 0, region 1 is left empty
+    assign = np.zeros((9, 2))
+    assign[ac.OWN_CELL, 0] = 1.0
+    assign[offset_row(0, -1), 1] = 1.0
+    centers = ac.update_centers(assign, fm, 1)
     assert np.all(np.isfinite(centers))
+    npt.assert_allclose(centers[0], [1.5], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +237,8 @@ def test_cluster_constant_image_tie_break():
     fm = ac.FeatureMap(8, 8, np.ones((64, 2)))
     state = ac.cluster(fm, 4, tau=0.07, iters=6)
     # every neighbor is equally similar, so argmax picks the lowest index
-    expected = np.argmax(state.neighbor_mask, axis=0)
+    regions = ac.candidate_regions(8, 8, 4)
+    expected = np.where(regions >= 0, regions, state.num_regions).min(axis=0)
     npt.assert_array_equal(state.hard_labels, expected)
 
 
@@ -225,14 +261,15 @@ def test_cluster_column_stochastic_and_local_every_iteration():
     rng = np.random.default_rng(8)
     fm = ac.FeatureMap.from_grid(rng.normal(size=(8, 8, 3)))
     state = ac.init_grid(fm, 4)
+    off_grid = ac.candidate_regions(8, 8, 4) < 0
     assign = state.assign
     centers = state.centers
     for _ in range(6):
         state.centers = centers
         assign = ac.soft_assign(ac.compute_similarity(state, fm))
-        centers = ac.update_centers(assign, fm)
+        centers = ac.update_centers(assign, fm, 4)
         npt.assert_allclose(assign.sum(axis=0), 1.0, atol=1e-6)
-        assert not np.any((assign > 0) & ~state.neighbor_mask)
+        assert np.all(assign[off_grid] == 0.0)
 
 
 def test_cluster_deterministic():
@@ -249,8 +286,11 @@ def test_cluster_hard_label_is_a_neighbor():
     rng = np.random.default_rng(10)
     fm = ac.FeatureMap.from_grid(rng.normal(size=(12, 12, 4)))
     state = ac.cluster(fm, 4)
-    picked = state.neighbor_mask[state.hard_labels, np.arange(fm.num_pixels)]
-    assert np.all(picked)
+    # the label's cell is within one cell of the pixel's own, in both axes
+    pix_cy, pix_cx = np.divmod(np.arange(fm.num_pixels), 12)
+    lab_cy, lab_cx = np.divmod(state.hard_labels, 3)
+    assert np.all(np.abs(lab_cy - pix_cy // 4) <= 1)
+    assert np.all(np.abs(lab_cx - pix_cx // 4) <= 1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,3 +325,19 @@ def test_region_lists_are_a_partition():
 def test_feature_map_validation():
     with pytest.raises(ShapeError):
         ac.FeatureMap(2, 2, np.zeros((3, 2)))
+
+
+def test_similarity_rejects_mismatched_geometry():
+    rng = np.random.default_rng(12)
+    state = ac.init_grid(ac.FeatureMap.from_grid(rng.normal(size=(8, 12, 2))), 4)
+    transposed = ac.FeatureMap.from_grid(rng.normal(size=(12, 8, 2)))
+    with pytest.raises(ShapeError):
+        ac.compute_similarity(state, transposed)
+
+
+def test_update_centers_rejects_bad_layout():
+    fm = four_block_map()
+    with pytest.raises(ShapeError):
+        ac.update_centers(np.full((4, 64), 0.25), fm, 4)  # dense (N_p, H*W) layout
+    with pytest.raises(ConfigError):
+        ac.update_centers(ac.init_grid(fm, 4).assign, fm, 3)

@@ -66,3 +66,18 @@ def test_reader_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
     with pytest.raises(InputError):
         netpbm.read_pgm(path)
+
+
+def test_reader_skips_header_comments(tmp_path):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5 # binary gray\n# made by hand\n3 # width\n2\n# maxval next\n255\n"
+                     + bytes(range(6)))
+    npt.assert_array_equal(netpbm.read_pgm(path), np.arange(6, dtype=np.uint8).reshape(2, 3))
+
+
+@pytest.mark.parametrize("dims", [b"3.0 2", b"-3 2", b"3 two"])
+def test_reader_rejects_non_integer_header_field(tmp_path, dims):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(6))
+    with pytest.raises(InputError):
+        netpbm.read_pgm(path)

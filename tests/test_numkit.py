@@ -44,6 +44,31 @@ def test_matmul_shape_error():
 
 
 # ---------------------------------------------------------------------------
+# sigmoid
+# ---------------------------------------------------------------------------
+
+
+def _masked_sigmoid(x):
+    """The two-branch formula, scattered through boolean masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bitwise_equals_masked_formula():
+    rng = np.random.default_rng(13)
+    draws = [scale * rng.normal(size=200_000) for scale in (0.1, 1.0, 10.0, 100.0, 800.0)]
+    edges = [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 1000.0, -1000.0]
+    x = np.concatenate(draws + [np.array(edges)])
+    got = numkit.sigmoid(x)
+    npt.assert_array_equal(got.view(np.int64), _masked_sigmoid(x).view(np.int64))
+    assert numkit.sigmoid(np.array([[1000.0, -1000.0]])).tolist() == [[1.0, 0.0]]
+
+
+# ---------------------------------------------------------------------------
 # softmax_columns
 # ---------------------------------------------------------------------------
 
