@@ -1,5 +1,4 @@
-"""Dense-matrix numerics, a small MLP with hand-derived gradients, AdamW,
-and a finite-difference gradient checker.
+"""Dense-matrix numerics, a small MLP with hand-derived gradients, and AdamW.
 
 Everything operates on float64 numpy arrays.  Functions are pure except
 ``adamw_step``, which advances the optimizer state it is given.
@@ -11,32 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateColumnError,
-    EvaluationError,
-    InputError,
-    ShapeError,
-)
+from .errors import DegenerateColumnError, InputError, ShapeError
 
 # Sigmoid outputs are clamped to [LOSS_EPS, 1 - LOSS_EPS] inside losses only,
 # so log terms stay finite without biasing forward outputs.
 LOSS_EPS = 1e-7
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Seeded PCG64 generator; same seed gives bitwise-identical streams."""
-    return np.random.default_rng(seed)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def softmax_columns(m: np.ndarray) -> np.ndarray:
@@ -107,7 +85,7 @@ class MlpParams:
         return self.weights[0].shape[1]
 
     def param_list(self) -> list[np.ndarray]:
-        """Flat [W0, b0, W1, b1, ...] view used by the optimizer and gradcheck."""
+        """Flat [W0, b0, W1, b1, ...] view used by the optimizer."""
         out: list[np.ndarray] = []
         for w, b in zip(self.weights, self.biases):
             out.append(w)
@@ -155,14 +133,6 @@ def mlp_forward_batch(p: MlpParams, x: np.ndarray) -> np.ndarray:
         raise InputError("non-finite input to mlp_forward")
     probs, _ = _forward_cached(p, x)
     return probs
-
-
-def mlp_forward(p: MlpParams, x: np.ndarray) -> float:
-    """Probability in (0, 1) for a single feature vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ShapeError(f"mlp_forward expects a vector, got {x.shape}")
-    return float(mlp_forward_batch(p, x[None, :])[0])
 
 
 def mlp_loss_and_grads(
@@ -214,17 +184,6 @@ def mlp_loss_and_grads(
         grads.append(gw)
         grads.append(gb)
     return loss, grads
-
-
-def mlp_backward(p: MlpParams, x: np.ndarray, d: int) -> list[np.ndarray]:
-    """Gradients of the single-sample cross-entropy loss, param_list order."""
-    if d not in (0, 1):
-        raise InputError(f"domain label must be 0 or 1, got {d!r}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ShapeError(f"mlp_backward expects a vector, got {x.shape}")
-    _, grads = mlp_loss_and_grads(p, x[None, :], np.array([d]), reduction="sum")
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -282,44 +241,3 @@ def adamw_step(state: AdamWState, params: list[np.ndarray],
         out.append(p - state.lr * (m_hat / (np.sqrt(v_hat) + state.eps)
                                    + state.weight_decay * p))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-
-def gradcheck(f, params: list[np.ndarray], h: float = 1e-5) -> float:
-    """Max relative error between f's analytic gradients and central differences.
-
-    ``f(params) -> (scalar, grads)`` with grads aligned to ``params``.  The
-    relative error per entry is |analytic - numeric| / max(1e-8, |analytic| +
-    |numeric|).
-    """
-    params = [np.asarray(p, dtype=float).copy() for p in params]
-    value, analytic = f(params)
-    if not np.isfinite(value):
-        raise EvaluationError(f"function value is not finite: {value!r}")
-    if len(analytic) != len(params):
-        raise ShapeError("gradient list does not align with params")
-
-    worst = 0.0
-    for k, p in enumerate(params):
-        a = np.asarray(analytic[k], dtype=float)
-        if a.shape != p.shape:
-            raise ShapeError(f"gradient {k} has shape {a.shape}, param has {p.shape}")
-        flat = p.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            up, _ = f(params)
-            flat[idx] = orig - h
-            down, _ = f(params)
-            flat[idx] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise EvaluationError("perturbed evaluation is not finite")
-            numeric = (up - down) / (2.0 * h)
-            ana = a.reshape(-1)[idx]
-            err = abs(ana - numeric) / max(1e-8, abs(ana) + abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -1,13 +1,17 @@
-"""Run configuration: one flat, strictly-validated document shared by the
-CLI and the experiment harness.
+"""Run configuration: one flat, strictly-validated document for the
+experiment harness.
 
 Unknown keys are fatal on parse; a silently misspelled hyperparameter is the
-easiest way to corrupt an experiment.
+easiest way to corrupt an experiment.  Every field is checked against its
+annotation, whether the config is built directly or parsed from a dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, asdict
+import numbers
+import types
+import typing
+from dataclasses import dataclass, fields, asdict
 
 from .errors import ConfigError
 from .synthdata import SynthConfig
@@ -60,19 +64,15 @@ class RunConfig:
     out_dir: str = "runs"
 
     def __post_init__(self) -> None:
-        self.shift_classes = tuple(int(c) for c in self.shift_classes)
-        self.disc_hidden = tuple(int(h) for h in self.disc_hidden)
-        self.seeds = tuple(int(s) for s in self.seeds)
-        if self.noise_scales is not None:
-            self.noise_scales = tuple(float(s) for s in self.noise_scales)
-        self.camouflage_classes = tuple(int(c) for c in self.camouflage_classes)
+        for name, hint in _HINTS.items():
+            setattr(self, name, _typed(name, hint, getattr(self, name)))
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if not 0.0 <= self.p_t <= 100.0:
             raise ConfigError(f"p_t must be a percentile in [0, 100], got {self.p_t}")
         if not 0.0 <= self.lambda_m <= 1.0:
             raise ConfigError(f"lambda_m must lie in [0, 1], got {self.lambda_m}")
-        for name in ("source_count", "target_count", "eval_count", "source_steps",
+        for name in ("source_count", "target_count", "eval_count", "r", "source_steps",
                      "finetune_steps", "batch_size", "disc_epochs", "disc_batch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -82,63 +82,43 @@ class RunConfig:
             raise ConfigError(f"r={self.r} must divide {self.height}x{self.width}")
 
     def synth_config(self, seed: int) -> SynthConfig:
-        return SynthConfig(
-            height=self.height,
-            width=self.width,
-            channels=self.channels,
-            num_classes=self.num_classes,
-            shift_classes=self.shift_classes,
-            delta=self.delta,
-            sigma=self.sigma,
-            noise_scales=self.noise_scales,
-            camouflage_classes=self.camouflage_classes,
-            rectangular=self.rectangular_layout,
-            seed=seed,
-        )
+        """The data config of one seed: every field the two configs share,
+        plus ``rectangular_layout`` under its data-side name."""
+        shared = {f.name: getattr(self, f.name) for f in fields(SynthConfig) if f.name in _HINTS}
+        return SynthConfig(**shared, rectangular=self.rectangular_layout, seed=seed)
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["shift_classes"] = list(self.shift_classes)
-        doc["camouflage_classes"] = list(self.camouflage_classes)
-        doc["disc_hidden"] = list(self.disc_hidden)
-        doc["seeds"] = list(self.seeds)
-        if self.noise_scales is not None:
-            doc["noise_scales"] = list(self.noise_scales)
-        return doc
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(_HINTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        typed: dict = {}
-        for f in fields(cls):
-            if f.name not in doc:
-                continue
-            value = doc[f.name]
-            if f.name == "noise_scales":
-                if value is not None and not isinstance(value, (list, tuple)):
-                    raise ConfigError("noise_scales must be a list or null")
-                typed[f.name] = tuple(value) if value is not None else None
-            elif f.name in ("shift_classes", "camouflage_classes", "disc_hidden", "seeds"):
-                if not isinstance(value, (list, tuple)):
-                    raise ConfigError(f"{f.name} must be a list")
-                typed[f.name] = tuple(value)
-            elif f.name == "out_dir":
-                if not isinstance(value, str):
-                    raise ConfigError("out_dir must be a string")
-                typed[f.name] = value
-            elif f.name == "rectangular_layout":
-                if not isinstance(value, bool):
-                    raise ConfigError("rectangular_layout must be a boolean")
-                typed[f.name] = value
-            elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            elif f.type == "int":
-                if int(value) != value:
-                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-                typed[f.name] = int(value)
-            else:
-                typed[f.name] = float(value)
-        return cls(**typed)
+        return cls(**doc)
+
+
+def _typed(name: str, hint, value):
+    """``value`` checked against the annotation ``hint`` (int, float, str,
+    bool, a tuple of one of them, or ``X | None``).  Numbers convert to the
+    annotated type; a bool is never a number."""
+    if isinstance(hint, types.UnionType):
+        if value is None:
+            return None
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_typed(name, typing.get_args(hint)[0], v) for v in value)
+    if hint in (str, bool):
+        if not isinstance(value, hint):
+            raise ConfigError(f"{name} must be a {hint.__name__}, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if hint is int and value % 1:  # also true for nan and inf
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return hint(value)
+
+
+_HINTS = typing.get_type_hints(RunConfig)

@@ -16,15 +16,16 @@ to the backward pass, while the final mask and class logits carry gradients.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .adaptive_cluster import FeatureMap
 from .errors import ConfigError, InputError, ShapeError
-from .numkit import AdamWState, adamw_step, sigmoid, relu, softmax_columns
+from .numkit import LOSS_EPS, AdamWState, adamw_step, sigmoid, relu, softmax_columns
 from .serialize import load_arrays, save_arrays
 from .tma import (
     AttentionInputs,
@@ -36,8 +37,6 @@ from .tma import (
     percentile_threshold,
 )
 from .transferability import TransferabilityMap
-
-MASK_EPS = 1e-7
 
 
 @dataclass
@@ -71,35 +70,51 @@ class SegModelParams:
     def num_queries(self) -> int:
         return self.queries.shape[1]
 
+    def named_arrays(self) -> dict[str, np.ndarray]:
+        """Every trainable array by name, in ``param_names`` order."""
+        in_layers = {f"layer{i}.{n}": getattr(layer, n)
+                     for i, layer in enumerate(self.layers) for n in _LAYER_NAMES}
+        return {n: in_layers[n] if n in in_layers else getattr(self, n)
+                for n in param_names(len(self.layers))}
+
+    @classmethod
+    def from_named(cls, num_classes: int, num_layers: int,
+                   named: dict[str, np.ndarray]) -> "SegModelParams":
+        """Inverse of ``named_arrays``; the names must be exactly those of a
+        ``num_layers``-layer decoder."""
+        expected = param_names(num_layers)
+        odd = set(named) ^ set(expected)
+        if odd:
+            raise InputError(
+                f"arrays {sorted(odd)} are missing or extra for {num_layers} decoder layers")
+        layers = [DecoderLayer(**{n: named[f"layer{i}.{n}"] for n in _LAYER_NAMES})
+                  for i in range(num_layers)]
+        return cls(num_classes=num_classes, layers=layers,
+                   **{n: named[n] for n in expected if "." not in n})
+
     def param_list(self) -> list[np.ndarray]:
-        out = [self.embed_w, self.embed_b, self.queries]
-        for layer in self.layers:
-            out += [layer.self_w, layer.ffn_w1, layer.ffn_b1, layer.ffn_w2, layer.ffn_b2]
-        out += [self.class_w, self.class_b, self.mask_w, self.mask_b]
-        return out
+        return list(self.named_arrays().values())
 
     def with_params(self, flat: list[np.ndarray]) -> "SegModelParams":
         """Rebuild the same architecture around a new flat parameter list."""
-        if len(flat) != 7 + 5 * len(self.layers):
+        names = param_names(len(self.layers))
+        if len(flat) != len(names):
             raise ShapeError("parameter list does not match architecture")
-        layers = []
-        for i in range(len(self.layers)):
-            sw, w1, b1, w2, b2 = flat[3 + 5 * i:8 + 5 * i]
-            layers.append(DecoderLayer(sw, w1, b1, w2, b2))
-        return SegModelParams(
-            num_classes=self.num_classes,
-            embed_w=flat[0],
-            embed_b=flat[1],
-            queries=flat[2],
-            layers=layers,
-            class_w=flat[-4],
-            class_b=flat[-3],
-            mask_w=flat[-2],
-            mask_b=flat[-1],
-        )
+        return self.from_named(self.num_classes, len(self.layers), dict(zip(names, flat)))
 
     def copy(self) -> "SegModelParams":
         return self.with_params([a.copy() for a in self.param_list()])
+
+
+_LAYER_NAMES = tuple(f.name for f in fields(DecoderLayer))
+
+
+@functools.cache
+def param_names(num_layers: int) -> tuple[str, ...]:
+    """Names of the trainable arrays in ``param_list`` order: the order of
+    the loss gradients and of the saved file."""
+    in_layers = [f"layer{i}.{n}" for i in range(num_layers) for n in _LAYER_NAMES]
+    return ("embed_w", "embed_b", "queries", *in_layers, "class_w", "class_b", "mask_w", "mask_b")
 
 
 def init_seg_model(
@@ -354,11 +369,11 @@ def seg_loss(pred: SegPrediction, labels: np.ndarray,
     # loss stays finite at saturation.
     probs = pred.mask_probs
     y = _mask_targets(flat, n_queries, num_classes)
-    clamped = np.clip(probs, MASK_EPS, 1.0 - MASK_EPS)
+    clamped = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS)
     bce = -(y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped))
     scale = 1.0 / (n_queries * num_pixels)
     mask_loss = float(np.sum(weights[None, :] * bce) * scale)
-    inside = (probs > MASK_EPS) & (probs < 1.0 - MASK_EPS)
+    inside = (probs > LOSS_EPS) & (probs < 1.0 - LOSS_EPS)
     d_mask = np.where(inside, probs - y, 0.0) * weights[None, :] * scale
 
     return class_loss + mask_loss, d_class, d_mask
@@ -395,7 +410,7 @@ def model_loss_and_grads(
     g_mask_b = d_memb.sum(axis=1)
     dq = dq + params.mask_w.T @ d_memb
 
-    layer_grads: list[list[np.ndarray]] = []
+    layer_grads: list[DecoderLayer] = []
     values = embed.T
     scale = math.sqrt(params.channels)
     for layer, lc in zip(reversed(params.layers), reversed(cache.layers)):
@@ -421,17 +436,20 @@ def model_loss_and_grads(
             lc.q_in, embed, values, lc.weights, d_attn)
         d_embed = d_embed + dk + dv.T
         dq = du + dqa
-        layer_grads.append([g_self_w, g_w1, g_b1, g_w2, g_b2])
+        layer_grads.append(DecoderLayer(self_w=g_self_w, ffn_w1=g_w1, ffn_b1=g_b1,
+                                        ffn_w2=g_w2, ffn_b2=g_b2))
     layer_grads.reverse()
 
     g_embed_w = d_embed @ cache.x.T
     g_embed_b = d_embed.sum(axis=1)
 
-    grads: list[np.ndarray] = [g_embed_w, g_embed_b, dq]
-    for lg in layer_grads:
-        grads.extend(lg)
-    grads += [g_class_w, g_class_b, g_mask_w, g_mask_b]
-    return loss, grads
+    # Gradients take the parameters' own structure, so they come out in
+    # param_list order by construction.
+    grads = SegModelParams(
+        num_classes=params.num_classes, embed_w=g_embed_w, embed_b=g_embed_b, queries=dq,
+        layers=layer_grads, class_w=g_class_w, class_b=g_class_b, mask_w=g_mask_w,
+        mask_b=g_mask_b)
+    return loss, grads.param_list()
 
 
 @dataclass
@@ -490,48 +508,27 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def _named_arrays(params: SegModelParams) -> dict[str, np.ndarray]:
-    named = {"embed_w": params.embed_w, "embed_b": params.embed_b,
-             "queries": params.queries}
-    for i, layer in enumerate(params.layers):
-        named[f"layer{i}.self_w"] = layer.self_w
-        named[f"layer{i}.ffn_w1"] = layer.ffn_w1
-        named[f"layer{i}.ffn_b1"] = layer.ffn_b1
-        named[f"layer{i}.ffn_w2"] = layer.ffn_w2
-        named[f"layer{i}.ffn_b2"] = layer.ffn_b2
-    named["class_w"] = params.class_w
-    named["class_b"] = params.class_b
-    named["mask_w"] = params.mask_w
-    named["mask_b"] = params.mask_b
-    return named
-
-
 def save_params(params: SegModelParams, bin_path: str | Path, json_path: str | Path) -> None:
     meta = {"num_classes": params.num_classes, "num_layers": len(params.layers)}
-    save_arrays(_named_arrays(params), bin_path, json_path, meta=meta)
+    save_arrays(params.named_arrays(), bin_path, json_path, meta=meta)
 
 
 def load_params(bin_path: str | Path, json_path: str | Path) -> SegModelParams:
+    """Read a model written by ``save_params``.
+
+    The meta counts must be positive integers, the array names exactly those
+    of a decoder with ``num_layers`` layers, and the class head must have one
+    row per class plus no-object; anything else raises InputError.
+    """
     named, meta = load_arrays(bin_path, json_path)
-    num_layers = int(meta["num_layers"])
-    layers = [
-        DecoderLayer(
-            self_w=named[f"layer{i}.self_w"],
-            ffn_w1=named[f"layer{i}.ffn_w1"],
-            ffn_b1=named[f"layer{i}.ffn_b1"],
-            ffn_w2=named[f"layer{i}.ffn_w2"],
-            ffn_b2=named[f"layer{i}.ffn_b2"],
-        )
-        for i in range(num_layers)
-    ]
-    return SegModelParams(
-        num_classes=int(meta["num_classes"]),
-        embed_w=named["embed_w"],
-        embed_b=named["embed_b"],
-        queries=named["queries"],
-        layers=layers,
-        class_w=named["class_w"],
-        class_b=named["class_b"],
-        mask_w=named["mask_w"],
-        mask_b=named["mask_b"],
-    )
+    counts = [meta.get(key) for key in ("num_classes", "num_layers")]
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in counts):
+        raise InputError(f"meta num_classes/num_layers {counts} are not positive integers")
+    num_classes, num_layers = counts
+    if num_layers > len(named):  # checked first so no name list that long is built
+        raise InputError(f"{len(named)} arrays cannot hold {num_layers} decoder layers")
+    params = SegModelParams.from_named(num_classes, num_layers, named)
+    if params.class_w.shape[:1] != (num_classes + 1,):
+        raise InputError(f"class head of shape {params.class_w.shape} does not have "
+                         f"{num_classes} class rows plus no-object")
+    return params

@@ -14,7 +14,7 @@ layouts where any class covers less than 5% of pixels are resampled.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -252,20 +252,40 @@ def save_dataset(splits: dict[str, list[LabeledImage]], config: SynthConfig,
 
 
 def load_dataset(data_dir: str | Path) -> tuple[SynthConfig, dict[str, list[LabeledImage]]]:
+    """Read a directory written by ``save_dataset``; a malformed manifest or
+    a feature file of the wrong size raises InputError."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
         raise InputError(f"no dataset manifest at {manifest_path}")
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        manifest = json.load(f)
-    cfg_dict = dict(manifest["config"])
-    cfg_dict["shift_classes"] = tuple(cfg_dict["shift_classes"])
-    config = SynthConfig(**cfg_dict)
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as f:
+            manifest = json.load(f)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise InputError(f"unreadable manifest {manifest_path}: {exc}") from exc
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+            and isinstance(manifest.get("splits"), dict)):
+        raise InputError("manifest must be an object with 'config' and 'splits' objects")
+    odd = set(manifest["config"]) ^ {f.name for f in fields(SynthConfig)}
+    if odd:
+        raise InputError(f"manifest config keys {sorted(odd)} are missing or unknown")
+    try:
+        config = SynthConfig(**manifest["config"])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad manifest config: {exc}") from exc
+    values = config.height * config.width * config.channels
     splits: dict[str, list[LabeledImage]] = {}
     for split, entries in manifest["splits"].items():
+        if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and {"features", "labels", "domain"} <= e.keys()
+                for e in entries):
+            raise InputError(f"split {split!r} must list entries with features, labels and domain")
         images = []
         for entry in entries:
             features = np.fromfile(data_dir / entry["features"], dtype="<f8")
+            if features.size != values:
+                raise InputError(f"{entry['features']} holds {features.size} values, "
+                                 f"expected {values}")
             features = features.reshape(config.height * config.width, config.channels)
             labels = netpbm.read_pgm(data_dir / entry["labels"]).astype(int)
             fm = FeatureMap(config.height, config.width, features)

@@ -24,7 +24,6 @@ from .numkit import (
     MlpParams,
     adamw_step,
     init_mlp,
-    mlp_forward,
     mlp_forward_batch,
     mlp_loss_and_grads,
     mlp_params_from_list,
@@ -165,14 +164,9 @@ def _balanced_accuracy(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float
     return 0.5 * (acc_src + acc_tgt)
 
 
-def region_transferability(params: MlpParams, region_feature: np.ndarray) -> float:
-    """Confusion score 2*min(E, 1-E): 1 when the discriminator cannot tell the
-    domains apart on this region, 0 when it is certain."""
-    e = mlp_forward(params, region_feature)
-    return 2.0 * min(e, 1.0 - e)
-
-
 def region_transferability_batch(params: MlpParams, region_features: np.ndarray) -> np.ndarray:
+    """Confusion score 2*min(E, 1-E) per row: 1 when the discriminator cannot
+    tell the domains apart on a region, 0 when it is certain."""
     probs = mlp_forward_batch(params, np.atleast_2d(region_features))
     return 2.0 * np.minimum(probs, 1.0 - probs)
 

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gradcheck import gradcheck
 from segxfer import numkit
 from segxfer.errors import (
     DegenerateColumnError,
@@ -9,38 +10,6 @@ from segxfer.errors import (
     InputError,
     ShapeError,
 )
-
-
-# ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
-
-
-def test_matmul_identity():
-    b = np.array([[1.0, 2.0], [3.0, 4.0]])
-    npt.assert_array_equal(numkit.matmul(np.eye(2), b), b)
-
-
-def test_matmul_hand_sum():
-    out = numkit.matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-    npt.assert_array_equal(out, np.array([[3.0], [7.0]]))
-
-
-def test_matmul_against_triple_loop_oracle():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(5, 4))
-    b = rng.normal(size=(4, 3))
-    expected = np.zeros((5, 3))
-    for i in range(5):
-        for j in range(3):
-            for k in range(4):
-                expected[i, j] += a[i, k] * b[k, j]
-    npt.assert_allclose(numkit.matmul(a, b), expected, atol=1e-12)
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        numkit.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +98,11 @@ def test_softmax_shift_invariance():
 # ---------------------------------------------------------------------------
 
 
+def _forward_one(p, x):
+    """The batch forward on a single row."""
+    return float(numkit.mlp_forward_batch(p, np.asarray(x)[None, :])[0])
+
+
 def _zero_mlp(in_dim=4, hidden=(2,)):
     params = numkit.init_mlp(in_dim, hidden, np.random.default_rng(0))
     return numkit.MlpParams(
@@ -139,7 +113,7 @@ def _zero_mlp(in_dim=4, hidden=(2,)):
 
 def test_mlp_forward_zero_net_is_half():
     p = _zero_mlp()
-    assert numkit.mlp_forward(p, np.ones(4)) == pytest.approx(0.5)
+    assert _forward_one(p, np.ones(4)) == pytest.approx(0.5)
 
 
 def test_mlp_forward_sigmoid_saturation():
@@ -147,7 +121,7 @@ def test_mlp_forward_sigmoid_saturation():
     outputs = []
     for bias in (1.0, 5.0, 10.0):
         p.biases[-1][0] = bias
-        outputs.append(numkit.mlp_forward(p, np.zeros(4)))
+        outputs.append(_forward_one(p, np.zeros(4)))
     assert outputs == sorted(outputs)
     assert outputs[-1] > 0.999
 
@@ -159,26 +133,32 @@ def test_mlp_forward_matches_layer_by_layer_oracle():
     h = np.maximum(p.weights[0] @ x + p.biases[0], 0.0)
     z = p.weights[1] @ h + p.biases[1]
     expected = 1.0 / (1.0 + np.exp(-z[0]))
-    assert numkit.mlp_forward(p, x) == pytest.approx(expected, abs=1e-12)
+    assert _forward_one(p, x) == pytest.approx(expected, abs=1e-12)
 
 
 def test_mlp_forward_rejects_non_finite():
     p = _zero_mlp()
     with pytest.raises(InputError):
-        numkit.mlp_forward(p, np.array([1.0, np.nan, 0.0, 0.0]))
+        _forward_one(p, np.array([1.0, np.nan, 0.0, 0.0]))
 
 
 def test_mlp_forward_in_open_interval():
     rng = np.random.default_rng(4)
     p = numkit.init_mlp(3, (5,), rng)
     for _ in range(20):
-        out = numkit.mlp_forward(p, rng.normal(size=3) * 10)
+        out = _forward_one(p, rng.normal(size=3) * 10)
         assert 0.0 < out < 1.0
 
 
 # ---------------------------------------------------------------------------
 # MLP backward
 # ---------------------------------------------------------------------------
+
+
+def _grads_one(p, x, d):
+    """Gradients of the single-sample cross-entropy loss, param_list order."""
+    _, grads = numkit.mlp_loss_and_grads(p, x[None, :], np.array([d]), reduction="sum")
+    return grads
 
 
 def test_mlp_backward_matches_finite_differences():
@@ -190,7 +170,7 @@ def test_mlp_backward_matches_finite_differences():
         mp = numkit.mlp_params_from_list(flat)
         return numkit.mlp_loss_and_grads(mp, x[None, :], np.array([1.0]))
 
-    assert numkit.gradcheck(f, p.param_list()) <= 1e-4
+    assert gradcheck(f, p.param_list()) <= 1e-4
 
 
 def test_mlp_backward_output_bias_sign():
@@ -198,9 +178,9 @@ def test_mlp_backward_output_bias_sign():
     rng = np.random.default_rng(6)
     p = numkit.init_mlp(4, (3,), rng)
     x = rng.normal(size=4)
-    e = numkit.mlp_forward(p, x)
+    e = _forward_one(p, x)
     for d in (0, 1):
-        grads = numkit.mlp_backward(p, x, d)
+        grads = _grads_one(p, x, d)
         bias_grad = grads[-1][0]
         assert bias_grad == pytest.approx(e - d, abs=1e-12)
 
@@ -209,7 +189,7 @@ def test_mlp_backward_duplicate_sample_doubles_under_sum():
     rng = np.random.default_rng(8)
     p = numkit.init_mlp(4, (3,), rng)
     x = rng.normal(size=4)
-    single = numkit.mlp_backward(p, x, 1)
+    single = _grads_one(p, x, 1)
     _, double = numkit.mlp_loss_and_grads(
         p, np.vstack([x, x]), np.array([1.0, 1.0]), reduction="sum"
     )
@@ -220,7 +200,7 @@ def test_mlp_backward_duplicate_sample_doubles_under_sum():
 def test_mlp_backward_rejects_bad_label():
     p = _zero_mlp()
     with pytest.raises(InputError):
-        numkit.mlp_backward(p, np.ones(4), 2)
+        _grads_one(p, np.ones(4), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +261,7 @@ def test_adamw_step_count_strictly_increases():
 
 
 # ---------------------------------------------------------------------------
-# gradcheck
+# gradcheck (the test helper in tests/gradcheck.py)
 # ---------------------------------------------------------------------------
 
 
@@ -292,7 +272,7 @@ def test_gradcheck_quadratic_exact():
         (x,) = params
         return float(np.sum(a * x * x)), [2.0 * a * x]
 
-    assert numkit.gradcheck(f, [np.array([0.3, 1.2, -0.7])]) <= 1e-7
+    assert gradcheck(f, [np.array([0.3, 1.2, -0.7])]) <= 1e-7
 
 
 def test_gradcheck_flags_planted_bug():
@@ -301,7 +281,7 @@ def test_gradcheck_flags_planted_bug():
         (x,) = params
         return float(np.sum(x * x)), [4.0 * x]
 
-    err = numkit.gradcheck(f, [np.array([0.5, -1.5])])
+    err = gradcheck(f, [np.array([0.5, -1.5])])
     assert err == pytest.approx(1.0 / 3.0, abs=1e-3)
 
 
@@ -310,7 +290,7 @@ def test_gradcheck_non_finite_value():
         return float("nan"), [np.zeros(1)]
 
     with pytest.raises(EvaluationError):
-        numkit.gradcheck(f, [np.ones(1)])
+        gradcheck(f, [np.ones(1)])
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +298,8 @@ def test_gradcheck_non_finite_value():
 # ---------------------------------------------------------------------------
 
 
-def test_make_rng_reproducible():
-    a = numkit.make_rng(1234).normal(size=16)
-    b = numkit.make_rng(1234).normal(size=16)
-    npt.assert_array_equal(a, b)
-
-
 def test_init_mlp_reproducible():
-    p1 = numkit.init_mlp(4, (8,), numkit.make_rng(5))
-    p2 = numkit.init_mlp(4, (8,), numkit.make_rng(5))
+    p1 = numkit.init_mlp(4, (8,), np.random.default_rng(5))
+    p2 = numkit.init_mlp(4, (8,), np.random.default_rng(5))
     for w1, w2 in zip(p1.weights, p2.weights):
         npt.assert_array_equal(w1, w2)

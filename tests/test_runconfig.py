@@ -19,7 +19,35 @@ def test_unknown_key_is_config_error():
         RunConfig.from_dict(doc)
 
 
-@pytest.mark.parametrize("name", ["height", "tau", "p_t", "source_steps"])
-def test_bool_for_number_is_config_error(name):
+@pytest.mark.parametrize("name, value", [
+    ("height", True), ("tau", True), ("p_t", True), ("source_steps", True), ("seeds", [True]),
+], ids=["height", "tau", "p_t", "source_steps", "seeds"])
+def test_bool_for_number_is_config_error(name, value):
     with pytest.raises(ConfigError):
-        RunConfig.from_dict({name: True})
+        RunConfig.from_dict({name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("r", 0),
+    ("seeds", [1.5]),
+    ("disc_hidden", [2.7]),
+    ("noise_scales", ["a", 1.0, 1.0, 1.0]),
+    ("shift_classes", ["x"]),
+    ("height", float("nan")),
+    ("out_dir", 3),
+], ids=["r_zero", "seeds_float", "disc_hidden_float", "noise_scales_string",
+        "shift_classes_string", "height_nan", "out_dir_number"])
+def test_bad_value_is_config_error(name, value):
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({name: value})
+
+
+def test_integral_float_reads_as_int():
+    config = RunConfig.from_dict({"height": 16.0, "seeds": [0.0, 1.0]})
+    assert config.height == 16 and isinstance(config.height, int)
+    assert config.seeds == (0, 1) and all(isinstance(s, int) for s in config.seeds)
+
+
+def test_constructor_applies_the_same_checks():
+    with pytest.raises(ConfigError):
+        RunConfig(seeds=(1.5,))

@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from segxfer import numkit, segmodel as sm
+from gradcheck import gradcheck
+from segxfer import segmodel as sm
 from segxfer.adaptive_cluster import FeatureMap
 from segxfer.errors import ConfigError, InputError, ShapeError
+from segxfer.serialize import save_arrays
 from segxfer.transferability import TransferabilityMap
 
 
@@ -145,7 +149,7 @@ def test_seg_loss_gradcheck_at_logits():
 
     cls0 = rng.normal(size=(4, 4))
     mlog0 = rng.normal(size=(4, 64))
-    assert numkit.gradcheck(f, [cls0, mlog0]) <= 1e-4
+    assert gradcheck(f, [cls0, mlog0]) <= 1e-4
 
 
 def test_seg_loss_class_permutation_symmetry():
@@ -213,7 +217,7 @@ def test_model_gradcheck_all_trainable_paths():
             return sm.model_loss_and_grads(cur, fm, labels, tmap=tmap,
                                            lambda_m=0.5, p_t=60.0)
 
-        errs.append(numkit.gradcheck(f, params.param_list()))
+        errs.append(gradcheck(f, params.param_list()))
     assert max(errs) <= 1e-4
 
 
@@ -229,7 +233,7 @@ def test_model_gradcheck_vanilla_mode():
             cur = params.with_params(flat)
             return sm.model_loss_and_grads(cur, fm, labels, lambda_m=1.0)
 
-        errs.append(numkit.gradcheck(f, params.param_list()))
+        errs.append(gradcheck(f, params.param_list()))
     assert max(errs) <= 1e-4
 
 
@@ -314,3 +318,65 @@ def test_save_is_byte_deterministic(tmp_path):
     sm.save_params(params, tmp_path / "b.bin", tmp_path / "b.json")
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def _saved_model(tmp_path):
+    """A 2-layer, 3-class model on disk, plus its parsed manifest."""
+    bin_path, json_path = tmp_path / "m.bin", tmp_path / "m.json"
+    sm.save_params(small_model(7), bin_path, json_path)
+    return bin_path, json_path, json.loads(json_path.read_text())
+
+
+@pytest.mark.parametrize("meta", [
+    {"num_layers": 2},
+    {"num_classes": 3},
+    {"num_classes": 3, "num_layers": 0},
+    {"num_classes": 3, "num_layers": 2.0},
+    {"num_classes": True, "num_layers": 2},
+    {"num_classes": "3", "num_layers": 2},
+], ids=["no_classes", "no_layers", "zero_layers", "float_layers", "bool_classes",
+        "string_classes"])
+def test_load_rejects_bad_meta_counts(tmp_path, meta):
+    bin_path, json_path, manifest = _saved_model(tmp_path)
+    manifest["meta"] = meta
+    json_path.write_text(json.dumps(manifest))
+    with pytest.raises(InputError):
+        sm.load_params(bin_path, json_path)
+
+
+@pytest.mark.parametrize("num_layers", [1, 3, 10**12],
+                         ids=["extra_arrays", "missing_arrays", "absurd_layer_count"])
+def test_load_rejects_arrays_not_matching_layer_count(tmp_path, num_layers):
+    bin_path, json_path, manifest = _saved_model(tmp_path)
+    manifest["meta"]["num_layers"] = num_layers
+    json_path.write_text(json.dumps(manifest))
+    with pytest.raises(InputError):
+        sm.load_params(bin_path, json_path)
+
+
+def test_load_rejects_missing_array(tmp_path):
+    named = small_model(7).named_arrays()
+    del named["mask_b"]
+    bin_path, json_path = tmp_path / "m.bin", tmp_path / "m.json"
+    save_arrays(named, bin_path, json_path, meta={"num_classes": 3, "num_layers": 2})
+    with pytest.raises(InputError):
+        sm.load_params(bin_path, json_path)
+
+
+def test_load_rejects_class_head_of_wrong_size(tmp_path):
+    bin_path, json_path, manifest = _saved_model(tmp_path)
+    manifest["meta"]["num_classes"] = 2
+    json_path.write_text(json.dumps(manifest))
+    with pytest.raises(InputError):
+        sm.load_params(bin_path, json_path)
+
+
+def test_named_arrays_follow_param_list_order():
+    params = small_model(8)
+    named = params.named_arrays()
+    assert tuple(named) == sm.param_names(2)
+    for a, b in zip(named.values(), params.param_list()):
+        assert a is b
+    rebuilt = sm.SegModelParams.from_named(3, 2, named)
+    for a, b in zip(rebuilt.param_list(), params.param_list()):
+        assert a is b

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -142,5 +144,44 @@ def test_save_is_byte_deterministic(tmp_path):
 
 
 def test_load_missing_manifest(tmp_path):
+    with pytest.raises(InputError):
+        sd.load_dataset(tmp_path)
+
+
+def _saved_manifest(tmp_path):
+    cfg = small_config()
+    sd.save_dataset({"source": sd.generate(cfg, 1, sd.SOURCE)}, cfg, tmp_path)
+    path = tmp_path / "manifest.json"
+    return path, json.loads(path.read_text())
+
+
+def test_load_bad_json_is_input_error(tmp_path):
+    path, _ = _saved_manifest(tmp_path)
+    path.write_text("{not json")
+    with pytest.raises(InputError):
+        sd.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("key", ["config", "splits"])
+def test_load_missing_section_is_input_error(tmp_path, key):
+    path, manifest = _saved_manifest(tmp_path)
+    del manifest[key]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(InputError):
+        sd.load_dataset(tmp_path)
+
+
+def test_load_unknown_config_key_is_input_error(tmp_path):
+    path, manifest = _saved_manifest(tmp_path)
+    manifest["config"]["colour"] = "red"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(InputError):
+        sd.load_dataset(tmp_path)
+
+
+def test_load_wrong_size_feature_file_is_input_error(tmp_path):
+    _saved_manifest(tmp_path)
+    feature_file = tmp_path / "source" / "img_0000.bin"
+    feature_file.write_bytes(feature_file.read_bytes()[:-8])
     with pytest.raises(InputError):
         sd.load_dataset(tmp_path)

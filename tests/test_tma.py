@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gradcheck import gradcheck
 from segxfer import netpbm, numkit, tma
 from segxfer.errors import InputError, ShapeError
 
@@ -220,7 +221,7 @@ def test_attention_backward_gradcheck():
             out = tma.tma_attention(inputs, mask)
             grads = tma.tma_attention_backward(inputs, mask, upstream)
             return float(np.sum(out * upstream)), list(grads)
-        errs.append(numkit.gradcheck(f, [ai.queries, ai.keys, ai.values]))
+        errs.append(gradcheck(f, [ai.queries, ai.keys, ai.values]))
     assert max(errs) <= 1e-4
 
 

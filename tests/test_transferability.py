@@ -88,23 +88,23 @@ def test_train_discriminator_logs_every_epoch():
 
 
 # ---------------------------------------------------------------------------
-# region_transferability
+# region_transferability_batch
 # ---------------------------------------------------------------------------
 
 
 def test_transferability_full_confusion():
     params = constant_net(4, 0.0)  # E = 0.5
-    assert tr.region_transferability(params, np.ones(4)) == pytest.approx(1.0)
+    assert tr.region_transferability_batch(params, np.ones(4)) == pytest.approx([1.0])
 
 
 def test_transferability_full_certainty():
     params = constant_net(4, 50.0)  # E ~ 1
-    assert tr.region_transferability(params, np.ones(4)) == pytest.approx(0.0, abs=1e-9)
+    assert tr.region_transferability_batch(params, np.ones(4)) == pytest.approx([0.0], abs=1e-9)
 
 
 def test_transferability_formula_point():
     params = constant_net(4, np.log(4.0))  # E = 0.8
-    assert tr.region_transferability(params, np.ones(4)) == pytest.approx(0.4, abs=1e-9)
+    assert tr.region_transferability_batch(params, np.ones(4)) == pytest.approx([0.4], abs=1e-9)
 
 
 def test_transferability_always_in_unit_interval():
