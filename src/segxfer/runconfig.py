@@ -8,6 +8,7 @@ annotation, whether the config is built directly or parsed from a dict.
 
 from __future__ import annotations
 
+import math
 import numbers
 import types
 import typing
@@ -72,6 +73,8 @@ class RunConfig:
             raise ConfigError(f"p_t must be a percentile in [0, 100], got {self.p_t}")
         if not 0.0 <= self.lambda_m <= 1.0:
             raise ConfigError(f"lambda_m must lie in [0, 1], got {self.lambda_m}")
+        if not self.tau > 0.0:
+            raise ConfigError(f"tau must be > 0, got {self.tau}")
         for name in ("source_count", "target_count", "eval_count", "r", "source_steps",
                      "finetune_steps", "batch_size", "disc_epochs", "disc_batch"):
             if getattr(self, name) < 1:
@@ -100,8 +103,8 @@ class RunConfig:
 
 def _typed(name: str, hint, value):
     """``value`` checked against the annotation ``hint`` (int, float, str,
-    bool, a tuple of one of them, or ``X | None``).  Numbers convert to the
-    annotated type; a bool is never a number."""
+    bool, a tuple of one of them, or ``X | None``).  Numbers must be finite
+    and convert to the annotated type; a bool is never a number."""
     if isinstance(hint, types.UnionType):
         if value is None:
             return None
@@ -116,7 +119,9 @@ def _typed(name: str, hint, value):
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    if hint is int and value % 1:  # also true for nan and inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if hint is int and value % 1:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return hint(value)
 

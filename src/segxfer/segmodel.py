@@ -162,15 +162,22 @@ def init_seg_model(
 
 @dataclass
 class SegPrediction:
-    """Per-query class and mask predictions plus the decoded pixel labels."""
+    """Per-query class and mask predictions; the pixel labels are decoded
+    on first access, so a training step never decodes them."""
 
     class_logits: np.ndarray  # (num_classes + 1, N)
     mask_logits: np.ndarray   # (N, H*W)
     class_probs: np.ndarray   # (N, num_classes + 1)
     mask_probs: np.ndarray    # (N, H*W)
-    labels: np.ndarray        # (H, W)
+    height: int
+    width: int
     fallback_count: int
     fallback_slots: int
+
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        """(H, W) decoded labels; see ``decode_labels``."""
+        return decode_labels(self.class_probs, self.mask_probs, self.height, self.width)
 
     @property
     def num_classes(self) -> int:
@@ -199,14 +206,13 @@ def decode_labels(class_probs: np.ndarray, mask_probs: np.ndarray,
 def prediction_from_logits(class_logits: np.ndarray, mask_logits: np.ndarray,
                            height: int, width: int, fallback_count: int = 0,
                            fallback_slots: int = 0) -> SegPrediction:
-    class_probs = softmax_columns(class_logits).T
-    mask_probs = sigmoid(mask_logits)
     return SegPrediction(
         class_logits=class_logits,
         mask_logits=mask_logits,
-        class_probs=class_probs,
-        mask_probs=mask_probs,
-        labels=decode_labels(class_probs, mask_probs, height, width),
+        class_probs=softmax_columns(class_logits).T,
+        mask_probs=sigmoid(mask_logits),
+        height=height,
+        width=width,
         fallback_count=fallback_count,
         fallback_slots=fallback_slots,
     )
@@ -214,8 +220,8 @@ def prediction_from_logits(class_logits: np.ndarray, mask_logits: np.ndarray,
 
 @dataclass
 class _LayerCache:
-    q_in: np.ndarray
-    weights: np.ndarray       # cross-attention weights (keys, N)
+    q_in: np.ndarray          # queries entering the layer (C, N)
+    weights: np.ndarray       # cross-attention weights (N, keys)
     u: np.ndarray             # post-cross-attention residual (C, N)
     self_weights: np.ndarray  # query self-attention weights (N, N)
     mix: np.ndarray           # self-attention value mix (C, N)
@@ -232,20 +238,13 @@ class _ForwardCache:
     q_final: np.ndarray | None = None
     memb: np.ndarray | None = None
     prediction: SegPrediction | None = None
-    # Distance of the closest mask probability to lambda_m and of the closest
-    # FFN pre-activation to 0.  The loss is only piecewise smooth; gradient
-    # checks need these margins to stay away from the seams.
-    mask_margin: float = np.inf
-    relu_margin: float = np.inf
 
 
 def _layer_mask(params: SegModelParams, q: np.ndarray, embed: np.ndarray,
-                tvec: np.ndarray, lambda_m: float, lambda_t: float
-                ) -> tuple[AttentionMaskTensor, float]:
+                tvec: np.ndarray, lambda_m: float, lambda_t: float) -> AttentionMaskTensor:
     memb = params.mask_w @ q + params.mask_b[:, None]
     probs = sigmoid(memb.T @ embed)
-    margin = float(np.min(np.abs(probs - lambda_m)))
-    return build_mask(MaskInputs(probs, tvec, lambda_m, lambda_t)), margin
+    return build_mask(MaskInputs(probs, tvec, lambda_m, lambda_t))
 
 
 def _forward(params: SegModelParams, fm: FeatureMap,
@@ -273,24 +272,21 @@ def _forward(params: SegModelParams, fm: FeatureMap,
         lambda_t = 1.0
 
     cache = _ForwardCache(x=x, embed=embed)
-    values = embed.T
     q = params.queries
     fallback_count = 0
     scale = math.sqrt(params.channels)
     for layer in params.layers:
-        amask, margin = _layer_mask(params, q, embed, tvec, lambda_m, lambda_t)
-        cache.mask_margin = min(cache.mask_margin, margin)
+        amask = _layer_mask(params, q, embed, tvec, lambda_m, lambda_t)
         fallback_count += int(np.sum(amask.fallback))
-        ai = AttentionInputs(queries=q, keys=embed, values=values,
+        ai = AttentionInputs(queries=q, keys=embed, values=embed.T,
                              height=fm.height, width=fm.width)
         weights = masked_attention_weights(ai, amask)
-        u = q + (weights.T @ values).T
+        u = q + embed @ weights.T
         self_weights = softmax_columns((u.T @ u) / scale)
         mix = u @ self_weights
         v = u + layer.self_w @ mix
         z = layer.ffn_w1 @ v + layer.ffn_b1[:, None]
         h = relu(z)
-        cache.relu_margin = min(cache.relu_margin, float(np.min(np.abs(z))))
         q_next = v + layer.ffn_w2 @ h + layer.ffn_b2[:, None]
         cache.layers.append(_LayerCache(q_in=q, weights=weights, u=u,
                                         self_weights=self_weights, mix=mix,
@@ -319,7 +315,8 @@ def forward(params: SegModelParams, fm: FeatureMap,
 
 
 def _mask_targets(labels_flat: np.ndarray, num_queries: int, num_classes: int) -> np.ndarray:
-    targets = np.zeros((num_queries, labels_flat.size))
+    """(num_queries, H*W) bool: query n's target mask is class n's pixels."""
+    targets = np.zeros((num_queries, labels_flat.size), dtype=bool)
     for n in range(min(num_queries, num_classes)):
         targets[n] = labels_flat == n
     return targets
@@ -346,12 +343,11 @@ def seg_loss(pred: SegPrediction, labels: np.ndarray,
     if flat.min() < 0 or flat.max() >= num_classes:
         raise InputError(f"labels must lie in [0, {num_classes}), got "
                          f"[{flat.min()}, {flat.max()}]")
-    if pixel_weights is None:
-        weights = np.ones(num_pixels)
-    else:
-        weights = np.asarray(pixel_weights, dtype=float).reshape(-1)
-        if weights.shape != (num_pixels,):
-            raise ShapeError(f"pixel weights {weights.shape} do not cover {num_pixels} pixels")
+    if pixel_weights is not None:
+        pixel_weights = np.asarray(pixel_weights, dtype=float).reshape(-1)
+        if pixel_weights.shape != (num_pixels,):
+            raise ShapeError(
+                f"pixel weights {pixel_weights.shape} do not cover {num_pixels} pixels")
 
     # Class term: stable log-softmax cross-entropy against the fixed targets.
     cls = pred.class_logits
@@ -366,15 +362,20 @@ def seg_loss(pred: SegPrediction, labels: np.ndarray,
     d_class /= n_queries
 
     # Mask term: per-pixel binary cross-entropy, probabilities clamped so the
-    # loss stays finite at saturation.
+    # loss stays finite at saturation.  With 0/1 targets, -log of the
+    # probability given to the target is the usual two-log formula exactly.
     probs = pred.mask_probs
     y = _mask_targets(flat, n_queries, num_classes)
     clamped = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS)
-    bce = -(y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped))
-    scale = 1.0 / (n_queries * num_pixels)
-    mask_loss = float(np.sum(weights[None, :] * bce) * scale)
+    bce = -np.log(np.where(y, clamped, 1.0 - clamped))
     inside = (probs > LOSS_EPS) & (probs < 1.0 - LOSS_EPS)
-    d_mask = np.where(inside, probs - y, 0.0) * weights[None, :] * scale
+    d_mask = np.where(inside, probs - y, 0.0)
+    if pixel_weights is not None:
+        bce *= pixel_weights
+        d_mask *= pixel_weights
+    scale = 1.0 / (n_queries * num_pixels)
+    mask_loss = float(np.sum(bce) * scale)
+    d_mask *= scale
 
     return class_loss + mask_loss, d_class, d_mask
 
@@ -411,7 +412,6 @@ def model_loss_and_grads(
     dq = dq + params.mask_w.T @ d_memb
 
     layer_grads: list[DecoderLayer] = []
-    values = embed.T
     scale = math.sqrt(params.channels)
     for layer, lc in zip(reversed(params.layers), reversed(cache.layers)):
         g_w2 = dq @ lc.h.T
@@ -431,10 +431,12 @@ def model_loss_and_grads(
             d_sw - np.sum(lc.self_weights * d_sw, axis=0))
         du = du + (lc.u @ (d_scores + d_scores.T)) / scale
 
-        d_attn = du.T                           # (N, C)
+        # cross-attention: u = q_in + embed @ weights.T, with embed as both
+        # keys and values
         dqa, dk, dv = attention_backward_from_weights(
-            lc.q_in, embed, values, lc.weights, d_attn)
-        d_embed = d_embed + dk + dv.T
+            lc.q_in, embed, embed, lc.weights, du.T)
+        d_embed += dk
+        d_embed += dv
         dq = du + dqa
         layer_grads.append(DecoderLayer(self_w=g_self_w, ffn_w1=g_w1, ffn_b1=g_b1,
                                         ffn_w2=g_w2, ffn_b2=g_b2))
@@ -474,7 +476,11 @@ def train(
     p_t: float = 30.0,
 ) -> tuple[SegModelParams, list[float]]:
     """AdamW training over uniformly sampled batches; returns new params and
-    the per-step mean batch loss."""
+    the per-step mean batch loss.
+
+    Loss and gradients are deterministic, so an item drawn more than once in
+    a batch is evaluated once and its result added again for each draw.
+    """
     if not items:
         raise InputError("training set is empty")
     rng = np.random.default_rng(seed)
@@ -486,11 +492,14 @@ def train(
         total = 0.0
         acc: list[np.ndarray] | None = None
         current = params.with_params(flat)
+        drawn: dict[int, tuple[float, list[np.ndarray]]] = {}
         for idx in picks:
             item = items[idx]
-            loss, grads = model_loss_and_grads(
-                current, item.fm, item.labels, tmap=item.tmap,
-                lambda_m=lambda_m, p_t=p_t, pixel_weights=item.pixel_weights)
+            if idx not in drawn:
+                drawn[idx] = model_loss_and_grads(
+                    current, item.fm, item.labels, tmap=item.tmap,
+                    lambda_m=lambda_m, p_t=p_t, pixel_weights=item.pixel_weights)
+            loss, grads = drawn[idx]
             total += loss
             if acc is None:
                 acc = grads

@@ -252,8 +252,9 @@ def save_dataset(splits: dict[str, list[LabeledImage]], config: SynthConfig,
 
 
 def load_dataset(data_dir: str | Path) -> tuple[SynthConfig, dict[str, list[LabeledImage]]]:
-    """Read a directory written by ``save_dataset``; a malformed manifest or
-    a feature file of the wrong size raises InputError."""
+    """Read a directory written by ``save_dataset``; a malformed manifest, a
+    listed file that cannot be read or a feature file of the wrong size
+    raises InputError."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
@@ -282,12 +283,15 @@ def load_dataset(data_dir: str | Path) -> tuple[SynthConfig, dict[str, list[Labe
             raise InputError(f"split {split!r} must list entries with features, labels and domain")
         images = []
         for entry in entries:
-            features = np.fromfile(data_dir / entry["features"], dtype="<f8")
+            try:
+                features = np.fromfile(data_dir / entry["features"], dtype="<f8")
+                labels = netpbm.read_pgm(data_dir / entry["labels"]).astype(int)
+            except OSError as exc:  # a listed file is missing or unreadable
+                raise InputError(f"split {split!r}: {exc}") from exc
             if features.size != values:
                 raise InputError(f"{entry['features']} holds {features.size} values, "
                                  f"expected {values}")
             features = features.reshape(config.height * config.width, config.channels)
-            labels = netpbm.read_pgm(data_dir / entry["labels"]).astype(int)
             fm = FeatureMap(config.height, config.width, features)
             images.append(LabeledImage(fm=fm, labels=labels, domain=entry["domain"],
                                        shift_classes=config.shift_classes))

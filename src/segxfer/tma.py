@@ -1,11 +1,14 @@
 """Transferability-guided masked attention.
 
-The additive mask admits a (query, key) pair only where the predicted mask
-probability and the key's transferability both fall at or below their
-thresholds; everything else gets -inf.  A query whose row is entirely -inf
-falls back to attending everywhere, and the fallback is flagged so callers
-can count how often it fires.  Mask entries are constants: no gradient flows
-through the threshold comparisons.
+The mask is a boolean (queries x keys) set of admitted pairs: a key is
+admitted for a query only where the predicted mask probability and the
+key's transferability both fall at or below their thresholds.  A query that
+admits no key falls back to attending everywhere, and the fallback is
+flagged so callers can count how often it fires.  Mask entries are
+constants: no gradient flows through the threshold comparisons.
+
+Attention weights are stored query-major, (queries x keys), so every
+softmax reduction runs over contiguous memory.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netpbm
-from .errors import InputError, ShapeError
-from .numkit import softmax_columns
+from .errors import DegenerateColumnError, InputError, ShapeError
 
 
 def percentile_threshold(values: np.ndarray, p: float) -> float:
@@ -64,25 +66,32 @@ class MaskInputs:
 
 @dataclass
 class AttentionMaskTensor:
-    """Additive mask with entries in {0, -inf} plus per-query fallback flags."""
+    """Admitted (query, key) pairs plus per-query fallback flags."""
 
-    additive: np.ndarray  # (N, H_l*W_l)
+    allowed: np.ndarray   # (N, H_l*W_l) bool
     fallback: np.ndarray  # (N,) bool
+
+    @property
+    def additive(self) -> np.ndarray:
+        """The mask as a read-only additive score term: 0 where admitted,
+        -inf elsewhere."""
+        out = np.where(self.allowed, 0.0, -np.inf)
+        out.flags.writeable = False
+        return out
 
 
 def build_mask(mi: MaskInputs) -> AttentionMaskTensor:
-    """Dual-thresholded additive mask.
+    """Dual-thresholded mask.
 
-    Entry (i, j) is 0 iff mask_probs[i, j] <= lambda_m and the key's
+    Pair (i, j) is admitted iff mask_probs[i, j] <= lambda_m and the key's
     transferability is <= lambda_t (transferability is per key location,
-    broadcast across queries).  Queries left with no admissible key get their
-    row reset to all zeros and their fallback flag set.
+    broadcast across queries).  Queries left with no admissible key admit
+    every key and get their fallback flag set.
     """
     allowed = (mi.mask_probs <= mi.lambda_m) & (mi.transferability[None, :] <= mi.lambda_t)
     fallback = ~allowed.any(axis=1)
     allowed[fallback, :] = True
-    additive = np.where(allowed, 0.0, -np.inf)
-    return AttentionMaskTensor(additive=additive, fallback=fallback)
+    return AttentionMaskTensor(allowed=allowed, fallback=fallback)
 
 
 @dataclass
@@ -122,23 +131,38 @@ class AttentionInputs:
 
 
 def masked_attention_weights(ai: AttentionInputs, mask: AttentionMaskTensor) -> np.ndarray:
-    """Attention weights (keys x queries); each column sums to 1."""
+    """Attention weights (queries x keys); each row sums to 1 over its
+    admitted keys and is exactly 0 elsewhere.
+
+    Scores are Q^T K / sqrt(C).  Each row is shifted by its maximum over the
+    admitted keys; shifted scores are capped at 0 so a masked key scoring
+    above that maximum cannot overflow the exponential before the mask
+    zeroes it.  A row that admits no key raises DegenerateColumnError:
+    callers must apply their fallback first.
+    """
     expected = (ai.num_queries, ai.keys.shape[1])
-    if mask.additive.shape != expected:
-        raise ShapeError(f"mask {mask.additive.shape} does not match {expected}")
-    scores = (ai.keys.T @ ai.queries) / math.sqrt(ai.channels)
-    return softmax_columns(scores + mask.additive.T)
+    if mask.allowed.shape != expected:
+        raise ShapeError(f"mask {mask.allowed.shape} does not match {expected}")
+    scores = (ai.queries.T / math.sqrt(ai.channels)) @ ai.keys
+    row_max = np.where(mask.allowed, scores, -np.inf).max(axis=1, keepdims=True)
+    if not np.all(np.isfinite(row_max)):
+        bad = np.flatnonzero(~np.isfinite(row_max))
+        raise DegenerateColumnError(
+            f"queries {bad.tolist()} admit no key; apply the fallback first")
+    scores -= row_max
+    np.minimum(scores, 0.0, out=scores)
+    weights = np.exp(scores, out=scores)
+    weights *= mask.allowed
+    weights /= np.sum(weights, axis=1, keepdims=True)
+    return weights
 
 
 def tma_attention(ai: AttentionInputs, mask: AttentionMaskTensor) -> np.ndarray:
     """Masked scaled-dot-product attention; returns updated queries (N, C).
 
-    Scores are K^T Q / sqrt(C) plus the additive mask, normalized over the
-    key axis per query; the output row for query n is the weight-averaged
-    value rows.
+    Row n of the output is the value rows averaged with query n's weights.
     """
-    weights = masked_attention_weights(ai, mask)
-    return weights.T @ ai.values
+    return masked_attention_weights(ai, mask) @ ai.values
 
 
 def attention_backward_from_weights(
@@ -148,17 +172,23 @@ def attention_backward_from_weights(
     weights: np.ndarray,
     upstream: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of weights.T @ values given precomputed attention weights.
+    """Gradients of ``weights @ values.T`` given precomputed attention weights.
 
-    Positions whose weight is exactly 0 (masked) receive zero gradient
-    through the softmax backward.
+    ``queries`` is (C, N); ``keys`` and ``values`` are channel-major,
+    (C, keys); ``weights`` is query-major, (N, keys), as returned by
+    ``masked_attention_weights``; ``upstream`` is the loss gradient at the
+    (N, C) output.  The gradients come back in the layouts of the inputs,
+    so the value gradient is a contiguous (C, keys) array.  Pairs whose
+    weight is exactly 0 (masked) receive zero gradient through the softmax
+    backward.
     """
-    d_values = weights @ upstream                   # (keys, C)
-    d_weights = values @ upstream.T                 # (keys, N)
-    d_scores = weights * (d_weights - np.sum(weights * d_weights, axis=0))
-    scale = 1.0 / math.sqrt(queries.shape[0])
-    d_queries = (keys @ d_scores) * scale           # (C, N)
-    d_keys = (queries @ d_scores.T) * scale         # (C, keys)
+    d_values = upstream.T @ weights                 # (C, keys)
+    d_weights = upstream @ values                   # (N, keys)
+    d_weights -= np.sum(weights * d_weights, axis=1, keepdims=True)
+    d_scores = np.multiply(weights, d_weights, out=d_weights)
+    d_scores *= 1.0 / math.sqrt(queries.shape[0])
+    d_queries = keys @ d_scores.T                   # (C, N)
+    d_keys = queries @ d_scores                     # (C, keys)
     return d_queries, d_keys, d_values
 
 
@@ -170,7 +200,7 @@ def tma_attention_backward(
     """Analytic gradients of tma_attention w.r.t. queries, keys and values.
 
     ``upstream`` is the loss gradient at the (N, C) output.  Mask entries are
-    constants, so -inf positions contribute exactly zero gradient.
+    constants, so masked pairs contribute exactly zero gradient.
     """
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != (ai.num_queries, ai.channels):
@@ -179,19 +209,19 @@ def tma_attention_backward(
             f"({ai.num_queries}, {ai.channels})"
         )
     weights = masked_attention_weights(ai, mask)
-    return attention_backward_from_weights(ai.queries, ai.keys, ai.values, weights, upstream)
+    d_queries, d_keys, d_values = attention_backward_from_weights(
+        ai.queries, ai.keys, ai.values.T, weights, upstream)
+    return d_queries, d_keys, d_values.T
 
 
 def mask_images(mask: AttentionMaskTensor, height: int, width: int) -> list[np.ndarray]:
-    """Per-query uint8 images of the mask: admitted keys white, -inf black."""
-    if mask.additive.shape[1] != height * width:
+    """Per-query uint8 images of the mask: admitted keys white, masked black."""
+    if mask.allowed.shape[1] != height * width:
         raise ShapeError(
-            f"mask covers {mask.additive.shape[1]} keys, grid is {height}x{width}"
+            f"mask covers {mask.allowed.shape[1]} keys, grid is {height}x{width}"
         )
-    out = []
-    for row in mask.additive:
-        out.append(np.where(np.isfinite(row), 255, 0).astype(np.uint8).reshape(height, width))
-    return out
+    return [np.where(row, 255, 0).astype(np.uint8).reshape(height, width)
+            for row in mask.allowed]
 
 
 def write_mask_pgm(mask: AttentionMaskTensor, height: int, width: int,

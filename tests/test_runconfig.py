@@ -35,8 +35,14 @@ def test_bool_for_number_is_config_error(name, value):
     ("shift_classes", ["x"]),
     ("height", float("nan")),
     ("out_dir", 3),
+    ("tau", float("nan")),
+    ("tau", 0),
+    ("disc_lr", float("inf")),
+    ("sigma", float("nan")),
+    ("noise_scales", [1, 1, 1, float("nan")]),
 ], ids=["r_zero", "seeds_float", "disc_hidden_float", "noise_scales_string",
-        "shift_classes_string", "height_nan", "out_dir_number"])
+        "shift_classes_string", "height_nan", "out_dir_number", "tau_nan", "tau_zero",
+        "disc_lr_inf", "sigma_nan", "noise_scales_nan"])
 def test_bad_value_is_config_error(name, value):
     with pytest.raises(ConfigError):
         RunConfig.from_dict({name: value})

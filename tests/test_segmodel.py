@@ -8,6 +8,7 @@ from gradcheck import gradcheck
 from segxfer import segmodel as sm
 from segxfer.adaptive_cluster import FeatureMap
 from segxfer.errors import ConfigError, InputError, ShapeError
+from segxfer.numkit import AdamWState, adamw_step
 from segxfer.serialize import save_arrays
 from segxfer.transferability import TransferabilityMap
 
@@ -26,6 +27,19 @@ def small_scene(seed=0, h=4, w=4, d=4, num_classes=3, scale=0.25):
     return fm, labels
 
 
+def seam_margins(params, cache, lambda_m):
+    """Distance of the closest layer mask probability to lambda_m and of the
+    closest FFN pre-activation to 0.  The loss is only piecewise smooth;
+    gradient checks need these margins to stay away from the seams."""
+    mask_margin = relu_margin = np.inf
+    for lc in cache.layers:
+        memb = params.mask_w @ lc.q_in + params.mask_b[:, None]
+        probs = sm.sigmoid(memb.T @ cache.embed)
+        mask_margin = min(mask_margin, float(np.min(np.abs(probs - lambda_m))))
+        relu_margin = min(relu_margin, float(np.min(np.abs(lc.z))))
+    return mask_margin, relu_margin
+
+
 def gradcheck_instance(seed, perturb):
     """Instance kept away from the threshold seams and logit saturation, so
     the piecewise-smooth loss is differentiable through the whole stencil.
@@ -38,8 +52,8 @@ def gradcheck_instance(seed, perturb):
     for layer in params.layers:
         layer.self_w += 0.05 * perturb.normal(size=layer.self_w.shape)
     tmap = TransferabilityMap(np.zeros(1), rng.random((4, 4)), "t")
-    cache = sm._forward(params, fm, tmap, 0.5, 60.0)
-    if cache.mask_margin < 5e-3 or cache.relu_margin < 1e-2:
+    mask_margin, relu_margin = seam_margins(params, sm._forward(params, fm, tmap, 0.5, 60.0), 0.5)
+    if mask_margin < 5e-3 or relu_margin < 1e-2:
         return None
     return params, fm, labels, tmap
 
@@ -289,6 +303,66 @@ def test_train_deterministic():
     t2, l2 = sm.train(params, items, steps=5, batch_size=2, lr=1e-3, seed=4)
     assert l1 == l2
     for a, b in zip(t1.param_list(), t2.param_list()):
+        npt.assert_array_equal(a, b)
+
+
+class ReadLog(list):
+    """A list that records every index read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, idx):
+        self.reads.append(int(idx))
+        return super().__getitem__(idx)
+
+
+def per_draw_train(params, items, steps, batch_size, lr, seed):
+    """``train`` with one loss and gradient evaluation per draw."""
+    rng = np.random.default_rng(seed)
+    flat = [a.copy() for a in params.param_list()]
+    state = AdamWState.for_params(flat, lr=lr, weight_decay=0.01)
+    losses = []
+    for _ in range(steps):
+        picks = rng.integers(0, len(items), size=batch_size)
+        total, acc = 0.0, None
+        current = params.with_params(flat)
+        for idx in picks:
+            item = items[idx]
+            loss, grads = sm.model_loss_and_grads(current, item.fm, item.labels,
+                                                  pixel_weights=item.pixel_weights)
+            total += loss
+            acc = grads if acc is None else [a + g for a, g in zip(acc, grads)]
+        flat = adamw_step(state, flat, [a / batch_size for a in acc])
+        losses.append(total / batch_size)
+    return params.with_params(flat), losses
+
+
+def test_train_duplicate_draws_match_per_draw_loop(monkeypatch):
+    items = make_items(4, count=3)
+    items[1].pixel_weights = np.linspace(0.5, 1.5, 64)
+    params = small_model(4)
+    steps, batch = 4, 5  # 5 draws from 3 items: every batch repeats an index
+    evaluations = []
+
+    def counted(*args, **kwargs):
+        evaluations.append(1)
+        return model_loss_and_grads(*args, **kwargs)
+
+    model_loss_and_grads = sm.model_loss_and_grads
+    monkeypatch.setattr(sm, "model_loss_and_grads", counted)
+    log = ReadLog(items)
+    trained, losses = sm.train(params, log, steps=steps, batch_size=batch, lr=1e-2, seed=5)
+    monkeypatch.undo()
+
+    assert len(log.reads) == steps * batch  # items[idx] is read on every draw
+    per_step = [log.reads[i:i + batch] for i in range(0, len(log.reads), batch)]
+    assert len(evaluations) == sum(len(set(step)) for step in per_step) < steps * batch
+
+    ref_params, ref_losses = per_draw_train(params, items, steps, batch, 1e-2, 5)
+    assert losses == ref_losses
+    for a, b in zip(trained.param_list(), ref_params.param_list()):
         npt.assert_array_equal(a, b)
 
 

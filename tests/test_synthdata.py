@@ -185,3 +185,12 @@ def test_load_wrong_size_feature_file_is_input_error(tmp_path):
     feature_file.write_bytes(feature_file.read_bytes()[:-8])
     with pytest.raises(InputError):
         sd.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["img_0000.bin", "img_0000_labels.pgm"],
+                         ids=["features", "labels"])
+def test_load_missing_listed_file_is_input_error(tmp_path, name):
+    _saved_manifest(tmp_path)
+    (tmp_path / "source" / name).unlink()
+    with pytest.raises(InputError):
+        sd.load_dataset(tmp_path)

@@ -49,9 +49,9 @@ def quadrant_mask(m, t, lam_m=0.5, lam_t=0.3):
 
 
 def test_mask_truth_table():
-    # 0 iff both conditions hold; the single-entry rows that fail fall back.
+    # Admitted iff both conditions hold; the single-entry rows that fail fall back.
     both = quadrant_mask(0.3, 0.2)
-    assert both.additive[0, 0] == 0.0 and not both.fallback[0]
+    assert both.allowed[0, 0] and not both.fallback[0]
     for m, t in [(0.9, 0.2), (0.3, 0.8), (0.9, 0.8)]:
         masked = quadrant_mask(m, t)
         assert masked.fallback[0]  # the sole key failed, so the row reset
@@ -61,15 +61,15 @@ def test_mask_confident_region_suppressed():
     mi = tma.MaskInputs(
         np.array([[0.9, 0.1]]), np.array([0.2, 0.2]), 0.5, 0.3)
     out = tma.build_mask(mi)
-    assert out.additive[0, 0] == -np.inf
-    assert out.additive[0, 1] == 0.0
+    assert not out.allowed[0, 0]
+    assert out.allowed[0, 1]
     assert not out.fallback[0]
 
 
 def test_mask_boundary_values_admit():
     mi = tma.MaskInputs(np.array([[0.5, 0.2]]), np.array([0.3, 0.3]), 0.5, 0.3)
     out = tma.build_mask(mi)
-    npt.assert_array_equal(out.additive[0], [0.0, 0.0])
+    npt.assert_array_equal(out.allowed[0], [True, True])
 
 
 def test_mask_all_above_lambda_t_fallback():
@@ -78,7 +78,7 @@ def test_mask_all_above_lambda_t_fallback():
     t = 0.5 + 0.5 * rng.random(5)     # all above lambda_t
     out = tma.build_mask(tma.MaskInputs(probs, t, 0.5, 0.3))
     assert np.all(out.fallback)
-    npt.assert_array_equal(out.additive, np.zeros((3, 5)))
+    assert np.all(out.allowed)
 
 
 def test_mask_monotone_in_lambda_t():
@@ -88,10 +88,18 @@ def test_mask_monotone_in_lambda_t():
     previous = None
     for lam_t in np.linspace(0.0, 1.0, 9):
         out = tma.build_mask(tma.MaskInputs(probs, t, 0.6, lam_t))
-        admitted = np.isfinite(out.additive) & ~out.fallback[:, None]
+        admitted = out.allowed & ~out.fallback[:, None]
         if previous is not None:
             assert np.all(admitted | ~previous)  # admitted set only grows
         previous = admitted
+
+
+def test_mask_additive_is_read_only_and_follows_allowed():
+    mi = tma.MaskInputs(np.array([[0.9, 0.1], [0.9, 0.9]]), np.array([0.2, 0.2]), 0.5, 0.3)
+    out = tma.build_mask(mi)
+    npt.assert_array_equal(out.additive, [[-np.inf, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        out.additive[0, 0] = 0.0
 
 
 def test_mask_inputs_validation():
@@ -108,15 +116,16 @@ def test_mask_inputs_validation():
 # ---------------------------------------------------------------------------
 
 
-def zero_mask(n, keys):
-    return tma.AttentionMaskTensor(np.zeros((n, keys)), np.zeros(n, dtype=bool))
+def open_mask(n, keys):
+    """Every key admitted for every query."""
+    return tma.AttentionMaskTensor(np.ones((n, keys), dtype=bool), np.zeros(n, dtype=bool))
 
 
 def test_attention_single_key_returns_value_row():
     rng = np.random.default_rng(3)
     ai = tma.AttentionInputs(rng.normal(size=(4, 3)), rng.normal(size=(4, 1)),
                              rng.normal(size=(1, 4)), 1, 1)
-    out = tma.tma_attention(ai, zero_mask(3, 1))
+    out = tma.tma_attention(ai, open_mask(3, 1))
     npt.assert_allclose(out, np.tile(ai.values[0], (3, 1)), atol=1e-12)
 
 
@@ -124,7 +133,7 @@ def test_attention_uniform_weights_give_value_mean():
     rng = np.random.default_rng(4)
     values = rng.normal(size=(6, 4))
     ai = tma.AttentionInputs(np.zeros((4, 2)), rng.normal(size=(4, 6)), values, 2, 3)
-    out = tma.tma_attention(ai, zero_mask(2, 6))
+    out = tma.tma_attention(ai, open_mask(2, 6))
     npt.assert_allclose(out, np.tile(values.mean(axis=0), (2, 1)), atol=1e-12)
 
 
@@ -133,16 +142,17 @@ def test_attention_matches_per_query_loop_oracle():
     c, n, keys = 4, 2, 6
     ai = tma.AttentionInputs(rng.normal(size=(c, n)), rng.normal(size=(c, keys)),
                              rng.normal(size=(keys, c)), 2, 3)
-    additive = np.where(rng.random((n, keys)) < 0.3, -np.inf, 0.0)
-    additive[:, 0] = 0.0  # keep every row alive
-    mask = tma.AttentionMaskTensor(additive, np.zeros(n, dtype=bool))
+    allowed = rng.random((n, keys)) >= 0.3
+    allowed[:, 0] = True  # keep every row alive
+    mask = tma.AttentionMaskTensor(allowed, np.zeros(n, dtype=bool))
     out = tma.tma_attention(ai, mask)
 
     expected = np.zeros((n, c))
     for q in range(n):
-        scores = np.empty(keys)
+        scores = np.full(keys, -np.inf)
         for j in range(keys):
-            scores[j] = ai.keys[:, j] @ ai.queries[:, q] / np.sqrt(c) + additive[q, j]
+            if allowed[q, j]:
+                scores[j] = ai.keys[:, j] @ ai.queries[:, q] / np.sqrt(c)
         scores -= scores.max()
         w = np.exp(scores)
         w /= w.sum()
@@ -155,13 +165,14 @@ def test_attention_weights_are_distribution_and_masked_zero():
     rng = np.random.default_rng(6)
     ai = tma.AttentionInputs(rng.normal(size=(3, 4)), rng.normal(size=(3, 5)),
                              rng.normal(size=(5, 3)), 1, 5)
-    additive = np.zeros((4, 5))
-    additive[1, 2] = -np.inf
-    mask = tma.AttentionMaskTensor(additive, np.zeros(4, dtype=bool))
+    allowed = np.ones((4, 5), dtype=bool)
+    allowed[1, 2] = False
+    mask = tma.AttentionMaskTensor(allowed, np.zeros(4, dtype=bool))
     weights = tma.masked_attention_weights(ai, mask)
-    npt.assert_allclose(weights.sum(axis=0), 1.0, atol=1e-9)
+    assert weights.shape == (4, 5)  # query-major
+    npt.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(weights >= 0)
-    assert weights[2, 1] == 0.0
+    assert weights[1, 2] == 0.0
 
 
 def test_attention_gating_off_equals_plain_attention():
@@ -191,7 +202,7 @@ def test_attention_shape_error():
     ai = tma.AttentionInputs(rng.normal(size=(4, 2)), rng.normal(size=(4, 6)),
                              rng.normal(size=(6, 4)), 2, 3)
     with pytest.raises(ShapeError):
-        tma.tma_attention(ai, zero_mask(2, 5))
+        tma.tma_attention(ai, open_mask(2, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +215,9 @@ def random_instance(seed, c=4, n=3, hw=(2, 2)):
     keys = hw[0] * hw[1]
     ai = tma.AttentionInputs(rng.normal(size=(c, n)), rng.normal(size=(c, keys)),
                              rng.normal(size=(keys, c)), hw[0], hw[1])
-    additive = np.where(rng.random((n, keys)) < 0.3, -np.inf, 0.0)
-    additive[:, 0] = 0.0
-    mask = tma.AttentionMaskTensor(additive, np.zeros(n, dtype=bool))
+    allowed = rng.random((n, keys)) >= 0.3
+    allowed[:, 0] = True
+    mask = tma.AttentionMaskTensor(allowed, np.zeros(n, dtype=bool))
     upstream = rng.normal(size=(n, c))
     return ai, mask, upstream
 
@@ -227,7 +238,7 @@ def test_attention_backward_gradcheck():
 
 def test_attention_backward_masked_positions_zero_gradient():
     ai, mask, upstream = random_instance(10)
-    mask.additive[:, 3] = -np.inf  # key 3 invisible to every query
+    mask.allowed[:, 3] = False  # key 3 invisible to every query
     dq, dk, dv = tma.tma_attention_backward(ai, mask, upstream)
     npt.assert_array_equal(dk[:, 3], 0.0)
     npt.assert_array_equal(dv[3], 0.0)
@@ -247,8 +258,8 @@ def test_attention_backward_linear_in_upstream():
 
 
 def test_mask_images_black_and_white(tmp_path):
-    additive = np.array([[0.0, -np.inf, 0.0, -np.inf]])
-    mask = tma.AttentionMaskTensor(additive, np.zeros(1, dtype=bool))
+    allowed = np.array([[True, False, True, False]])
+    mask = tma.AttentionMaskTensor(allowed, np.zeros(1, dtype=bool))
     imgs = tma.mask_images(mask, 2, 2)
     npt.assert_array_equal(imgs[0], np.array([[255, 0], [255, 0]], dtype=np.uint8))
     path = tmp_path / "mask.pgm"
