@@ -9,7 +9,12 @@ then fine-tune four variants on the target domain:
   no_acte  regular-grid regions (no iterative refinement) + gated attention
   no_tma   adaptive regions, but transferability only reweights the loss
            (w = 1 + (1 - T)); attention is not gated by it
-  vanilla  plain fine-tuning
+  vanilla  the mask-probability gate (p <= lambda_m) with the
+           transferability condition off; not plain attention, which
+           ``lambda_m = 1.0`` gives (every key admitted)
+
+The grid-region branch (grid states, their discriminator, PAD and T-maps) is
+read only by ``no_acte`` and is built the first time something reads it.
 
 Every variant starts from the same source checkpoint and consumes identical
 batch sequences, so metric differences isolate the mechanism under test.
@@ -18,6 +23,7 @@ batch sequences, so metric differences isolate the mechanism under test.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 
@@ -162,6 +168,7 @@ class VariantResult:
     per_class_iou: list[float]
     pad: float
     fallback_rate: float
+    train_losses: list[float] = field(default_factory=list)  # per fine-tune step
 
 
 @dataclass
@@ -199,24 +206,66 @@ def report_csv(report: ExperimentReport, footer: bool = False) -> str:
 
 
 @dataclass
+class GridBranch:
+    """What the ``no_acte`` variant reads: the discriminator trained on
+    regular-grid regions, its PAD and the target images' grid T-maps."""
+
+    disc: DiscriminatorResult
+    pad: PadEstimate
+    target_tmaps: list[TransferabilityMap]
+
+
+@dataclass
 class SeedBundle:
     """Everything one seed's variants share: data, regions, discriminators,
-    transferability maps and the pretrained source model."""
+    transferability maps and the pretrained source model.
 
+    The grid branch (``grid``, which ``disc_grid`` and ``pad_grid`` read) is
+    built on first use, so a seed that runs no ``no_acte`` variant never
+    trains the grid discriminator.  Its discriminator has its own seed and
+    RNG, so the branch is the same whenever it is built.
+    """
+
+    config: RunConfig
     seed: int
     source_images: list[LabeledImage]
     target_images: list[LabeledImage]
     eval_images: list[LabeledImage]
     target_states: list[ClusterState]
-    target_grid_states: list[ClusterState]
     disc: DiscriminatorResult
-    disc_grid: DiscriminatorResult
     pad: PadEstimate
-    pad_grid: PadEstimate
     target_tmaps: list[TransferabilityMap]
-    target_grid_tmaps: list[TransferabilityMap]
     source_params: SegModelParams
     source_losses: list[float] = field(default_factory=list)
+
+    @functools.cached_property
+    def grid(self) -> GridBranch:
+        """The grid-region branch, built on first access."""
+        config = self.config
+
+        def grid_states(images: list[LabeledImage]) -> list[ClusterState]:
+            return [init_grid(img.fm, config.r, tau=config.tau) for img in images]
+
+        source_states = grid_states(self.source_images)
+        target_states = grid_states(self.target_images)
+        disc = train_discriminator(
+            _region_features(source_states), _region_features(target_states),
+            epochs=config.disc_epochs, lr=config.disc_lr,
+            seed=self.seed + 2 * _DISC_SEED_OFFSET, hidden=config.disc_hidden,
+            batch_size=config.disc_batch)
+        return GridBranch(
+            disc=disc,
+            pad=compute_pad(disc.params, disc.held_out),
+            target_tmaps=[build_transferability_map(disc.params, s, disc.provenance)
+                          for s in target_states])
+
+    @property
+    def disc_grid(self) -> DiscriminatorResult:
+        return self.grid.disc
+
+    @property
+    def pad_grid(self) -> PadEstimate:
+        return self.grid.pad
 
 
 def _region_features(states: list[ClusterState]) -> np.ndarray:
@@ -224,8 +273,12 @@ def _region_features(states: list[ClusterState]) -> np.ndarray:
 
 
 def prepare_seed(config: RunConfig, seed: int) -> SeedBundle:
-    """Generate data, fit region structure and the discriminators, and
-    pretrain the source model for one seed."""
+    """Generate data, fit the adaptive regions and their discriminator, and
+    pretrain the source model for one seed.
+
+    The grid-region branch that only ``no_acte`` reads is not built here but
+    on first use (``SeedBundle.grid``).
+    """
     synth = config.synth_config(seed)
     source_images = generate(synth, config.source_count, SOURCE)
     target_images = generate(synth, config.target_count, TARGET)
@@ -234,29 +287,17 @@ def prepare_seed(config: RunConfig, seed: int) -> SeedBundle:
     def refined(img: LabeledImage) -> ClusterState:
         return cluster(img.fm, config.r, tau=config.tau, iters=config.cluster_iters)
 
-    def grid(img: LabeledImage) -> ClusterState:
-        return init_grid(img.fm, config.r, tau=config.tau)
-
     source_states = [refined(img) for img in source_images]
     target_states = [refined(img) for img in target_images]
-    source_grid_states = [grid(img) for img in source_images]
-    target_grid_states = [grid(img) for img in target_images]
 
     disc = train_discriminator(
         _region_features(source_states), _region_features(target_states),
         epochs=config.disc_epochs, lr=config.disc_lr,
         seed=seed + _DISC_SEED_OFFSET, hidden=config.disc_hidden,
         batch_size=config.disc_batch)
-    disc_grid = train_discriminator(
-        _region_features(source_grid_states), _region_features(target_grid_states),
-        epochs=config.disc_epochs, lr=config.disc_lr,
-        seed=seed + 2 * _DISC_SEED_OFFSET, hidden=config.disc_hidden,
-        batch_size=config.disc_batch)
 
     target_tmaps = [build_transferability_map(disc.params, s, disc.provenance)
                     for s in target_states]
-    target_grid_tmaps = [build_transferability_map(disc_grid.params, s, disc_grid.provenance)
-                         for s in target_grid_states]
 
     init_rng = np.random.default_rng([seed, _MODEL_INIT_STREAM])
     params = init_seg_model(
@@ -271,18 +312,15 @@ def prepare_seed(config: RunConfig, seed: int) -> SeedBundle:
         lambda_m=config.lambda_m)
 
     return SeedBundle(
+        config=config,
         seed=seed,
         source_images=source_images,
         target_images=target_images,
         eval_images=eval_images,
         target_states=target_states,
-        target_grid_states=target_grid_states,
         disc=disc,
-        disc_grid=disc_grid,
         pad=compute_pad(disc.params, disc.held_out),
-        pad_grid=compute_pad(disc_grid.params, disc_grid.held_out),
         target_tmaps=target_tmaps,
-        target_grid_tmaps=target_grid_tmaps,
         source_params=source_params,
         source_losses=source_losses,
     )
@@ -294,7 +332,7 @@ def _finetune_items(bundle: SeedBundle, variant: str) -> list[TrainItem]:
         if variant == "tmt":
             items.append(TrainItem(img.fm, img.labels, tmap=bundle.target_tmaps[i]))
         elif variant == "no_acte":
-            items.append(TrainItem(img.fm, img.labels, tmap=bundle.target_grid_tmaps[i]))
+            items.append(TrainItem(img.fm, img.labels, tmap=bundle.grid.target_tmaps[i]))
         elif variant == "no_tma":
             weights = 1.0 + (1.0 - bundle.target_tmaps[i].pixel.reshape(-1))
             items.append(TrainItem(img.fm, img.labels, pixel_weights=weights))
@@ -341,7 +379,7 @@ def finetune_variant(bundle: SeedBundle, config: RunConfig, variant: str,
     effective_p = config.p_t if p_t is None else p_t
     items = _finetune_items(bundle, variant)
     ft_seed = int(np.random.default_rng([bundle.seed, _FINETUNE_STREAM]).integers(2**31))
-    tuned, _ = train(
+    tuned, losses = train(
         bundle.source_params, items, steps=config.finetune_steps,
         batch_size=config.batch_size, lr=config.model_lr, seed=ft_seed,
         lambda_m=config.lambda_m, p_t=effective_p)
@@ -357,6 +395,7 @@ def finetune_variant(bundle: SeedBundle, config: RunConfig, variant: str,
         per_class_iou=[float(v) for v in ious],
         pad=pad.distance,
         fallback_rate=fallback_rate,
+        train_losses=losses,
     )
 
 

@@ -1,12 +1,15 @@
 """Dense-matrix numerics, a small MLP with hand-derived gradients, and AdamW.
 
 Everything operates on float64 numpy arrays.  Functions are pure except
-``adamw_step``, which advances the optimizer state it is given.
+``adamw_step``, which updates the parameter vector and the optimizer state it
+is given in place.  The optimizer works on one flat vector; ``flatten`` and
+``flat_views`` move arrays onto it and back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +53,28 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
+
+
+def flat_views(vector: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views of a 1-D ``vector`` with the given shapes, laid end to end in
+    order; the shapes must tile the vector exactly."""
+    if vector.ndim != 1:
+        raise ShapeError(f"flat_views expects a 1-D vector, got {vector.shape}")
+    sizes = [math.prod(shape) for shape in shapes]
+    if sum(sizes) != vector.size:
+        raise ShapeError(f"shapes hold {sum(sizes)} values, the vector {vector.size}")
+    views = []
+    offset = 0
+    for shape, size in zip(shapes, sizes):
+        views.append(vector[offset:offset + size].reshape(shape))
+        offset += size
+    return views
+
+
+def flatten(arrays: list[np.ndarray]) -> np.ndarray:
+    """A new vector holding ``arrays`` end to end, each in C order: the
+    layout that ``flat_views`` reads back."""
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +165,13 @@ def mlp_loss_and_grads(
     x: np.ndarray,
     labels: np.ndarray,
     reduction: str = "mean",
-) -> tuple[float, list[np.ndarray]]:
+) -> tuple[float, np.ndarray]:
     """Binary cross-entropy of the net against 0/1 labels, with gradients.
 
     The loss per sample is -(d*log(E) + (1-d)*log(1-E)), i.e. the output is
     pushed toward the numeric label.  Probabilities are clamped to
-    [LOSS_EPS, 1-LOSS_EPS] inside the loss only.  Gradients come back in
-    ``param_list`` order.
+    [LOSS_EPS, 1-LOSS_EPS] inside the loss only.  The gradients come back as
+    one vector: the arrays in ``param_list`` order, laid out by ``flatten``.
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -183,7 +208,7 @@ def mlp_loss_and_grads(
     for gw, gb in zip(w_grads, b_grads):
         grads.append(gw)
         grads.append(gb)
-    return loss, grads
+    return loss, flatten(grads)
 
 
 # ---------------------------------------------------------------------------
@@ -193,51 +218,53 @@ def mlp_loss_and_grads(
 
 @dataclass
 class AdamWState:
-    """Per-parameter moment accumulators plus the usual constants."""
+    """Moment vectors for one flat parameter vector, plus the usual constants."""
 
+    m: np.ndarray
+    v: np.ndarray
     lr: float = 1e-4
     weight_decay: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float = 1e-4,
+    def for_params(cls, params: np.ndarray, lr: float = 1e-4,
                    weight_decay: float = 0.01) -> "AdamWState":
-        return cls(
-            lr=lr,
-            weight_decay=weight_decay,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
+        if params.ndim != 1:
+            raise ShapeError(f"AdamW expects a 1-D parameter vector, got {params.shape}")
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr,
+                   weight_decay=weight_decay)
 
 
-def adamw_step(state: AdamWState, params: list[np.ndarray],
-               grads: list[np.ndarray]) -> list[np.ndarray]:
-    """One AdamW update with decoupled weight decay.
+def adamw_step(state: AdamWState, params: np.ndarray, grads: np.ndarray) -> None:
+    """One AdamW update with decoupled weight decay, in place.
 
-    Returns fresh parameter arrays; the state's moments and step count are
-    advanced in place.
+    ``params`` is the parameter vector and ``grads`` its gradient.  With t the
+    new step count, every element goes through
+
+        m <- b1*m + (1 - b1)*g
+        v <- b2*v + (1 - b2)*(g*g)
+        p <- p - lr*((m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps) + wd*p)
+
+    The parameters, the moments and the step count are advanced in place.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeError("params, grads and state must have the same length")
-    for p, g, m in zip(params, grads, state.m):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ShapeError(f"shape mismatch: param {p.shape}, grad {g.shape}, moment {m.shape}")
+    if not params.shape == grads.shape == state.m.shape:
+        raise ShapeError(f"shape mismatch: params {params.shape}, grads {grads.shape}, "
+                         f"moments {state.m.shape}")
 
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    out: list[np.ndarray] = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        out.append(p - state.lr * (m_hat / (np.sqrt(v_hat) + state.eps)
-                                   + state.weight_decay * p))
-    return out
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grads
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (grads * grads)
+    update = m / bc1
+    update /= np.sqrt(v / bc2) + state.eps
+    update += state.weight_decay * params
+    update *= state.lr
+    params -= update

@@ -25,7 +25,8 @@ import numpy as np
 
 from .adaptive_cluster import FeatureMap
 from .errors import ConfigError, InputError, ShapeError
-from .numkit import LOSS_EPS, AdamWState, adamw_step, sigmoid, relu, softmax_columns
+from .numkit import (LOSS_EPS, AdamWState, adamw_step, flat_views, flatten, relu, sigmoid,
+                     softmax_columns)
 from .serialize import load_arrays, save_arrays
 from .tma import (
     AttentionInputs,
@@ -478,38 +479,38 @@ def train(
     """AdamW training over uniformly sampled batches; returns new params and
     the per-step mean batch loss.
 
-    Loss and gradients are deterministic, so an item drawn more than once in
-    a batch is evaluated once and its result added again for each draw.
+    The optimizer owns one parameter vector, which the model being trained
+    views.  Loss and gradients are deterministic, so an item drawn more than
+    once in a batch is evaluated once and its gradient vector added again for
+    each draw.
     """
     if not items:
         raise InputError("training set is empty")
     rng = np.random.default_rng(seed)
-    flat = [a.copy() for a in params.param_list()]
-    state = AdamWState.for_params(flat, lr=lr, weight_decay=weight_decay)
+    arrays = params.param_list()
+    vector = flatten(arrays)
+    current = params.with_params(flat_views(vector, [a.shape for a in arrays]))
+    state = AdamWState.for_params(vector, lr=lr, weight_decay=weight_decay)
     losses: list[float] = []
     for _ in range(steps):
         picks = rng.integers(0, len(items), size=batch_size)
         total = 0.0
-        acc: list[np.ndarray] | None = None
-        current = params.with_params(flat)
-        drawn: dict[int, tuple[float, list[np.ndarray]]] = {}
+        acc: np.ndarray | None = None
+        drawn: dict[int, tuple[float, np.ndarray]] = {}
         for idx in picks:
             item = items[idx]
             if idx not in drawn:
-                drawn[idx] = model_loss_and_grads(
+                loss, grads = model_loss_and_grads(
                     current, item.fm, item.labels, tmap=item.tmap,
                     lambda_m=lambda_m, p_t=p_t, pixel_weights=item.pixel_weights)
-            loss, grads = drawn[idx]
+                drawn[idx] = loss, flatten(grads)
+            loss, grad = drawn[idx]
             total += loss
-            if acc is None:
-                acc = grads
-            else:
-                acc = [a + g for a, g in zip(acc, grads)]
+            acc = grad if acc is None else acc + grad
         assert acc is not None
-        mean_grads = [a / batch_size for a in acc]
-        flat = adamw_step(state, flat, mean_grads)
+        adamw_step(state, vector, acc / batch_size)
         losses.append(total / batch_size)
-    return params.with_params(flat), losses
+    return current.copy(), losses  # not the optimizer's buffer
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from .numkit import (
     AdamWState,
     MlpParams,
     adamw_step,
+    flat_views,
+    flatten,
     init_mlp,
     mlp_forward_batch,
     mlp_loss_and_grads,
@@ -118,8 +120,11 @@ def train_discriminator(
     src_train, src_held = _split_train_held(source, rng)
     tgt_train, tgt_held = _split_train_held(target, rng)
 
-    params = init_mlp(source.shape[1], hidden, rng)
-    state = AdamWState.for_params(params.param_list(), lr=lr)
+    # The optimizer owns one parameter vector; ``params`` views it.
+    init = init_mlp(source.shape[1], hidden, rng).param_list()
+    vector = flatten(init)
+    params = mlp_params_from_list(flat_views(vector, [a.shape for a in init]))
+    state = AdamWState.for_params(vector, lr=lr)
 
     half = max(1, batch_size // 2)
     steps_per_epoch = max(1, (src_train.shape[0] + tgt_train.shape[0]) // (2 * half))
@@ -128,6 +133,7 @@ def train_discriminator(
         np.full(src_held.shape[0], SOURCE_LABEL, dtype=float),
         np.full(tgt_held.shape[0], TARGET_LABEL, dtype=float),
     ])
+    y = np.concatenate([np.ones(half), np.zeros(half)])
 
     epoch_losses: list[float] = []
     epoch_accuracies: list[float] = []
@@ -137,10 +143,8 @@ def train_discriminator(
             si = rng.integers(0, src_train.shape[0], size=half)
             ti = rng.integers(0, tgt_train.shape[0], size=half)
             x = np.vstack([src_train[si], tgt_train[ti]])
-            y = np.concatenate([np.ones(half), np.zeros(half)])
             loss, grads = mlp_loss_and_grads(params, x, y)
-            new = adamw_step(state, params.param_list(), grads)
-            params = mlp_params_from_list(new)
+            adamw_step(state, vector, grads)
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
         epoch_accuracies.append(_balanced_accuracy(params, held_x, held_y))
@@ -149,7 +153,7 @@ def train_discriminator(
     held_out += [DomainSample(f, TARGET_LABEL) for f in tgt_held]
     provenance = f"disc(seed={seed},epochs={epochs},hidden={'x'.join(map(str, hidden))})"
     return DiscriminatorResult(
-        params=params,
+        params=params.copy(),  # not the optimizer's buffer
         log=TrainingLog(epoch_losses, epoch_accuracies),
         held_out=held_out,
         provenance=provenance,

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from adamw_oracle import ListAdamWState, list_adamw_step
 from gradcheck import gradcheck
 from segxfer import numkit
 from segxfer.errors import (
@@ -155,10 +156,15 @@ def test_mlp_forward_in_open_interval():
 # ---------------------------------------------------------------------------
 
 
+def _split(p, grads):
+    """The gradient vector as arrays shaped like ``p.param_list()``."""
+    return numkit.flat_views(grads, [a.shape for a in p.param_list()])
+
+
 def _grads_one(p, x, d):
     """Gradients of the single-sample cross-entropy loss, param_list order."""
     _, grads = numkit.mlp_loss_and_grads(p, x[None, :], np.array([d]), reduction="sum")
-    return grads
+    return _split(p, grads)
 
 
 def test_mlp_backward_matches_finite_differences():
@@ -168,7 +174,8 @@ def test_mlp_backward_matches_finite_differences():
 
     def f(flat):
         mp = numkit.mlp_params_from_list(flat)
-        return numkit.mlp_loss_and_grads(mp, x[None, :], np.array([1.0]))
+        loss, grads = numkit.mlp_loss_and_grads(mp, x[None, :], np.array([1.0]))
+        return loss, _split(mp, grads)
 
     assert gradcheck(f, p.param_list()) <= 1e-4
 
@@ -193,7 +200,7 @@ def test_mlp_backward_duplicate_sample_doubles_under_sum():
     _, double = numkit.mlp_loss_and_grads(
         p, np.vstack([x, x]), np.array([1.0, 1.0]), reduction="sum"
     )
-    for g1, g2 in zip(single, double):
+    for g1, g2 in zip(single, _split(p, double)):
         npt.assert_array_equal(2.0 * g1, g2)
 
 
@@ -209,31 +216,32 @@ def test_mlp_backward_rejects_bad_label():
 
 
 def test_adamw_zero_grad_zero_decay_is_identity():
-    params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+    params = np.array([1.0, -2.0, 3.0])
     state = numkit.AdamWState.for_params(params, lr=0.1, weight_decay=0.0)
-    out = numkit.adamw_step(state, params, [np.zeros(2), np.zeros((1, 1))])
-    for before, after in zip(params, out):
-        npt.assert_array_equal(before, after)
+    before = params.copy()
+    numkit.adamw_step(state, params, np.zeros(3))
+    npt.assert_array_equal(before, params)
 
 
 def test_adamw_constant_gradient_approaches_sign_step():
-    params = [np.array([0.0])]
-    grads = [np.array([2.5])]
+    params = np.array([0.0])
+    grads = np.array([2.5])
     state = numkit.AdamWState.for_params(params, lr=1e-3, weight_decay=0.0)
-    prev = params
     for _ in range(200):
-        prev, params = params, numkit.adamw_step(state, params, grads)
-    step = params[0][0] - prev[0][0]
+        prev = params.copy()
+        numkit.adamw_step(state, params, grads)
+    step = params[0] - prev[0]
     assert step == pytest.approx(-1e-3, rel=1e-3)  # -lr * sign(g)
 
 
 def test_adamw_single_step_matches_formula():
     rng = np.random.default_rng(9)
-    p = rng.normal(size=(2, 3))
-    g = rng.normal(size=(2, 3))
+    p = rng.normal(size=6)
+    g = rng.normal(size=6)
     lr, wd, b1, b2, eps = 0.01, 0.05, 0.9, 0.999, 1e-8
-    state = numkit.AdamWState.for_params([p], lr=lr, weight_decay=wd)
-    out = numkit.adamw_step(state, [p.copy()], [g])[0]
+    state = numkit.AdamWState.for_params(p, lr=lr, weight_decay=wd)
+    out = p.copy()
+    numkit.adamw_step(state, out, g)
 
     m = (1 - b1) * g
     v = (1 - b2) * g * g
@@ -245,19 +253,81 @@ def test_adamw_single_step_matches_formula():
 
 
 def test_adamw_shape_mismatch():
-    params = [np.zeros(3)]
+    params = np.zeros(3)
     state = numkit.AdamWState.for_params(params)
     with pytest.raises(ShapeError):
-        numkit.adamw_step(state, params, [np.zeros(4)])
+        numkit.adamw_step(state, params, np.zeros(4))
+    with pytest.raises(ShapeError):
+        numkit.AdamWState.for_params(np.zeros((3, 1)))
 
 
 def test_adamw_step_count_strictly_increases():
-    params = [np.zeros(2)]
-    grads = [np.ones(2)]
+    params = np.zeros(2)
+    grads = np.ones(2)
     state = numkit.AdamWState.for_params(params)
     for expected in (1, 2, 3):
-        params = numkit.adamw_step(state, params, grads)
+        numkit.adamw_step(state, params, grads)
         assert state.step == expected
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01, 0.3])
+@pytest.mark.parametrize("case", range(4))
+def test_adamw_vector_bitwise_equals_per_array_loop(case, weight_decay):
+    rng = np.random.default_rng([case, int(weight_decay * 100)])
+    shapes = [tuple(int(n) for n in rng.integers(1, 6, size=rng.integers(0, 3)))
+              for _ in range(rng.integers(1, 7))]
+    arrays = [rng.normal(scale=3.0, size=s) for s in shapes]
+    lr = float(rng.uniform(1e-4, 1e-1))
+    oracle = ListAdamWState.for_params(arrays, lr=lr, weight_decay=weight_decay)
+    vector = numkit.flatten(arrays)
+    views = numkit.flat_views(vector, shapes)
+    state = numkit.AdamWState.for_params(vector, lr=lr, weight_decay=weight_decay)
+    for step in range(60):
+        # some steps zero the gradient exactly, as a frozen clamp would
+        grads = [rng.normal(scale=10.0 ** rng.uniform(-6, 2), size=s) * (step % 7 != 3)
+                 for s in shapes]
+        arrays = list_adamw_step(oracle, arrays, grads)
+        numkit.adamw_step(state, vector, numkit.flatten(grads))
+        for a, view in zip(arrays, views):
+            assert a.shape == view.shape
+            assert a.tobytes() == view.tobytes()
+    assert state.step == oracle.step == 60
+    assert numkit.flatten(oracle.m).tobytes() == state.m.tobytes()
+    assert numkit.flatten(oracle.v).tobytes() == state.v.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# flatten / flat_views
+# ---------------------------------------------------------------------------
+
+
+def test_flat_views_lay_arrays_end_to_end():
+    vector = np.arange(11.0)
+    a, b, c = numkit.flat_views(vector, [(2, 3), (), (4,)])
+    npt.assert_array_equal(a, [[0, 1, 2], [3, 4, 5]])
+    assert b.shape == () and b == 6.0
+    npt.assert_array_equal(c, [7, 8, 9, 10])
+    a[1, 2] = -1.0  # views, not copies
+    assert vector[5] == -1.0
+
+
+def test_flat_views_shapes_must_tile_the_vector():
+    with pytest.raises(ShapeError):
+        numkit.flat_views(np.zeros(5), [(2, 2)])
+    with pytest.raises(ShapeError):
+        numkit.flat_views(np.zeros(3), [(2, 2)])
+    with pytest.raises(ShapeError):
+        numkit.flat_views(np.zeros((2, 2)), [(2, 2)])
+
+
+def test_flatten_copies_and_flat_views_read_it_back():
+    arrays = [np.arange(6.0).reshape(2, 3), np.array(7.0), np.ones(2)]
+    vector = numkit.flatten(arrays)
+    npt.assert_array_equal(vector, [0, 1, 2, 3, 4, 5, 7, 1, 1])
+    for a, view in zip(arrays, numkit.flat_views(vector, [a.shape for a in arrays])):
+        npt.assert_array_equal(a, view)
+    arrays[0][0, 0] = 5.0  # a copy, not a view
+    assert vector[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from adamw_oracle import ListAdamWState, list_adamw_step
 from gradcheck import gradcheck
 from segxfer import segmodel as sm
 from segxfer.adaptive_cluster import FeatureMap
 from segxfer.errors import ConfigError, InputError, ShapeError
-from segxfer.numkit import AdamWState, adamw_step
 from segxfer.serialize import save_arrays
 from segxfer.transferability import TransferabilityMap
 
@@ -319,10 +319,11 @@ class ReadLog(list):
 
 
 def per_draw_train(params, items, steps, batch_size, lr, seed):
-    """``train`` with one loss and gradient evaluation per draw."""
+    """``train`` with one loss and gradient evaluation per draw, and the
+    per-array AdamW loop."""
     rng = np.random.default_rng(seed)
     flat = [a.copy() for a in params.param_list()]
-    state = AdamWState.for_params(flat, lr=lr, weight_decay=0.01)
+    state = ListAdamWState.for_params(flat, lr=lr, weight_decay=0.01)
     losses = []
     for _ in range(steps):
         picks = rng.integers(0, len(items), size=batch_size)
@@ -334,7 +335,7 @@ def per_draw_train(params, items, steps, batch_size, lr, seed):
                                                   pixel_weights=item.pixel_weights)
             total += loss
             acc = grads if acc is None else [a + g for a, g in zip(acc, grads)]
-        flat = adamw_step(state, flat, [a / batch_size for a in acc])
+        flat = list_adamw_step(state, flat, [a / batch_size for a in acc])
         losses.append(total / batch_size)
     return params.with_params(flat), losses
 
@@ -363,6 +364,23 @@ def test_train_duplicate_draws_match_per_draw_loop(monkeypatch):
     ref_params, ref_losses = per_draw_train(params, items, steps, batch, 1e-2, 5)
     assert losses == ref_losses
     for a, b in zip(trained.param_list(), ref_params.param_list()):
+        npt.assert_array_equal(a, b)
+
+
+def test_train_returns_params_that_own_their_arrays():
+    items = make_items(2, count=4)
+    params = small_model(2)
+    before = [a.copy() for a in params.param_list()]
+    first, losses = sm.train(params, items, steps=3, batch_size=2, lr=1e-2, seed=1)
+    assert all(a.base is None for a in first.param_list())  # no view of a shared buffer
+    reference = [a.copy() for a in first.param_list()]
+    for a in first.param_list():
+        a[...] = np.nan
+    second, again = sm.train(params, items, steps=3, batch_size=2, lr=1e-2, seed=1)
+    assert again == losses
+    for a, b in zip(second.param_list(), reference):
+        npt.assert_array_equal(a, b)
+    for a, b in zip(params.param_list(), before):  # the input is left alone
         npt.assert_array_equal(a, b)
 
 
