@@ -177,19 +177,6 @@ class ExperimentReport:
     config: dict
     default_p_t: float
 
-    def median(self, variant: str, metric: str = "miou") -> float:
-        values = [getattr(r, metric) for r in self.rows if r.variant == variant]
-        if not values:
-            raise InputError(f"no rows for variant {variant!r}")
-        return float(np.median(values))
-
-    def variants(self) -> list[str]:
-        seen: list[str] = []
-        for r in self.rows:
-            if r.variant not in seen:
-                seen.append(r.variant)
-        return seen
-
 
 def report_csv(report: ExperimentReport, footer: bool = False) -> str:
     """Report rows in the fixed schema; optional footer notes the shipped

@@ -13,18 +13,16 @@ layouts where any class covers less than 5% of pixels are resampled.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields, asdict
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import netpbm
 from .adaptive_cluster import FeatureMap
 from .errors import ConfigError, InputError
 
 SOURCE = "source"
 TARGET = "target"
+# the valid domain names, and each domain's tag in its generator seed
 _DOMAIN_CODE = {SOURCE: 1, TARGET: 0}
 
 MIN_CLASS_FRACTION = 0.05
@@ -113,10 +111,6 @@ class LabeledImage:
                 f"{self.fm.height}x{self.fm.width}"
             )
         self.transfer_bits = (~np.isin(self.labels, list(self.shift_classes))).astype(np.uint8)
-
-    @property
-    def domain_label(self) -> int:
-        return _DOMAIN_CODE[self.domain]
 
 
 def class_prototypes(config: SynthConfig, domain: str) -> np.ndarray:
@@ -209,91 +203,3 @@ def generate(config: SynthConfig, count: int, domain: str, stream: int = 0) -> l
         images.append(LabeledImage(fm=fm, labels=labels, domain=domain,
                                    shift_classes=config.shift_classes))
     return images
-
-
-# ---------------------------------------------------------------------------
-# Dataset directory layout: per-split flat binaries + PGM label maps + manifest
-# ---------------------------------------------------------------------------
-
-
-def save_dataset(splits: dict[str, list[LabeledImage]], config: SynthConfig,
-                 out_dir: str | Path) -> list[str]:
-    """Write a dataset directory; returns the relative paths written."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[str] = []
-    manifest: dict = {
-        "height": config.height,
-        "width": config.width,
-        "channels": config.channels,
-        "seed": config.seed,
-        "config": asdict(config),
-        "splits": {},
-    }
-    for split, images in splits.items():
-        split_dir = out_dir / split
-        split_dir.mkdir(exist_ok=True)
-        entries = []
-        for i, img in enumerate(images):
-            stem = f"img_{i:04d}"
-            feat_rel = f"{split}/{stem}.bin"
-            label_rel = f"{split}/{stem}_labels.pgm"
-            img.fm.features.astype("<f8").tofile(out_dir / feat_rel)
-            netpbm.write_pgm(out_dir / label_rel, (img.labels % 256).astype(np.uint8))
-            entries.append({"features": feat_rel, "labels": label_rel,
-                            "domain": img.domain})
-            written += [feat_rel, label_rel]
-        manifest["splits"][split] = entries
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    written.append("manifest.json")
-    return written
-
-
-def load_dataset(data_dir: str | Path) -> tuple[SynthConfig, dict[str, list[LabeledImage]]]:
-    """Read a directory written by ``save_dataset``; a malformed manifest, a
-    listed file that cannot be read or a feature file of the wrong size
-    raises InputError."""
-    data_dir = Path(data_dir)
-    manifest_path = data_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise InputError(f"no dataset manifest at {manifest_path}")
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise InputError(f"unreadable manifest {manifest_path}: {exc}") from exc
-    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
-            and isinstance(manifest.get("splits"), dict)):
-        raise InputError("manifest must be an object with 'config' and 'splits' objects")
-    odd = set(manifest["config"]) ^ {f.name for f in fields(SynthConfig)}
-    if odd:
-        raise InputError(f"manifest config keys {sorted(odd)} are missing or unknown")
-    try:
-        config = SynthConfig(**manifest["config"])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad manifest config: {exc}") from exc
-    values = config.height * config.width * config.channels
-    splits: dict[str, list[LabeledImage]] = {}
-    for split, entries in manifest["splits"].items():
-        if not isinstance(entries, list) or not all(
-                isinstance(e, dict) and {"features", "labels", "domain"} <= e.keys()
-                for e in entries):
-            raise InputError(f"split {split!r} must list entries with features, labels and domain")
-        images = []
-        for entry in entries:
-            try:
-                features = np.fromfile(data_dir / entry["features"], dtype="<f8")
-                labels = netpbm.read_pgm(data_dir / entry["labels"]).astype(int)
-            except OSError as exc:  # a listed file is missing or unreadable
-                raise InputError(f"split {split!r}: {exc}") from exc
-            if features.size != values:
-                raise InputError(f"{entry['features']} holds {features.size} values, "
-                                 f"expected {values}")
-            features = features.reshape(config.height * config.width, config.channels)
-            fm = FeatureMap(config.height, config.width, features)
-            images.append(LabeledImage(fm=fm, labels=labels, domain=entry["domain"],
-                                       shift_classes=config.shift_classes))
-        splits[split] = images
-    return config, splits

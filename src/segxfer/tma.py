@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import netpbm
 from .errors import DegenerateColumnError, InputError, ShapeError
 
 
@@ -57,7 +56,8 @@ class MaskInputs:
             )
         for name, arr in (("mask probs", self.mask_probs),
                           ("transferability", self.transferability)):
-            if np.any(arr < 0) or np.any(arr > 1):
+            # a NaN fails both comparisons, so it is rejected too
+            if arr.size and not (arr.min() >= 0 and arr.max() <= 1):
                 raise InputError(f"{name} must lie in [0, 1]")
         for name, val in (("lambda_m", self.lambda_m), ("lambda_t", self.lambda_t)):
             if not 0.0 <= val <= 1.0:
@@ -94,56 +94,25 @@ def build_mask(mi: MaskInputs) -> AttentionMaskTensor:
     return AttentionMaskTensor(allowed=allowed, fallback=fallback)
 
 
-@dataclass
-class AttentionInputs:
-    """Single-head attention operands at one layer's spatial resolution."""
-
-    queries: np.ndarray  # (C, N)
-    keys: np.ndarray     # (C, H_l*W_l)
-    values: np.ndarray   # (H_l*W_l, C)
-    height: int
-    width: int
-
-    def __post_init__(self) -> None:
-        self.queries = np.asarray(self.queries, dtype=float)
-        self.keys = np.asarray(self.keys, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        c, _ = self.queries.shape
-        if self.keys.shape[0] != c or self.values.shape[1] != c:
-            raise ShapeError(
-                f"channel dims disagree: Q {self.queries.shape}, "
-                f"K {self.keys.shape}, V {self.values.shape}"
-            )
-        keys_n = self.height * self.width
-        if keys_n < 1 or self.keys.shape[1] != keys_n or self.values.shape[0] != keys_n:
-            raise ShapeError(
-                f"spatial dims {self.height}x{self.width} do not match "
-                f"K {self.keys.shape} / V {self.values.shape}"
-            )
-
-    @property
-    def channels(self) -> int:
-        return self.queries.shape[0]
-
-    @property
-    def num_queries(self) -> int:
-        return self.queries.shape[1]
-
-
-def masked_attention_weights(ai: AttentionInputs, mask: AttentionMaskTensor) -> np.ndarray:
+def masked_attention_weights(queries: np.ndarray, keys: np.ndarray,
+                             mask: AttentionMaskTensor) -> np.ndarray:
     """Attention weights (queries x keys); each row sums to 1 over its
     admitted keys and is exactly 0 elsewhere.
 
-    Scores are Q^T K / sqrt(C).  Each row is shifted by its maximum over the
+    ``queries`` is (C, N) and ``keys`` is (C, keys).  Scores are
+    Q^T K / sqrt(C).  Each row is shifted by its maximum over the
     admitted keys; shifted scores are capped at 0 so a masked key scoring
     above that maximum cannot overflow the exponential before the mask
     zeroes it.  A row that admits no key raises DegenerateColumnError:
     callers must apply their fallback first.
     """
-    expected = (ai.num_queries, ai.keys.shape[1])
+    channels, num_queries = queries.shape
+    if keys.shape[0] != channels:
+        raise ShapeError(f"channel dims disagree: Q {queries.shape}, K {keys.shape}")
+    expected = (num_queries, keys.shape[1])
     if mask.allowed.shape != expected:
         raise ShapeError(f"mask {mask.allowed.shape} does not match {expected}")
-    scores = (ai.queries.T / math.sqrt(ai.channels)) @ ai.keys
+    scores = (queries.T / math.sqrt(channels)) @ keys
     row_max = np.where(mask.allowed, scores, -np.inf).max(axis=1, keepdims=True)
     if not np.all(np.isfinite(row_max)):
         bad = np.flatnonzero(~np.isfinite(row_max))
@@ -155,14 +124,6 @@ def masked_attention_weights(ai: AttentionInputs, mask: AttentionMaskTensor) -> 
     weights *= mask.allowed
     weights /= np.sum(weights, axis=1, keepdims=True)
     return weights
-
-
-def tma_attention(ai: AttentionInputs, mask: AttentionMaskTensor) -> np.ndarray:
-    """Masked scaled-dot-product attention; returns updated queries (N, C).
-
-    Row n of the output is the value rows averaged with query n's weights.
-    """
-    return masked_attention_weights(ai, mask) @ ai.values
 
 
 def attention_backward_from_weights(
@@ -190,40 +151,3 @@ def attention_backward_from_weights(
     d_queries = keys @ d_scores.T                   # (C, N)
     d_keys = queries @ d_scores                     # (C, keys)
     return d_queries, d_keys, d_values
-
-
-def tma_attention_backward(
-    ai: AttentionInputs,
-    mask: AttentionMaskTensor,
-    upstream: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic gradients of tma_attention w.r.t. queries, keys and values.
-
-    ``upstream`` is the loss gradient at the (N, C) output.  Mask entries are
-    constants, so masked pairs contribute exactly zero gradient.
-    """
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (ai.num_queries, ai.channels):
-        raise ShapeError(
-            f"upstream {upstream.shape} does not match output "
-            f"({ai.num_queries}, {ai.channels})"
-        )
-    weights = masked_attention_weights(ai, mask)
-    d_queries, d_keys, d_values = attention_backward_from_weights(
-        ai.queries, ai.keys, ai.values.T, weights, upstream)
-    return d_queries, d_keys, d_values.T
-
-
-def mask_images(mask: AttentionMaskTensor, height: int, width: int) -> list[np.ndarray]:
-    """Per-query uint8 images of the mask: admitted keys white, masked black."""
-    if mask.allowed.shape[1] != height * width:
-        raise ShapeError(
-            f"mask covers {mask.allowed.shape[1]} keys, grid is {height}x{width}"
-        )
-    return [np.where(row, 255, 0).astype(np.uint8).reshape(height, width)
-            for row in mask.allowed]
-
-
-def write_mask_pgm(mask: AttentionMaskTensor, height: int, width: int,
-                   query: int, path) -> None:
-    netpbm.write_pgm(path, mask_images(mask, height, width)[query])

@@ -10,13 +10,10 @@ The proxy distance 2*(1 - 2*eps) comes from the held-out balanced error.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import netpbm
 from .adaptive_cluster import ClusterState
 from .errors import InputError
 from .numkit import (
@@ -202,30 +199,3 @@ def compute_pad(params: MlpParams, held_out: list[DomainSample]) -> PadEstimate:
     epsilon = 1.0 - _balanced_accuracy(params, x, labels)
     distance = float(np.clip(2.0 * (1.0 - 2.0 * epsilon), -2.0, 2.0))
     return PadEstimate(epsilon=float(epsilon), distance=distance)
-
-
-# ---------------------------------------------------------------------------
-# Export helpers
-# ---------------------------------------------------------------------------
-
-
-def write_tmap_pgm(tmap: TransferabilityMap, path: str | Path) -> None:
-    """8-bit PGM of the pixel map, gray = round(T * 255)."""
-    netpbm.write_pgm(path, netpbm.gray_from_unit(tmap.pixel))
-
-
-def write_region_csv(tmap: TransferabilityMap, path: str | Path) -> None:
-    """CSV of (region_id, T_i) rows for every region."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["region_id", "T"])
-        for i, score in enumerate(tmap.region_scores):
-            writer.writerow([i, repr(float(score))])
-
-
-def write_pad_csv(pad: PadEstimate, path: str | Path) -> None:
-    """Single-row CSV with the held-out error and proxy distance."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["epsilon", "d_A"])
-        writer.writerow([repr(pad.epsilon), repr(pad.distance)])

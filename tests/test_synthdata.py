@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -112,85 +110,3 @@ def test_generate_validation():
         sd.generate(cfg, 0, sd.SOURCE)
     with pytest.raises(InputError):
         sd.generate(cfg, 1, "weird")
-
-
-def test_save_load_roundtrip(tmp_path):
-    cfg = small_config()
-    splits = {
-        "source": sd.generate(cfg, 2, sd.SOURCE),
-        "target": sd.generate(cfg, 2, sd.TARGET),
-        "eval": sd.generate(cfg, 1, sd.TARGET, stream=1),
-    }
-    written = sd.save_dataset(splits, cfg, tmp_path)
-    assert "manifest.json" in written
-    loaded_cfg, loaded = sd.load_dataset(tmp_path)
-    assert loaded_cfg == cfg
-    for split in splits:
-        assert len(loaded[split]) == len(splits[split])
-        for orig, back in zip(splits[split], loaded[split]):
-            npt.assert_array_equal(orig.fm.features, back.fm.features)
-            npt.assert_array_equal(orig.labels, back.labels)
-            npt.assert_array_equal(orig.transfer_bits, back.transfer_bits)
-            assert orig.domain == back.domain
-
-
-def test_save_is_byte_deterministic(tmp_path):
-    cfg = small_config()
-    for sub in ("a", "b"):
-        splits = {"source": sd.generate(cfg, 2, sd.SOURCE)}
-        sd.save_dataset(splits, cfg, tmp_path / sub)
-    for rel in ["manifest.json", "source/img_0000.bin", "source/img_0000_labels.pgm"]:
-        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
-
-
-def test_load_missing_manifest(tmp_path):
-    with pytest.raises(InputError):
-        sd.load_dataset(tmp_path)
-
-
-def _saved_manifest(tmp_path):
-    cfg = small_config()
-    sd.save_dataset({"source": sd.generate(cfg, 1, sd.SOURCE)}, cfg, tmp_path)
-    path = tmp_path / "manifest.json"
-    return path, json.loads(path.read_text())
-
-
-def test_load_bad_json_is_input_error(tmp_path):
-    path, _ = _saved_manifest(tmp_path)
-    path.write_text("{not json")
-    with pytest.raises(InputError):
-        sd.load_dataset(tmp_path)
-
-
-@pytest.mark.parametrize("key", ["config", "splits"])
-def test_load_missing_section_is_input_error(tmp_path, key):
-    path, manifest = _saved_manifest(tmp_path)
-    del manifest[key]
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(InputError):
-        sd.load_dataset(tmp_path)
-
-
-def test_load_unknown_config_key_is_input_error(tmp_path):
-    path, manifest = _saved_manifest(tmp_path)
-    manifest["config"]["colour"] = "red"
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(InputError):
-        sd.load_dataset(tmp_path)
-
-
-def test_load_wrong_size_feature_file_is_input_error(tmp_path):
-    _saved_manifest(tmp_path)
-    feature_file = tmp_path / "source" / "img_0000.bin"
-    feature_file.write_bytes(feature_file.read_bytes()[:-8])
-    with pytest.raises(InputError):
-        sd.load_dataset(tmp_path)
-
-
-@pytest.mark.parametrize("name", ["img_0000.bin", "img_0000_labels.pgm"],
-                         ids=["features", "labels"])
-def test_load_missing_listed_file_is_input_error(tmp_path, name):
-    _saved_manifest(tmp_path)
-    (tmp_path / "source" / name).unlink()
-    with pytest.raises(InputError):
-        sd.load_dataset(tmp_path)

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from gradcheck import gradcheck
-from segxfer import netpbm, numkit, tma
+from segxfer import numkit, tma
 from segxfer.errors import InputError, ShapeError
 
 
@@ -109,10 +109,14 @@ def test_mask_inputs_validation():
         tma.MaskInputs(np.array([[0.4]]), np.array([0.5]), 1.5, 0.5)
     with pytest.raises(ShapeError):
         tma.MaskInputs(np.array([[0.4, 0.2]]), np.array([0.5]), 0.5, 0.5)
+    with pytest.raises(InputError):
+        tma.MaskInputs(np.array([[np.nan, 0.2]]), np.array([0.5, 0.5]), 0.5, 0.5)
+    with pytest.raises(InputError):
+        tma.MaskInputs(np.array([[0.4, 0.2]]), np.array([0.5, np.nan]), 0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
-# tma_attention
+# masked attention: output = weights @ values.T, values channel-major (C, keys)
 # ---------------------------------------------------------------------------
 
 
@@ -121,54 +125,62 @@ def open_mask(n, keys):
     return tma.AttentionMaskTensor(np.ones((n, keys), dtype=bool), np.zeros(n, dtype=bool))
 
 
+def attend(q, k, v, mask):
+    """Masked attention output, (N, C)."""
+    return tma.masked_attention_weights(q, k, mask) @ v.T
+
+
+def attend_backward(q, k, v, mask, upstream):
+    """Gradients of ``attend`` w.r.t. q, k and v, in their layouts."""
+    weights = tma.masked_attention_weights(q, k, mask)
+    return tma.attention_backward_from_weights(q, k, v, weights, upstream)
+
+
 def test_attention_single_key_returns_value_row():
     rng = np.random.default_rng(3)
-    ai = tma.AttentionInputs(rng.normal(size=(4, 3)), rng.normal(size=(4, 1)),
-                             rng.normal(size=(1, 4)), 1, 1)
-    out = tma.tma_attention(ai, open_mask(3, 1))
-    npt.assert_allclose(out, np.tile(ai.values[0], (3, 1)), atol=1e-12)
+    q, k, v = rng.normal(size=(4, 3)), rng.normal(size=(4, 1)), rng.normal(size=(1, 4)).T
+    out = attend(q, k, v, open_mask(3, 1))
+    npt.assert_allclose(out, np.tile(v[:, 0], (3, 1)), atol=1e-12)
 
 
 def test_attention_uniform_weights_give_value_mean():
     rng = np.random.default_rng(4)
-    values = rng.normal(size=(6, 4))
-    ai = tma.AttentionInputs(np.zeros((4, 2)), rng.normal(size=(4, 6)), values, 2, 3)
-    out = tma.tma_attention(ai, open_mask(2, 6))
-    npt.assert_allclose(out, np.tile(values.mean(axis=0), (2, 1)), atol=1e-12)
+    values = rng.normal(size=(6, 4)).T
+    out = attend(np.zeros((4, 2)), rng.normal(size=(4, 6)), values, open_mask(2, 6))
+    npt.assert_allclose(out, np.tile(values.mean(axis=1), (2, 1)), atol=1e-12)
 
 
 def test_attention_matches_per_query_loop_oracle():
     rng = np.random.default_rng(5)
     c, n, keys = 4, 2, 6
-    ai = tma.AttentionInputs(rng.normal(size=(c, n)), rng.normal(size=(c, keys)),
-                             rng.normal(size=(keys, c)), 2, 3)
+    queries, k, values = (rng.normal(size=(c, n)), rng.normal(size=(c, keys)),
+                          rng.normal(size=(keys, c)).T)
     allowed = rng.random((n, keys)) >= 0.3
     allowed[:, 0] = True  # keep every row alive
     mask = tma.AttentionMaskTensor(allowed, np.zeros(n, dtype=bool))
-    out = tma.tma_attention(ai, mask)
+    out = attend(queries, k, values, mask)
 
     expected = np.zeros((n, c))
     for q in range(n):
         scores = np.full(keys, -np.inf)
         for j in range(keys):
             if allowed[q, j]:
-                scores[j] = ai.keys[:, j] @ ai.queries[:, q] / np.sqrt(c)
+                scores[j] = k[:, j] @ queries[:, q] / np.sqrt(c)
         scores -= scores.max()
         w = np.exp(scores)
         w /= w.sum()
         for j in range(keys):
-            expected[q] += w[j] * ai.values[j]
+            expected[q] += w[j] * values[:, j]
     npt.assert_allclose(out, expected, atol=1e-10)
 
 
 def test_attention_weights_are_distribution_and_masked_zero():
     rng = np.random.default_rng(6)
-    ai = tma.AttentionInputs(rng.normal(size=(3, 4)), rng.normal(size=(3, 5)),
-                             rng.normal(size=(5, 3)), 1, 5)
+    q, k = rng.normal(size=(3, 4)), rng.normal(size=(3, 5))
     allowed = np.ones((4, 5), dtype=bool)
     allowed[1, 2] = False
     mask = tma.AttentionMaskTensor(allowed, np.zeros(4, dtype=bool))
-    weights = tma.masked_attention_weights(ai, mask)
+    weights = tma.masked_attention_weights(q, k, mask)
     assert weights.shape == (4, 5)  # query-major
     npt.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(weights >= 0)
@@ -178,90 +190,74 @@ def test_attention_weights_are_distribution_and_masked_zero():
 def test_attention_gating_off_equals_plain_attention():
     rng = np.random.default_rng(7)
     c, n, keys = 5, 3, 8
-    ai = tma.AttentionInputs(rng.normal(size=(c, n)), rng.normal(size=(c, keys)),
-                             rng.normal(size=(keys, c)), 2, 4)
+    q, k, v = (rng.normal(size=(c, n)), rng.normal(size=(c, keys)),
+               rng.normal(size=(keys, c)).T)
     mi = tma.MaskInputs(rng.random((n, keys)), rng.random(keys), 1.0, 1.0)
-    out = tma.tma_attention(ai, tma.build_mask(mi))
-    plain = numkit.softmax_columns(ai.keys.T @ ai.queries / np.sqrt(c)).T @ ai.values
+    out = attend(q, k, v, tma.build_mask(mi))
+    plain = numkit.softmax_columns(k.T @ q / np.sqrt(c)).T @ v.T
     npt.assert_allclose(out, plain, atol=1e-10)
 
 
 def test_attention_fallback_output_is_finite():
     rng = np.random.default_rng(8)
     c, n, keys = 4, 2, 6
-    ai = tma.AttentionInputs(rng.normal(size=(c, n)), rng.normal(size=(c, keys)),
-                             rng.normal(size=(keys, c)), 2, 3)
+    q, k, v = (rng.normal(size=(c, n)), rng.normal(size=(c, keys)),
+               rng.normal(size=(keys, c)).T)
     mi = tma.MaskInputs(np.ones((n, keys)) * 0.9, rng.random(keys), 0.5, 0.3)
     mask = tma.build_mask(mi)
     assert np.all(mask.fallback)
-    assert np.all(np.isfinite(tma.tma_attention(ai, mask)))
+    assert np.all(np.isfinite(attend(q, k, v, mask)))
 
 
 def test_attention_shape_error():
     rng = np.random.default_rng(9)
-    ai = tma.AttentionInputs(rng.normal(size=(4, 2)), rng.normal(size=(4, 6)),
-                             rng.normal(size=(6, 4)), 2, 3)
-    with pytest.raises(ShapeError):
-        tma.tma_attention(ai, open_mask(2, 5))
+    q = rng.normal(size=(4, 2))
+    # a mask over 5 keys for 6 keys, then keys with 3 channels for 4-channel queries
+    for k_channels, mask_keys in [(4, 5), (3, 6)]:
+        with pytest.raises(ShapeError):
+            tma.masked_attention_weights(q, rng.normal(size=(k_channels, 6)),
+                                         open_mask(2, mask_keys))
 
 
 # ---------------------------------------------------------------------------
-# tma_attention_backward
+# attention backward
 # ---------------------------------------------------------------------------
 
 
-def random_instance(seed, c=4, n=3, hw=(2, 2)):
+def random_instance(seed, c=4, n=3, keys=4):
+    """(q, k, v) with channel-major values, a mask and an upstream gradient."""
     rng = np.random.default_rng(seed)
-    keys = hw[0] * hw[1]
-    ai = tma.AttentionInputs(rng.normal(size=(c, n)), rng.normal(size=(c, keys)),
-                             rng.normal(size=(keys, c)), hw[0], hw[1])
+    qkv = (rng.normal(size=(c, n)), rng.normal(size=(c, keys)), rng.normal(size=(keys, c)).T)
     allowed = rng.random((n, keys)) >= 0.3
     allowed[:, 0] = True
     mask = tma.AttentionMaskTensor(allowed, np.zeros(n, dtype=bool))
     upstream = rng.normal(size=(n, c))
-    return ai, mask, upstream
+    return qkv, mask, upstream
 
 
 def test_attention_backward_gradcheck():
     errs = []
     for seed in range(20):
-        ai, mask, upstream = random_instance(seed, c=4, n=2, hw=(1, 3))
-        def f(flat, mask=mask, upstream=upstream, ai=ai):
-            q, k, v = flat
-            inputs = tma.AttentionInputs(q, k, v, ai.height, ai.width)
-            out = tma.tma_attention(inputs, mask)
-            grads = tma.tma_attention_backward(inputs, mask, upstream)
+        qkv, mask, upstream = random_instance(seed, c=4, n=2, keys=3)
+        def f(flat, mask=mask, upstream=upstream):
+            out = attend(*flat, mask)
+            grads = attend_backward(*flat, mask, upstream)
             return float(np.sum(out * upstream)), list(grads)
-        errs.append(gradcheck(f, [ai.queries, ai.keys, ai.values]))
+        errs.append(gradcheck(f, list(qkv)))
     assert max(errs) <= 1e-4
 
 
 def test_attention_backward_masked_positions_zero_gradient():
-    ai, mask, upstream = random_instance(10)
+    qkv, mask, upstream = random_instance(10)
     mask.allowed[:, 3] = False  # key 3 invisible to every query
-    dq, dk, dv = tma.tma_attention_backward(ai, mask, upstream)
+    dq, dk, dv = attend_backward(*qkv, mask, upstream)
     npt.assert_array_equal(dk[:, 3], 0.0)
-    npt.assert_array_equal(dv[3], 0.0)
+    npt.assert_array_equal(dv[:, 3], 0.0)
 
 
 def test_attention_backward_linear_in_upstream():
-    ai, mask, upstream = random_instance(11)
-    g1 = tma.tma_attention_backward(ai, mask, upstream)
-    g2 = tma.tma_attention_backward(ai, mask, 2.0 * upstream)
+    qkv, mask, upstream = random_instance(11)
+    g1 = attend_backward(*qkv, mask, upstream)
+    g2 = attend_backward(*qkv, mask, 2.0 * upstream)
     for a, b in zip(g1, g2):
         npt.assert_allclose(2.0 * a, b, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# mask images
-# ---------------------------------------------------------------------------
-
-
-def test_mask_images_black_and_white(tmp_path):
-    allowed = np.array([[True, False, True, False]])
-    mask = tma.AttentionMaskTensor(allowed, np.zeros(1, dtype=bool))
-    imgs = tma.mask_images(mask, 2, 2)
-    npt.assert_array_equal(imgs[0], np.array([[255, 0], [255, 0]], dtype=np.uint8))
-    path = tmp_path / "mask.pgm"
-    tma.write_mask_pgm(mask, 2, 2, 0, path)
-    npt.assert_array_equal(netpbm.read_pgm(path), imgs[0])

@@ -19,10 +19,10 @@ from segxfer.numkit import softmax_columns
 RTOL = 1e-12
 
 
-def oracle_weights(ai, mask):
+def oracle_weights(queries, keys, mask):
     """(keys, N) weights: column softmax of K^T Q / sqrt(C) plus the mask."""
     additive = np.where(mask.allowed, 0.0, -np.inf)
-    scores = (ai.keys.T @ ai.queries) / math.sqrt(ai.channels)
+    scores = (keys.T @ queries) / math.sqrt(queries.shape[0])
     return softmax_columns(scores + additive.T)
 
 
@@ -42,20 +42,20 @@ def assert_close(actual, expected):
 
 
 def random_case(seed, lambda_t=None):
-    """Random operands and a built mask with masked keys and, for most
-    seeds, at least one fallback row."""
+    """Random (queries, keys, values), values (keys, C), and a built mask
+    with masked keys and, for most seeds, at least one fallback row."""
     rng = np.random.default_rng(seed)
     c, n = int(rng.integers(2, 17)), int(rng.integers(1, 9))
     h, w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
     keys = h * w
     spread = rng.uniform(0.5, 4.0)  # from flat to peaked weights
-    ai = tma.AttentionInputs(spread * rng.normal(size=(c, n)), spread * rng.normal(size=(c, keys)),
-                             rng.normal(size=(keys, c)), h, w)
+    qkv = (spread * rng.normal(size=(c, n)), spread * rng.normal(size=(c, keys)),
+           rng.normal(size=(keys, c)))
     probs = rng.random((n, keys))
     probs[rng.integers(0, n)] = 0.95  # this row admits no key: it falls back
     lam_t = rng.uniform(0.2, 1.0) if lambda_t is None else lambda_t
     mask = tma.build_mask(tma.MaskInputs(probs, rng.random(keys), 0.6, lam_t))
-    return ai, mask, rng.normal(size=(n, c))
+    return qkv, mask, rng.normal(size=(n, c))
 
 
 CASES = [(seed, None) for seed in range(30)] + [(seed, 1.0) for seed in range(30, 40)]
@@ -64,44 +64,39 @@ CASES = [(seed, None) for seed in range(30)] + [(seed, 1.0) for seed in range(30
 @pytest.mark.parametrize("seed, lambda_t", CASES,
                          ids=[f"seed{s}" + ("-lambda_t1" if lt else "") for s, lt in CASES])
 def test_weights_and_gradients_match_additive_oracle(seed, lambda_t):
-    ai, mask, upstream = random_case(seed, lambda_t)
+    (queries, keys, values), mask, upstream = random_case(seed, lambda_t)
     assert mask.fallback.any()
 
-    weights = tma.masked_attention_weights(ai, mask)
-    ref = oracle_weights(ai, mask)
+    weights = tma.masked_attention_weights(queries, keys, mask)
+    ref = oracle_weights(queries, keys, mask)
     assert_close(weights, ref.T)
     assert np.all(weights[~mask.allowed] == 0.0)
 
     dq, dk, dv = tma.attention_backward_from_weights(
-        ai.queries, ai.keys, ai.values.T, weights, upstream)
-    rq, rk, rv = oracle_backward(ai.queries, ai.keys, ai.values, ref, upstream)
+        queries, keys, values.T, weights, upstream)
+    rq, rk, rv = oracle_backward(queries, keys, values, ref, upstream)
     assert dv.flags.c_contiguous
     assert_close(dq, rq)
     assert_close(dk, rk)
     assert_close(dv, rv.T)
 
-    for got, want in zip(tma.tma_attention_backward(ai, mask, upstream), (rq, rk, rv)):
-        assert_close(got, want)
-
 
 def test_row_admitting_no_key_raises():
     rng = np.random.default_rng(0)
-    ai = tma.AttentionInputs(rng.normal(size=(4, 3)), rng.normal(size=(4, 6)),
-                             rng.normal(size=(6, 4)), 2, 3)
+    queries, keys = rng.normal(size=(4, 3)), rng.normal(size=(4, 6))
     allowed = np.ones((3, 6), dtype=bool)
     allowed[1] = False  # hand-built: no fallback applied
     mask = tma.AttentionMaskTensor(allowed, np.zeros(3, dtype=bool))
     with pytest.raises(DegenerateColumnError):
-        tma.masked_attention_weights(ai, mask)
+        tma.masked_attention_weights(queries, keys, mask)
 
 
 def test_masked_key_far_above_admitted_keys():
     # The masked key outscores the admitted ones by ~4000: shifting by the
     # maximum over all keys would underflow every admitted weight to 0 (and
     # divide 0 by 0), and an uncapped exponential would overflow.
-    ai = tma.AttentionInputs(np.array([[40.0]]), np.array([[50.0, -49.0, -50.0]]),
-                             np.array([[1.0], [2.0], [3.0]]), 1, 3)
+    queries, keys = np.array([[40.0]]), np.array([[50.0, -49.0, -50.0]])
     mask = tma.AttentionMaskTensor(np.array([[False, True, True]]), np.zeros(1, dtype=bool))
-    weights = tma.masked_attention_weights(ai, mask)
+    weights = tma.masked_attention_weights(queries, keys, mask)
     assert weights[0, 0] == 0.0 and weights[0, 1] > weights[0, 2] > 0.0
-    assert_close(weights, oracle_weights(ai, mask).T)
+    assert_close(weights, oracle_weights(queries, keys, mask).T)

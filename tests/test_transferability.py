@@ -3,7 +3,6 @@ import numpy.testing as npt
 import pytest
 
 from segxfer import adaptive_cluster as ac
-from segxfer import netpbm
 from segxfer import transferability as tr
 from segxfer.errors import InputError
 from segxfer.numkit import MlpParams
@@ -227,36 +226,3 @@ def test_label_flip_symmetry():
         t_gaps.append(float(np.mean(np.abs(t_fwd - t_rev))))
     assert np.median(acc_gaps) <= 0.10
     assert np.median(t_gaps) <= 0.20
-
-
-# ---------------------------------------------------------------------------
-# export helpers
-# ---------------------------------------------------------------------------
-
-
-def test_tmap_pgm_and_csv_export(tmp_path):
-    scores = np.array([0.0, 1.0, 0.5, 0.25])
-    pixel = scores[np.repeat(np.arange(4), 16)].reshape(8, 8)
-    tmap = tr.TransferabilityMap(scores, pixel, provenance="test")
-    pgm = tmp_path / "t.pgm"
-    tr.write_tmap_pgm(tmap, pgm)
-    img = netpbm.read_pgm(pgm)
-    assert img.shape == (8, 8)
-    assert set(np.unique(img)) == {0, 64, 128, 255}
-
-    csv_path = tmp_path / "t.csv"
-    tr.write_region_csv(tmap, csv_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "region_id,T"
-    assert len(lines) == 5
-    assert float(lines[3].split(",")[1]) == 0.5
-
-
-def test_pad_csv_export(tmp_path):
-    pad = tr.PadEstimate(epsilon=0.25, distance=1.0)
-    path = tmp_path / "pad.csv"
-    tr.write_pad_csv(pad, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "epsilon,d_A"
-    eps, dist = lines[1].split(",")
-    assert float(eps) == 0.25 and float(dist) == 1.0
