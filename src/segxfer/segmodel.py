@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .adaptive_cluster import FeatureMap
 from .errors import ConfigError, InputError, ShapeError
 from .numkit import (LOSS_EPS, AdamWState, adamw_step, flat_views, flatten, relu, sigmoid,
                      softmax_columns)
+from .serialize import load_arrays, save_arrays
 from .tma import (
     AttentionMaskTensor,
     MaskInputs,
@@ -51,8 +53,8 @@ class SegModelParams:
     """All trainable arrays plus the class count they were built for.
 
     ``param_list`` flattens the arrays into ``param_names`` order, the order
-    of the loss gradients and of the optimizer's vector; ``with_params``
-    rebuilds the structure from such a list."""
+    of the loss gradients, of the optimizer's vector and of the saved file;
+    ``with_params`` and ``from_named`` rebuild the structure."""
 
     num_classes: int
     embed_w: np.ndarray   # (C, d_in)
@@ -79,6 +81,21 @@ class SegModelParams:
         return {n: in_layers[n] if n in in_layers else getattr(self, n)
                 for n in param_names(len(self.layers))}
 
+    @classmethod
+    def from_named(cls, num_classes: int, num_layers: int,
+                   named: dict[str, np.ndarray]) -> "SegModelParams":
+        """Inverse of ``named_arrays``; the names must be exactly those of a
+        ``num_layers``-layer decoder."""
+        expected = param_names(num_layers)
+        odd = set(named) ^ set(expected)
+        if odd:
+            raise InputError(
+                f"arrays {sorted(odd)} are missing or extra for {num_layers} decoder layers")
+        layers = [DecoderLayer(**{n: named[f"layer{i}.{n}"] for n in _LAYER_NAMES})
+                  for i in range(num_layers)]
+        return cls(num_classes=num_classes, layers=layers,
+                   **{n: named[n] for n in expected if "." not in n})
+
     def param_list(self) -> list[np.ndarray]:
         return list(self.named_arrays().values())
 
@@ -88,11 +105,7 @@ class SegModelParams:
         names = param_names(len(self.layers))
         if len(flat) != len(names):
             raise ShapeError("parameter list does not match architecture")
-        named = dict(zip(names, flat))
-        layers = [DecoderLayer(**{n: named[f"layer{i}.{n}"] for n in _LAYER_NAMES})
-                  for i in range(len(self.layers))]
-        return SegModelParams(num_classes=self.num_classes, layers=layers,
-                              **{n: named[n] for n in names if "." not in n})
+        return self.from_named(self.num_classes, len(self.layers), dict(zip(names, flat)))
 
     def copy(self) -> "SegModelParams":
         return self.with_params([a.copy() for a in self.param_list()])
@@ -103,8 +116,8 @@ _LAYER_NAMES = tuple(f.name for f in fields(DecoderLayer))
 
 @functools.cache
 def param_names(num_layers: int) -> tuple[str, ...]:
-    """Names of the trainable arrays in ``param_list`` order, which is also
-    the order of the loss gradients."""
+    """Names of the trainable arrays in ``param_list`` order: the order of
+    the loss gradients and of the saved file."""
     in_layers = [f"layer{i}.{n}" for i in range(num_layers) for n in _LAYER_NAMES]
     return ("embed_w", "embed_b", "queries", *in_layers, "class_w", "class_b", "mask_w", "mask_b")
 
@@ -500,3 +513,34 @@ def train(
         adamw_step(state, vector, acc / batch_size)
         losses.append(total / batch_size)
     return current.copy(), losses  # not the optimizer's buffer
+
+
+# ---------------------------------------------------------------------------
+# Serialization
+# ---------------------------------------------------------------------------
+
+
+def save_params(params: SegModelParams, bin_path: str | Path, json_path: str | Path) -> None:
+    meta = {"num_classes": params.num_classes, "num_layers": len(params.layers)}
+    save_arrays(params.named_arrays(), bin_path, json_path, meta=meta)
+
+
+def load_params(bin_path: str | Path, json_path: str | Path) -> SegModelParams:
+    """Read a model written by ``save_params``.
+
+    The meta counts must be positive integers, the array names exactly those
+    of a decoder with ``num_layers`` layers, and the class head must have one
+    row per class plus no-object; anything else raises InputError.
+    """
+    named, meta = load_arrays(bin_path, json_path)
+    counts = [meta.get(key) for key in ("num_classes", "num_layers")]
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in counts):
+        raise InputError(f"meta num_classes/num_layers {counts} are not positive integers")
+    num_classes, num_layers = counts
+    if num_layers > len(named):  # checked first so no name list that long is built
+        raise InputError(f"{len(named)} arrays cannot hold {num_layers} decoder layers")
+    params = SegModelParams.from_named(num_classes, num_layers, named)
+    if params.class_w.shape[:1] != (num_classes + 1,):
+        raise InputError(f"class head of shape {params.class_w.shape} does not have "
+                         f"{num_classes} class rows plus no-object")
+    return params

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,6 +9,7 @@ from gradcheck import gradcheck
 from segxfer import segmodel as sm
 from segxfer.adaptive_cluster import FeatureMap
 from segxfer.errors import ConfigError, InputError, ShapeError
+from segxfer.serialize import save_arrays
 from segxfer.transferability import TransferabilityMap
 
 
@@ -384,6 +387,80 @@ def test_train_returns_params_that_own_their_arrays():
 def test_train_rejects_empty_dataset():
     with pytest.raises(InputError):
         sm.train(small_model(4), [], steps=1)
+
+
+# ---------------------------------------------------------------------------
+# serialization
+# ---------------------------------------------------------------------------
+
+
+def test_save_load_roundtrip(tmp_path):
+    params = small_model(5)
+    bin_path, json_path = tmp_path / "m.bin", tmp_path / "m.json"
+    sm.save_params(params, bin_path, json_path)
+    loaded = sm.load_params(bin_path, json_path)
+    assert loaded.num_classes == params.num_classes
+    for a, b in zip(params.param_list(), loaded.param_list()):
+        npt.assert_array_equal(a, b)
+
+
+def test_save_is_byte_deterministic(tmp_path):
+    params = small_model(6)
+    sm.save_params(params, tmp_path / "a.bin", tmp_path / "a.json")
+    sm.save_params(params, tmp_path / "b.bin", tmp_path / "b.json")
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def _saved_model(tmp_path):
+    """A 2-layer, 3-class model on disk, plus its parsed manifest."""
+    bin_path, json_path = tmp_path / "m.bin", tmp_path / "m.json"
+    sm.save_params(small_model(7), bin_path, json_path)
+    return bin_path, json_path, json.loads(json_path.read_text())
+
+
+@pytest.mark.parametrize("meta", [
+    {"num_layers": 2},
+    {"num_classes": 3},
+    {"num_classes": 3, "num_layers": 0},
+    {"num_classes": 3, "num_layers": 2.0},
+    {"num_classes": True, "num_layers": 2},
+    {"num_classes": "3", "num_layers": 2},
+], ids=["no_classes", "no_layers", "zero_layers", "float_layers", "bool_classes",
+        "string_classes"])
+def test_load_rejects_bad_meta_counts(tmp_path, meta):
+    bin_path, json_path, manifest = _saved_model(tmp_path)
+    manifest["meta"] = meta
+    json_path.write_text(json.dumps(manifest))
+    with pytest.raises(InputError):
+        sm.load_params(bin_path, json_path)
+
+
+@pytest.mark.parametrize("num_layers", [1, 3, 10**12],
+                         ids=["extra_arrays", "missing_arrays", "absurd_layer_count"])
+def test_load_rejects_arrays_not_matching_layer_count(tmp_path, num_layers):
+    bin_path, json_path, manifest = _saved_model(tmp_path)
+    manifest["meta"]["num_layers"] = num_layers
+    json_path.write_text(json.dumps(manifest))
+    with pytest.raises(InputError):
+        sm.load_params(bin_path, json_path)
+
+
+def test_load_rejects_missing_array(tmp_path):
+    named = small_model(7).named_arrays()
+    del named["mask_b"]
+    bin_path, json_path = tmp_path / "m.bin", tmp_path / "m.json"
+    save_arrays(named, bin_path, json_path, meta={"num_classes": 3, "num_layers": 2})
+    with pytest.raises(InputError):
+        sm.load_params(bin_path, json_path)
+
+
+def test_load_rejects_class_head_of_wrong_size(tmp_path):
+    bin_path, json_path, manifest = _saved_model(tmp_path)
+    manifest["meta"]["num_classes"] = 2
+    json_path.write_text(json.dumps(manifest))
+    with pytest.raises(InputError):
+        sm.load_params(bin_path, json_path)
 
 
 def test_named_arrays_follow_param_list_order():
