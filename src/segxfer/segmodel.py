@@ -10,8 +10,16 @@ products with the embedded pixels.
 
 Queries are tied to classes by position (query n predicts class n), so the
 loss needs no bipartite matching.  Each layer's attention mask is built from
-that layer's current mask prediction; those thresholded masks are constants
+that layer's current mask logits; those thresholded masks are constants
 to the backward pass, while the final mask and class logits carry gradients.
+
+The transferability condition selects key columns: a pixel whose T is
+above the image's lambda_t can only be attended by a query that falls
+back, so each forward gathers the embedded pixels that pass it once, and
+every layer computes mask logits, scores, weights and their gradients over
+those columns only.  A layer in which some query falls back widens to all
+columns.  Without a transferability map every column is kept, as a full
+slice of the embedding.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .tma import (
     build_mask,
     masked_attention_weights,
     percentile_threshold,
+    widen_mask,
 )
 from .transferability import TransferabilityMap
 
@@ -226,6 +235,8 @@ def prediction_from_logits(class_logits: np.ndarray, mask_logits: np.ndarray,
 @dataclass
 class _LayerCache:
     q_in: np.ndarray          # queries entering the layer (C, N)
+    cols: slice | np.ndarray  # pixel columns the cross-attention covers
+    keys: np.ndarray          # the embedded pixels in those columns (C, keys)
     weights: np.ndarray       # cross-attention weights (N, keys)
     u: np.ndarray             # post-cross-attention residual (C, N)
     self_weights: np.ndarray  # query self-attention weights (N, N)
@@ -246,10 +257,17 @@ class _ForwardCache:
 
 
 def _layer_mask(params: SegModelParams, q: np.ndarray, embed: np.ndarray,
-                tvec: np.ndarray, lambda_m: float, lambda_t: float) -> AttentionMaskTensor:
+                cols: slice | np.ndarray, keys: np.ndarray, tkeys: np.ndarray,
+                lambda_m: float, lambda_t: float
+                ) -> tuple[AttentionMaskTensor, slice | np.ndarray, np.ndarray]:
+    """The layer's attention mask over the pixel columns ``cols`` (embedded
+    as ``keys``, with transferability ``tkeys``), returned with the columns
+    and keys it covers: all of them once a query falls back."""
     memb = params.mask_w @ q + params.mask_b[:, None]
-    probs = sigmoid(memb.T @ embed)
-    return build_mask(MaskInputs(probs, tvec, lambda_m, lambda_t))
+    amask = build_mask(MaskInputs(memb.T @ keys, tkeys, lambda_m, lambda_t))
+    if amask.fallback.any() and keys.shape[1] < embed.shape[1]:
+        return widen_mask(amask, cols, embed.shape[1]), slice(None), embed
+    return amask, cols, keys
 
 
 def _forward(params: SegModelParams, fm: FeatureMap,
@@ -271,27 +289,32 @@ def _forward(params: SegModelParams, fm: FeatureMap,
             )
         tvec = tmap.pixel.reshape(-1)
         lambda_t = percentile_threshold(tvec, p_t)
+        cols = np.flatnonzero(tvec <= lambda_t)
     else:
-        # Vanilla mode: the transferability condition is always satisfied.
+        # Vanilla mode: the transferability condition holds for every key.
         tvec = np.zeros(fm.num_pixels)
         lambda_t = 1.0
+        cols = slice(None)
+    gathered, tkeys = embed[:, cols], tvec[cols]
 
     cache = _ForwardCache(x=x, embed=embed)
     q = params.queries
     fallback_count = 0
     scale = math.sqrt(params.channels)
     for layer in params.layers:
-        amask = _layer_mask(params, q, embed, tvec, lambda_m, lambda_t)
+        amask, layer_cols, keys = _layer_mask(params, q, embed, cols, gathered, tkeys,
+                                              lambda_m, lambda_t)
         fallback_count += int(np.sum(amask.fallback))
-        weights = masked_attention_weights(q, embed, amask)
-        u = q + embed @ weights.T
+        weights = masked_attention_weights(q, keys, amask)
+        u = q + keys @ weights.T
         self_weights = softmax_columns((u.T @ u) / scale)
         mix = u @ self_weights
         v = u + layer.self_w @ mix
         z = layer.ffn_w1 @ v + layer.ffn_b1[:, None]
         h = relu(z)
         q_next = v + layer.ffn_w2 @ h + layer.ffn_b2[:, None]
-        cache.layers.append(_LayerCache(q_in=q, weights=weights, u=u,
+        cache.layers.append(_LayerCache(q_in=q, cols=layer_cols, keys=keys,
+                                        weights=weights, u=u,
                                         self_weights=self_weights, mix=mix,
                                         v=v, z=z, h=h))
         q = q_next
@@ -434,12 +457,12 @@ def model_loss_and_grads(
             d_sw - np.sum(lc.self_weights * d_sw, axis=0))
         du = du + (lc.u @ (d_scores + d_scores.T)) / scale
 
-        # cross-attention: u = q_in + embed @ weights.T, with embed as both
-        # keys and values
+        # cross-attention: u = q_in + keys @ weights.T, with the embedded
+        # pixels in the layer's columns as both keys and values
         dqa, dk, dv = attention_backward_from_weights(
-            lc.q_in, embed, embed, lc.weights, du.T)
-        d_embed += dk
-        d_embed += dv
+            lc.q_in, lc.keys, lc.keys, lc.weights, du.T)
+        d_embed[:, lc.cols] += dk
+        d_embed[:, lc.cols] += dv
         dq = du + dqa
         layer_grads.append(DecoderLayer(self_w=g_self_w, ffn_w1=g_w1, ffn_b1=g_b1,
                                         ffn_w2=g_w2, ffn_b2=g_b2))

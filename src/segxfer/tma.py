@@ -2,10 +2,18 @@
 
 The mask is a boolean (queries x keys) set of admitted pairs: a key is
 admitted for a query only where the predicted mask probability and the
-key's transferability both fall at or below their thresholds.  A query that
-admits no key falls back to attending everywhere, and the fallback is
-flagged so callers can count how often it fires.  Mask entries are
-constants: no gradient flows through the threshold comparisons.
+key's transferability both fall at or below their thresholds.  The
+probability condition is evaluated on the mask logits: sigmoid(x) <= lambda_m
+holds exactly when x <= logit_threshold(lambda_m), so no probability is
+computed to build a mask.  A query that admits no key falls back to
+attending everywhere, and the fallback is flagged so callers can count how
+often it fires.  Mask entries are constants: no gradient flows through the
+threshold comparisons.
+
+A key whose transferability is above lambda_t is never admitted except by a
+fallback row, so callers may build the mask over the columns that pass the
+transferability condition only, and ``widen_mask`` spreads it over every
+column when a row falls back.
 
 Attention weights are stored query-major, (queries x keys), so every
 softmax reduction runs over contiguous memory.
@@ -13,52 +21,97 @@ softmax reduction runs over contiguous memory.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateColumnError, InputError, ShapeError
+from .numkit import sigmoid
 
 
 def percentile_threshold(values: np.ndarray, p: float) -> float:
-    """Nearest-rank percentile: element at index ceil(p/100 * n) - 1 of the
-    ascending sort, clamped to the array; p = 0 gives the minimum."""
+    """Nearest-rank percentile: element at index ceil(p * n / 100) - 1 of the
+    ascending order, clamped to 0; p = 0 gives the minimum."""
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size == 0:
         raise InputError("cannot take a percentile of no values")
     if not 0.0 <= p <= 100.0:
         raise InputError(f"percentile must be in [0, 100], got {p}")
-    ordered = np.sort(values)
-    idx = int(np.ceil(p / 100.0 * values.size)) - 1
-    idx = min(max(idx, 0), values.size - 1)
-    return float(ordered[idx])
+    idx = max(math.ceil(p * values.size / 100.0) - 1, 0)
+    return float(np.partition(values, idx)[idx])
+
+
+_SIGN_BIT = 1 << 63
+
+
+def _ordered(x: float) -> int:
+    """Position of the double ``x`` in the ordered doubles; +0.0 (and -0.0)
+    is 0, each step is one ``nextafter``."""
+    bits = struct.unpack("<Q", struct.pack("<d", x))[0]
+    return -(bits & ~_SIGN_BIT) if bits & _SIGN_BIT else bits
+
+
+def _double(i: int) -> float:
+    """Inverse of ``_ordered``."""
+    return struct.unpack("<d", struct.pack("<Q", -i | _SIGN_BIT if i < 0 else i))[0]
+
+
+@functools.cache
+def logit_threshold(lam: float) -> float:
+    """The largest double t with ``numkit.sigmoid(t) <= lam``: the logit form
+    of the mask-probability condition, exact for every double logit.
+
+    Found by bisection over the ordered doubles, once per ``lam``.  It is
+    +inf for lam = 1; for lam = 0.5 it is ~1.56e-16, not 0, because sigmoid
+    rounds to 0.5 just above 0.
+    """
+    if not 0.0 <= lam <= 1.0:
+        raise InputError(f"lambda_m must lie in [0, 1], got {lam}")
+
+    def admits(i: int) -> bool:
+        return bool(sigmoid(np.array([_double(i)]))[0] <= lam)
+
+    lo, hi = _ordered(-math.inf), _ordered(math.inf)  # sigmoid(-inf) = 0 <= lam
+    if admits(hi):
+        return math.inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if admits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return _double(lo)
 
 
 @dataclass
 class MaskInputs:
-    """Predicted mask probabilities, per-key transferability, and thresholds."""
+    """Predicted mask logits, per-key transferability, and thresholds."""
 
-    mask_probs: np.ndarray       # (N, H_l*W_l) in [0, 1]
-    transferability: np.ndarray  # (H_l*W_l,) in [0, 1]
+    mask_logits: np.ndarray      # (N, keys), any value but NaN
+    transferability: np.ndarray  # (keys,) in [0, 1]
     lambda_m: float
     lambda_t: float
 
     def __post_init__(self) -> None:
-        self.mask_probs = np.asarray(self.mask_probs, dtype=float)
+        self.mask_logits = np.asarray(self.mask_logits, dtype=float)
         self.transferability = np.asarray(self.transferability, dtype=float)
-        if self.mask_probs.ndim != 2:
-            raise ShapeError(f"mask probs must be (N, keys), got {self.mask_probs.shape}")
-        if self.transferability.shape != (self.mask_probs.shape[1],):
+        if self.mask_logits.ndim != 2:
+            raise ShapeError(f"mask logits must be (N, keys), got {self.mask_logits.shape}")
+        if self.transferability.shape != (self.mask_logits.shape[1],):
             raise ShapeError(
                 f"transferability {self.transferability.shape} does not match "
-                f"{self.mask_probs.shape[1]} key locations"
+                f"{self.mask_logits.shape[1]} key locations"
             )
-        for name, arr in (("mask probs", self.mask_probs),
-                          ("transferability", self.transferability)):
-            # a NaN fails both comparisons, so it is rejected too
-            if arr.size and not (arr.min() >= 0 and arr.max() <= 1):
-                raise InputError(f"{name} must lie in [0, 1]")
+        # the minimum is NaN iff some entry is
+        if self.mask_logits.size and np.isnan(self.mask_logits.min()):
+            raise InputError("mask logits must not be NaN")
+        t = self.transferability
+        # a NaN fails both comparisons, so it is rejected too
+        if t.size and not (t.min() >= 0 and t.max() <= 1):
+            raise InputError("transferability must lie in [0, 1]")
         for name, val in (("lambda_m", self.lambda_m), ("lambda_t", self.lambda_t)):
             if not 0.0 <= val <= 1.0:
                 raise InputError(f"{name} must lie in [0, 1], got {val}")
@@ -83,15 +136,31 @@ class AttentionMaskTensor:
 def build_mask(mi: MaskInputs) -> AttentionMaskTensor:
     """Dual-thresholded mask.
 
-    Pair (i, j) is admitted iff mask_probs[i, j] <= lambda_m and the key's
+    Pair (i, j) is admitted iff sigmoid(mask_logits[i, j]) <= lambda_m,
+    tested as mask_logits[i, j] <= logit_threshold(lambda_m), and the key's
     transferability is <= lambda_t (transferability is per key location,
     broadcast across queries).  Queries left with no admissible key admit
     every key and get their fallback flag set.
     """
-    allowed = (mi.mask_probs <= mi.lambda_m) & (mi.transferability[None, :] <= mi.lambda_t)
+    allowed = mi.mask_logits <= logit_threshold(mi.lambda_m)
+    allowed &= mi.transferability <= mi.lambda_t
     fallback = ~allowed.any(axis=1)
     allowed[fallback, :] = True
     return AttentionMaskTensor(allowed=allowed, fallback=fallback)
+
+
+def widen_mask(mask: AttentionMaskTensor, cols: np.ndarray,
+               num_keys: int) -> AttentionMaskTensor:
+    """A mask built over the key columns ``cols`` spread over all
+    ``num_keys`` columns.
+
+    Every column left out must fail the transferability condition, so the
+    mask admits it only in fallback rows, which admit every key.
+    """
+    allowed = np.zeros((mask.allowed.shape[0], num_keys), dtype=bool)
+    allowed[:, cols] = mask.allowed
+    allowed[mask.fallback, :] = True
+    return AttentionMaskTensor(allowed=allowed, fallback=mask.fallback)
 
 
 def masked_attention_weights(queries: np.ndarray, keys: np.ndarray,

@@ -38,13 +38,72 @@ def test_percentile_is_an_element():
         assert tma.percentile_threshold(values, p) in values
 
 
+@pytest.mark.parametrize("n", [1, 7, 10, 100, 256])
+def test_percentile_matches_integer_rank_oracle(n):
+    # Rank ceil(p * n / 100) in integer arithmetic; p * n / 100 integral
+    # (e.g. p = 7, 14, 28, 55, 56 at n = 100) must not step to the next element.
+    values = np.random.default_rng(n).permutation(n) / n  # distinct, shuffled
+    ordered = np.sort(values)
+    for p in range(101):
+        rank = -(-p * n // 100)
+        assert tma.percentile_threshold(values, float(p)) == ordered[max(rank, 1) - 1], p
+
+
+# ---------------------------------------------------------------------------
+# logit_threshold: sigmoid(x) <= lambda_m  <=>  x <= logit_threshold(lambda_m)
+# ---------------------------------------------------------------------------
+
+
+LAMBDAS = [0.0, 1e-300, 0.1, 0.5, 0.9, 0.99, 1.0]
+
+
+def logit(p):
+    """Logit of a probability; the inverse of the sigmoid up to rounding."""
+    p = np.asarray(p, dtype=float)
+    return np.log(p) - np.log1p(-p)
+
+
+def doubles_around(t, steps):
+    """The doubles within ``steps`` nextafter steps of finite ``t`` (or
+    below the largest finite double for t = +inf)."""
+    if np.isinf(t):
+        return (np.array(np.finfo(float).max).view(np.int64)
+                - np.arange(steps + 1)).view(float)
+    return (np.array(t).view(np.int64) + np.arange(-steps, steps + 1)).view(float)
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_logit_threshold_is_exact_for_the_sigmoid(lam):
+    t = tma.logit_threshold(lam)
+    rng = np.random.default_rng(12)
+    scales = 10.0 ** np.linspace(-300, np.log10(800.0), 40)
+    samples = [s * rng.normal(size=(200, 150)) for s in scales]
+    samples.append(doubles_around(t, 100_000))
+    samples.append(np.array([-np.inf, -0.0, 0.0, np.inf]))
+    for x in samples:
+        npt.assert_array_equal(numkit.sigmoid(x) <= lam, x <= t)
+    assert numkit.sigmoid(np.array([t]))[0] <= lam
+    if np.isfinite(t):
+        assert numkit.sigmoid(np.array([np.nextafter(t, np.inf)]))[0] > lam
+
+
+def test_logit_threshold_values_and_errors():
+    assert tma.logit_threshold(1.0) == np.inf
+    assert 1e-16 < tma.logit_threshold(0.5) < 2e-16  # sigmoid rounds to 0.5 above 0
+    assert tma.logit_threshold(0.1) == pytest.approx(-tma.logit_threshold(0.9))
+    for lam in (-0.1, 1.5, np.nan):
+        with pytest.raises(InputError):
+            tma.logit_threshold(lam)
+
+
 # ---------------------------------------------------------------------------
 # build_mask
 # ---------------------------------------------------------------------------
 
 
 def quadrant_mask(m, t, lam_m=0.5, lam_t=0.3):
-    mi = tma.MaskInputs(np.array([[m]]), np.array([t]), lam_m, lam_t)
+    """Mask of one query and one key with mask probability m, given as its logit."""
+    mi = tma.MaskInputs(logit([[m]]), np.array([t]), lam_m, lam_t)
     return tma.build_mask(mi)
 
 
@@ -58,8 +117,7 @@ def test_mask_truth_table():
 
 
 def test_mask_confident_region_suppressed():
-    mi = tma.MaskInputs(
-        np.array([[0.9, 0.1]]), np.array([0.2, 0.2]), 0.5, 0.3)
+    mi = tma.MaskInputs(logit([[0.9, 0.1]]), np.array([0.2, 0.2]), 0.5, 0.3)
     out = tma.build_mask(mi)
     assert not out.allowed[0, 0]
     assert out.allowed[0, 1]
@@ -67,27 +125,31 @@ def test_mask_confident_region_suppressed():
 
 
 def test_mask_boundary_values_admit():
-    mi = tma.MaskInputs(np.array([[0.5, 0.2]]), np.array([0.3, 0.3]), 0.5, 0.3)
+    # A third key keeps the row alive, so no fallback hides a rejected key.
+    t = tma.logit_threshold(0.5)
+    mi = tma.MaskInputs(np.array([[t, np.nextafter(t, np.inf), logit(0.2)]]),
+                        np.array([0.3, 0.3, 0.3]), 0.5, 0.3)
     out = tma.build_mask(mi)
-    npt.assert_array_equal(out.allowed[0], [True, True])
+    npt.assert_array_equal(out.allowed[0], [True, False, True])
+    assert not out.fallback[0]
 
 
 def test_mask_all_above_lambda_t_fallback():
     rng = np.random.default_rng(1)
-    probs = rng.random((3, 5)) * 0.4  # all below lambda_m
-    t = 0.5 + 0.5 * rng.random(5)     # all above lambda_t
-    out = tma.build_mask(tma.MaskInputs(probs, t, 0.5, 0.3))
+    logits = logit(rng.random((3, 5)) * 0.4)  # all below lambda_m
+    t = 0.5 + 0.5 * rng.random(5)             # all above lambda_t
+    out = tma.build_mask(tma.MaskInputs(logits, t, 0.5, 0.3))
     assert np.all(out.fallback)
     assert np.all(out.allowed)
 
 
 def test_mask_monotone_in_lambda_t():
     rng = np.random.default_rng(2)
-    probs = rng.random((4, 12))
+    logits = logit(rng.random((4, 12)))
     t = rng.random(12)
     previous = None
     for lam_t in np.linspace(0.0, 1.0, 9):
-        out = tma.build_mask(tma.MaskInputs(probs, t, 0.6, lam_t))
+        out = tma.build_mask(tma.MaskInputs(logits, t, 0.6, lam_t))
         admitted = out.allowed & ~out.fallback[:, None]
         if previous is not None:
             assert np.all(admitted | ~previous)  # admitted set only grows
@@ -95,7 +157,7 @@ def test_mask_monotone_in_lambda_t():
 
 
 def test_mask_additive_is_read_only_and_follows_allowed():
-    mi = tma.MaskInputs(np.array([[0.9, 0.1], [0.9, 0.9]]), np.array([0.2, 0.2]), 0.5, 0.3)
+    mi = tma.MaskInputs(logit([[0.9, 0.1], [0.9, 0.9]]), np.array([0.2, 0.2]), 0.5, 0.3)
     out = tma.build_mask(mi)
     npt.assert_array_equal(out.additive, [[-np.inf, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
@@ -104,7 +166,7 @@ def test_mask_additive_is_read_only_and_follows_allowed():
 
 def test_mask_inputs_validation():
     with pytest.raises(InputError):
-        tma.MaskInputs(np.array([[1.4]]), np.array([0.5]), 0.5, 0.5)
+        tma.MaskInputs(np.array([[0.4]]), np.array([1.4]), 0.5, 0.5)
     with pytest.raises(InputError):
         tma.MaskInputs(np.array([[0.4]]), np.array([0.5]), 1.5, 0.5)
     with pytest.raises(ShapeError):
@@ -113,6 +175,18 @@ def test_mask_inputs_validation():
         tma.MaskInputs(np.array([[np.nan, 0.2]]), np.array([0.5, 0.5]), 0.5, 0.5)
     with pytest.raises(InputError):
         tma.MaskInputs(np.array([[0.4, 0.2]]), np.array([0.5, np.nan]), 0.5, 0.5)
+    # logits have no range: saturated ones are valid
+    tma.MaskInputs(np.array([[-np.inf, np.inf, 1e300]]), np.array([0.5, 0.5, 0.5]), 0.5, 0.5)
+
+
+def test_widen_mask_spreads_columns_and_fallback_rows():
+    logits = logit([[0.9, 0.1], [0.9, 0.9]])  # row 1 admits neither gathered key
+    cols = np.array([1, 3])
+    out = tma.widen_mask(tma.build_mask(tma.MaskInputs(logits, np.array([0.2, 0.2]), 0.5, 0.3)),
+                         cols, 5)
+    npt.assert_array_equal(out.allowed, [[False, False, False, True, False],
+                                         [True, True, True, True, True]])
+    npt.assert_array_equal(out.fallback, [False, True])
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +266,7 @@ def test_attention_gating_off_equals_plain_attention():
     c, n, keys = 5, 3, 8
     q, k, v = (rng.normal(size=(c, n)), rng.normal(size=(c, keys)),
                rng.normal(size=(keys, c)).T)
-    mi = tma.MaskInputs(rng.random((n, keys)), rng.random(keys), 1.0, 1.0)
+    mi = tma.MaskInputs(logit(rng.random((n, keys))), rng.random(keys), 1.0, 1.0)
     out = attend(q, k, v, tma.build_mask(mi))
     plain = numkit.softmax_columns(k.T @ q / np.sqrt(c)).T @ v.T
     npt.assert_allclose(out, plain, atol=1e-10)
@@ -203,7 +277,7 @@ def test_attention_fallback_output_is_finite():
     c, n, keys = 4, 2, 6
     q, k, v = (rng.normal(size=(c, n)), rng.normal(size=(c, keys)),
                rng.normal(size=(keys, c)).T)
-    mi = tma.MaskInputs(np.ones((n, keys)) * 0.9, rng.random(keys), 0.5, 0.3)
+    mi = tma.MaskInputs(logit(np.ones((n, keys)) * 0.9), rng.random(keys), 0.5, 0.3)
     mask = tma.build_mask(mi)
     assert np.all(mask.fallback)
     assert np.all(np.isfinite(attend(q, k, v, mask)))
