@@ -14,10 +14,21 @@ offset OFFSETS[j] = (dy, dx), row-major over {-1, 0, 1}^2, so row 4 is the
 pixel's own cell.  Candidates that fall off the grid hold -inf similarity
 and exactly 0 assignment.  In this row order the candidates' region indices
 increase, so an argmax over rows breaks ties toward the lowest region index.
+
+What does not change between rounds is computed once.  ``cluster`` builds
+one ``CellLayout`` per call: the features grouped by cell, their norms, and
+the features with a column of ones.  The layout lives only for that call
+(it is about the size of the image, so it is not kept on the state).  The
+index tables of a geometry are cached per (H, W, stride, d) and read-only:
+each cell's neighbors and neighbor rows (an appended zero row stands for
+every off-grid neighbor), the off-grid mask, the scatter of the center sums
+onto their cells written as a gather, and each pixel's cell, from which the
+hard labels are read.  A round is then a few whole-array operations.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,44 +117,134 @@ def _by_cell(pixels: np.ndarray, grid_h: int, grid_w: int, stride: int) -> np.nd
             .reshape(grid_h * grid_w, stride * stride, k))
 
 
-def _neighbors(values: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:
-    """(N_p, ...) per-region values -> (cells, ..., 9), the values of each
-    cell's OFFSETS neighbors in the last axis; zero (or False) off the grid."""
-    padded = np.zeros((grid_h + 2, grid_w + 2) + values.shape[1:], dtype=values.dtype)
-    padded[1:-1, 1:-1] = values.reshape((grid_h, grid_w) + values.shape[1:])
-    shifted = [padded[1 + dy:1 + dy + grid_h, 1 + dx:1 + dx + grid_w] for dy, dx in OFFSETS]
-    stacked = np.stack(shifted, axis=-1)
-    return stacked.reshape((grid_h * grid_w,) + stacked.shape[2:])
+def _cells_at(grid_h: int, grid_w: int, sign: int) -> np.ndarray:
+    """(cells, 9) index of the cell at ``sign * OFFSETS[j]`` from each cell,
+    -1 off the grid."""
+    cy, cx = np.divmod(np.arange(grid_h * grid_w), grid_w)
+    dy, dx = np.array(OFFSETS).T
+    y, x = cy[:, None] + sign * dy, cx[:, None] + sign * dx
+    inside = (y >= 0) & (y < grid_h) & (x >= 0) & (x < grid_w)
+    return np.where(inside, y * grid_w + x, -1)
+
+
+def _pixel_cells(height: int, width: int, stride: int) -> np.ndarray:
+    """(H*W,) grid cell of every pixel."""
+    grid_h, grid_w = _grid_shape(height, width, stride)
+    cells = np.arange(grid_h * grid_w).reshape(grid_h, 1, grid_w, 1)
+    return np.broadcast_to(cells, (grid_h, stride, grid_w, stride)).reshape(-1)
 
 
 def candidate_regions(height: int, width: int, stride: int) -> np.ndarray:
     """(9, H*W) region index of every pixel's candidates, -1 off the grid."""
     grid_h, grid_w = _grid_shape(height, width, stride)
-    cells = _neighbors(np.arange(1, grid_h * grid_w + 1), grid_h, grid_w) - 1  # (cells, 9)
-    cells = cells.reshape(grid_h, 1, grid_w, 1, len(OFFSETS))
-    pixels = np.broadcast_to(cells, (grid_h, stride, grid_w, stride, len(OFFSETS)))
-    return pixels.reshape(height * width, len(OFFSETS)).T.copy()
+    return _cells_at(grid_h, grid_w, 1)[_pixel_cells(height, width, stride)].T.copy()
 
 
-def init_grid(fm: FeatureMap, stride: int, tau: float = 0.07) -> ClusterState:
-    """Seed regions from a regular grid; centers are per-cell feature means."""
-    regions = candidate_regions(fm.height, fm.width, stride)
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
-    assign = np.zeros((len(OFFSETS), fm.num_pixels))
-    assign[OWN_CELL] = 1.0
-    return ClusterState(
+@dataclass(frozen=True)
+class _GridTables:
+    """Index tables of one geometry and channel count.
+
+    The gather indices index an array with one zero row (or entry) appended,
+    which stands for every off-grid neighbor.
+    """
+
+    neighbor: np.ndarray      # (cells, 9) neighbor region, -1 off the grid
+    pixel_cell: np.ndarray    # (H*W,) grid cell of every pixel
+    norm_index: np.ndarray    # (cells, 9) into the N_p center norms + 0
+    center_index: np.ndarray  # (cells, d, 9) into the flat (N_p + 1, d) centers
+    off_grid: np.ndarray      # (cells, 1, 9) True where the neighbor is off the grid
+    sum_index: np.ndarray     # (9, cells) into the (cells * 9 + 1, d + 1) center sums
+
+
+@functools.cache
+def _grid_tables(height: int, width: int, stride: int, channels: int) -> _GridTables:
+    grid_h, grid_w = _grid_shape(height, width, stride)
+    cells = grid_h * grid_w
+    neighbor = _cells_at(grid_h, grid_w, 1)
+    norm_index = np.where(neighbor >= 0, neighbor, cells)
+    # the scatter of update_centers as a gather: cell t takes row j of the
+    # sums of the cell at -OFFSETS[j] from it
+    source = _cells_at(grid_h, grid_w, -1)
+    sum_index = np.where(source >= 0, source * len(OFFSETS) + np.arange(len(OFFSETS)),
+                         cells * len(OFFSETS))
+    tables = _GridTables(
+        neighbor=neighbor,
+        pixel_cell=_pixel_cells(height, width, stride),
+        norm_index=norm_index,
+        # int32 halves what the cache holds; np.take gathers as fast with it
+        center_index=(norm_index[:, None, :] * channels
+                      + np.arange(channels)[:, None]).astype(np.int32),
+        off_grid=(neighbor < 0)[:, None, :],
+        sum_index=np.ascontiguousarray(sum_index.T),
+    )
+    for table in vars(tables).values():
+        table.flags.writeable = False
+    return tables
+
+
+@dataclass(frozen=True)
+class CellLayout:
+    """One image's pixels grouped by grid cell, and what the rounds read of
+    them that does not change between rounds."""
+
+    height: int
+    width: int
+    stride: int
+    features: np.ndarray   # (cells, r*r, d)
+    key_norms: np.ndarray  # (cells, r*r, 1) pixel feature norms + NORM_GUARD
+    keys: np.ndarray       # (cells, r*r, d + 1) features with a column of ones
+    tables: _GridTables
+
+    @property
+    def channels(self) -> int:
+        return self.features.shape[2]
+
+    @property
+    def num_pixels(self) -> int:
+        return self.height * self.width
+
+    @property
+    def grid_shape(self) -> tuple[int, int]:
+        return self.height // self.stride, self.width // self.stride
+
+
+def cell_layout(fm: FeatureMap, stride: int) -> CellLayout:
+    """Group ``fm`` by the cells of a stride-``stride`` grid."""
+    grid_h, grid_w = _grid_shape(fm.height, fm.width, stride)
+    k_norm = np.linalg.norm(fm.features, axis=1) + NORM_GUARD
+    # a last column of ones turns its weighted sum into the assignment mass;
+    # sums and mass then round alike, so an all-ones image keeps centers of
+    # exactly 1 and its similarity ties stay exact
+    keys = np.hstack([fm.features, np.ones((fm.num_pixels, 1))])
+    return CellLayout(
         height=fm.height,
         width=fm.width,
         stride=stride,
-        tau=tau,
-        centers=update_centers(assign, fm, stride),
-        assign=assign,
-        hard_labels=regions[OWN_CELL].copy(),
+        features=_by_cell(fm.features, grid_h, grid_w, stride),
+        key_norms=_by_cell(k_norm[:, None], grid_h, grid_w, stride),
+        keys=_by_cell(keys, grid_h, grid_w, stride),
+        tables=_grid_tables(fm.height, fm.width, stride, fm.channels),
     )
 
 
-def compute_similarity(state: ClusterState, fm: FeatureMap) -> np.ndarray:
+def init_grid(layout: CellLayout, tau: float = 0.07) -> ClusterState:
+    """Seed regions from a regular grid; centers are per-cell feature means."""
+    if tau <= 0:
+        raise ConfigError(f"temperature must be positive, got {tau}")
+    assign = np.zeros((len(OFFSETS), layout.num_pixels))
+    assign[OWN_CELL] = 1.0
+    return ClusterState(
+        height=layout.height,
+        width=layout.width,
+        stride=layout.stride,
+        tau=tau,
+        centers=update_centers(assign, layout),
+        assign=assign,
+        hard_labels=layout.tables.pixel_cell.copy(),
+    )
+
+
+def compute_similarity(state: ClusterState, layout: CellLayout) -> np.ndarray:
     """(9, H*W) temperature-scaled cosine similarity, -inf off the grid.
 
     Norms are guarded by +1e-12, so zero vectors never raise.
@@ -151,18 +252,19 @@ def compute_similarity(state: ClusterState, fm: FeatureMap) -> np.ndarray:
     if state.tau <= 0:
         raise ConfigError(f"temperature must be positive, got {state.tau}")
     grid_h, grid_w = state.grid_shape
-    if ((fm.height, fm.width) != (state.height, state.width)
-            or state.centers.shape != (grid_h * grid_w, fm.channels)):
+    if ((layout.height, layout.width, layout.stride) != (state.height, state.width, state.stride)
+            or state.centers.shape != (grid_h * grid_w, layout.channels)):
         raise ShapeError("feature map does not match cluster state geometry")
     r = state.stride
-    k_norm = np.linalg.norm(fm.features, axis=1) + NORM_GUARD
-    q_norm = _neighbors(np.linalg.norm(state.centers, axis=1), grid_h, grid_w) + NORM_GUARD
-    dots = _by_cell(fm.features, grid_h, grid_w, r) @ _neighbors(state.centers, grid_h, grid_w)
-    sims = dots / (q_norm[:, None, :] * _by_cell(k_norm[:, None], grid_h, grid_w, r)) / state.tau
-    on_grid = _neighbors(np.ones(grid_h * grid_w, dtype=bool), grid_h, grid_w)
-    sims = np.where(on_grid[:, None, :], sims, -np.inf)                # (cells, r*r, 9)
+    tables = layout.tables
+    centers = np.vstack([state.centers, np.zeros((1, layout.channels))])
+    q_norm = np.linalg.norm(centers, axis=1)[tables.norm_index] + NORM_GUARD  # (cells, 9)
+    sims = layout.features @ np.take(centers, tables.center_index)            # (cells, r*r, 9)
+    sims /= q_norm[:, None, :] * layout.key_norms
+    sims /= state.tau
+    np.copyto(sims, -np.inf, where=tables.off_grid)
     return (sims.reshape(grid_h, grid_w, r, r, len(OFFSETS))
-            .transpose(4, 0, 2, 1, 3).reshape(len(OFFSETS), fm.num_pixels))
+            .transpose(4, 0, 2, 1, 3).reshape(len(OFFSETS), layout.num_pixels))
 
 
 def soft_assign(similarity: np.ndarray) -> np.ndarray:
@@ -170,32 +272,27 @@ def soft_assign(similarity: np.ndarray) -> np.ndarray:
     return softmax_columns(similarity)
 
 
-def update_centers(assign: np.ndarray, fm: FeatureMap, stride: int) -> np.ndarray:
+def update_centers(assign: np.ndarray, layout: CellLayout) -> np.ndarray:
     """Assignment-weighted mean of pixel features per region.
 
     Each candidate row's weighted feature sums are added onto the cell it
-    points at.  The sums are normalized by each region's assignment mass
-    (guarded at 1e-12) so centers stay on the feature scale regardless of
-    region size.
+    points at, in OFFSETS order.  The sums are normalized by each region's
+    assignment mass (guarded at 1e-12) so centers stay on the feature scale
+    regardless of region size.
     """
     assign = np.asarray(assign, dtype=float)
-    if assign.shape != (len(OFFSETS), fm.num_pixels):
-        raise ShapeError(f"assignment {assign.shape} does not cover {fm.num_pixels} pixels "
-                         f"with {len(OFFSETS)} candidates")
-    grid_h, grid_w = _grid_shape(fm.height, fm.width, stride)
-    weights = (assign.reshape(len(OFFSETS), grid_h, stride, grid_w, stride)
+    if assign.shape != (len(OFFSETS), layout.num_pixels):
+        raise ShapeError(f"assignment {assign.shape} does not cover {layout.num_pixels} "
+                         f"pixels with {len(OFFSETS)} candidates")
+    grid_h, grid_w = layout.grid_shape
+    r = layout.stride
+    cells = grid_h * grid_w
+    weights = (assign.reshape(len(OFFSETS), grid_h, r, grid_w, r)
                .transpose(1, 3, 0, 2, 4)
-               .reshape(grid_h * grid_w, len(OFFSETS), stride * stride))
-    # a last column of ones turns its weighted sum into the assignment mass;
-    # sums and mass then round alike, so an all-ones image keeps centers of
-    # exactly 1 and its similarity ties stay exact
-    keys = np.hstack([fm.features, np.ones((fm.num_pixels, 1))])
-    sums = weights @ _by_cell(keys, grid_h, grid_w, stride)            # (cells, 9, d + 1)
-    sums = sums.reshape(grid_h, grid_w, len(OFFSETS), fm.channels + 1)
-    total = np.zeros((grid_h + 2, grid_w + 2, fm.channels + 1))
-    for j, (dy, dx) in enumerate(OFFSETS):
-        total[1 + dy:1 + dy + grid_h, 1 + dx:1 + dx + grid_w] += sums[:, :, j]
-    total = total[1:-1, 1:-1].reshape(grid_h * grid_w, fm.channels + 1)
+               .reshape(cells, len(OFFSETS), r * r))
+    sums = np.zeros((cells * len(OFFSETS) + 1, layout.channels + 1))  # last row stays 0
+    np.matmul(weights, layout.keys, out=sums[:-1].reshape(cells, len(OFFSETS), -1))
+    total = sums[layout.tables.sum_index].sum(axis=0)                 # (cells, d + 1)
     return total[:, :-1] / np.maximum(total[:, -1], MASS_GUARD)[:, None]
 
 
@@ -208,16 +305,17 @@ def cluster(fm: FeatureMap, stride: int, tau: float = 0.07, iters: int = 6) -> C
     """
     if iters < 1:
         raise ConfigError(f"need at least one iteration, got {iters}")
-    state = init_grid(fm, stride, tau)
+    layout = cell_layout(fm, stride)
+    state = init_grid(layout, tau)
     assign = state.assign
     centers = state.centers
     for _ in range(iters):
         state.centers = centers
-        similarity = compute_similarity(state, fm)
+        similarity = compute_similarity(state, layout)
         assign = soft_assign(similarity)
-        centers = update_centers(assign, fm, stride)
+        centers = update_centers(assign, layout)
     best = np.argmax(assign, axis=0)
-    hard = candidate_regions(fm.height, fm.width, stride)[best, np.arange(fm.num_pixels)]
+    hard = layout.tables.neighbor[layout.tables.pixel_cell, best]
     return ClusterState(
         height=state.height,
         width=state.width,

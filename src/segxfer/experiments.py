@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adaptive_cluster import ClusterState, cluster, init_grid, region_pixel_lists
-from .errors import InputError
+from .adaptive_cluster import ClusterState, cell_layout, cluster, init_grid
+from .errors import InputError, ShapeError
 from .runconfig import RunConfig
 from .segmodel import (
     SegModelParams,
@@ -91,7 +91,8 @@ class ConfusionMatrix:
             raise InputError("label maps are empty")
         if truth.min() < 0 or truth.max() >= k or pred.min() < 0 or pred.max() >= k:
             raise InputError(f"labels outside [0, {k})")
-        np.add.at(self.counts, (truth, pred), 1)
+        pairs = truth.astype(np.intp) * k + pred
+        self.counts += np.bincount(pairs, minlength=k * k).reshape(k, k)
 
     @property
     def total(self) -> int:
@@ -144,12 +145,19 @@ def rank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def region_truth_bits(state: ClusterState, image: LabeledImage) -> np.ndarray:
-    """Majority ground-truth transferability bit per region, -1 if empty."""
+    """Majority ground-truth transferability bit per region, -1 if empty.
+
+    A region whose pixels split evenly rounds half to even, to 0.
+    """
+    labels = state.hard_labels
     flat_bits = image.transfer_bits.reshape(-1)
+    if labels.shape != (state.height * state.width,) or flat_bits.shape != labels.shape:
+        raise ShapeError("hard labels and transfer bits do not cover the image")
+    counts = np.bincount(labels, minlength=state.num_regions)
+    ones = np.bincount(labels, weights=flat_bits, minlength=state.num_regions)
     out = np.full(state.num_regions, -1, dtype=int)
-    for i, pixels in enumerate(region_pixel_lists(state)):
-        if len(pixels):
-            out[i] = int(np.round(flat_bits[pixels].mean()))
+    filled = counts > 0
+    out[filled] = np.round(ones[filled] / counts[filled])
     return out
 
 
@@ -231,7 +239,7 @@ class SeedBundle:
         config = self.config
 
         def grid_states(images: list[LabeledImage]) -> list[ClusterState]:
-            return [init_grid(img.fm, config.r, tau=config.tau) for img in images]
+            return [init_grid(cell_layout(img.fm, config.r), tau=config.tau) for img in images]
 
         source_states = grid_states(self.source_images)
         target_states = grid_states(self.target_images)
@@ -336,7 +344,7 @@ def _eval_tmap(bundle: SeedBundle, config: RunConfig, variant: str,
         state = cluster(img.fm, config.r, tau=config.tau, iters=config.cluster_iters)
         return build_transferability_map(bundle.disc.params, state)
     if variant == "no_acte":
-        state = init_grid(img.fm, config.r, tau=config.tau)
+        state = init_grid(cell_layout(img.fm, config.r), tau=config.tau)
         return build_transferability_map(bundle.disc_grid.params, state)
     return None
 

@@ -75,10 +75,14 @@ class RunConfig:
             raise ConfigError(f"lambda_m must lie in [0, 1], got {self.lambda_m}")
         if not self.tau > 0.0:
             raise ConfigError(f"tau must be > 0, got {self.tau}")
-        for name in ("source_count", "target_count", "eval_count", "r", "source_steps",
-                     "finetune_steps", "batch_size", "disc_epochs", "disc_batch"):
+        for name in ("height", "width", "source_count", "target_count", "eval_count", "r",
+                     "cluster_iters", "num_queries", "model_channels", "decoder_layers",
+                     "ffn_hidden", "source_steps", "finetune_steps", "batch_size",
+                     "disc_epochs", "disc_batch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if any(size < 1 for size in self.disc_hidden):
+            raise ConfigError(f"disc_hidden sizes must be >= 1, got {self.disc_hidden}")
         # delegate data-geometry validation (divisibility, shift set, ...)
         self.synth_config(self.seeds[0])
         if self.height % self.r or self.width % self.r:

@@ -30,7 +30,7 @@ def offset_row(dy, dx):
 def test_init_grid_centers_are_cell_means():
     rng = np.random.default_rng(0)
     fm = ac.FeatureMap.from_grid(rng.normal(size=(8, 8, 3)))
-    state = ac.init_grid(fm, 4)
+    state = ac.init_grid(ac.cell_layout(fm, 4))
     assert state.num_regions == 4
     grid = fm.features.reshape(8, 8, 3)
     for cy in range(2):
@@ -42,21 +42,22 @@ def test_init_grid_centers_are_cell_means():
 
 def test_init_grid_constant_image_equal_centers():
     fm = ac.FeatureMap(8, 8, np.tile([1.0, 2.0], (64, 1)))
-    state = ac.init_grid(fm, 4)
+    state = ac.init_grid(ac.cell_layout(fm, 4))
     npt.assert_allclose(state.centers, np.tile([1.0, 2.0], (4, 1)), atol=1e-12)
 
 
 def test_init_grid_neighbor_counts_12x12():
     rng = np.random.default_rng(1)
     fm = ac.FeatureMap.from_grid(rng.normal(size=(12, 12, 2)))
-    state = ac.init_grid(fm, 4)
+    layout = ac.cell_layout(fm, 4)
+    state = ac.init_grid(layout)
     assert state.num_regions == 9
     corner = 0            # pixel (0, 0): its cell plus right, down, diag
     center = 5 * 12 + 5   # pixel (5, 5) sits in the middle cell
     regions = ac.candidate_regions(12, 12, 4)
     assert np.count_nonzero(regions[:, corner] >= 0) == 4
     assert np.count_nonzero(regions[:, center] >= 0) == 9
-    d = ac.compute_similarity(state, fm)
+    d = ac.compute_similarity(state, layout)
     assert np.count_nonzero(np.isfinite(d[:, corner])) == 4
     assert np.count_nonzero(np.isfinite(d[:, center])) == 9
 
@@ -65,13 +66,13 @@ def test_init_grid_stride_must_divide():
     rng = np.random.default_rng(2)
     fm = ac.FeatureMap.from_grid(rng.normal(size=(8, 8, 2)))
     with pytest.raises(ConfigError):
-        ac.init_grid(fm, 3)
+        ac.init_grid(ac.cell_layout(fm, 3))
 
 
 def test_init_grid_assignment_is_cell_one_hot():
     rng = np.random.default_rng(3)
     fm = ac.FeatureMap.from_grid(rng.normal(size=(8, 8, 2)))
-    state = ac.init_grid(fm, 4)
+    state = ac.init_grid(ac.cell_layout(fm, 4))
     npt.assert_allclose(state.assign.sum(axis=0), 1.0, atol=1e-12)
     assert np.all(state.assign[ac.OWN_CELL] == 1.0)
     regions = ac.candidate_regions(8, 8, 4)
@@ -85,16 +86,16 @@ def test_init_grid_assignment_is_cell_one_hot():
 
 def test_similarity_identical_vectors():
     fm = four_block_map()
-    state = ac.init_grid(fm, 4, tau=1.0)
-    d = ac.compute_similarity(state, fm)
+    layout = ac.cell_layout(fm, 4)
+    d = ac.compute_similarity(ac.init_grid(layout, tau=1.0), layout)
     # pixel 0 lives in region 0 whose center equals its feature
     assert d[ac.OWN_CELL, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_similarity_orthogonal_vectors():
     fm = four_block_map()
-    state = ac.init_grid(fm, 4, tau=1.0)
-    d = ac.compute_similarity(state, fm)
+    layout = ac.cell_layout(fm, 4)
+    d = ac.compute_similarity(ac.init_grid(layout, tau=1.0), layout)
     # region 1, the cell right of pixel 0's, has a prototype orthogonal to it
     assert ac.candidate_regions(8, 8, 4)[offset_row(0, 1), 0] == 1
     assert d[offset_row(0, 1), 0] == pytest.approx(0.0, abs=1e-9)
@@ -103,8 +104,8 @@ def test_similarity_orthogonal_vectors():
 def test_similarity_non_neighbor_is_minus_inf():
     rng = np.random.default_rng(4)
     fm = ac.FeatureMap.from_grid(rng.normal(size=(12, 12, 2)))
-    state = ac.init_grid(fm, 4)
-    d = ac.compute_similarity(state, fm)
+    layout = ac.cell_layout(fm, 4)
+    d = ac.compute_similarity(ac.init_grid(layout), layout)
     # pixel (0, 0): the far corner region 8 is not a candidate, and the
     # candidates above and left of the grid are -inf
     regions = ac.candidate_regions(12, 12, 4)
@@ -115,27 +116,29 @@ def test_similarity_non_neighbor_is_minus_inf():
 
 def test_similarity_temperature_scales():
     fm = four_block_map()
-    s1 = ac.compute_similarity(ac.init_grid(fm, 4, tau=1.0), fm)
-    s2 = ac.compute_similarity(ac.init_grid(fm, 4, tau=0.5), fm)
+    layout = ac.cell_layout(fm, 4)
+    s1 = ac.compute_similarity(ac.init_grid(layout, tau=1.0), layout)
+    s2 = ac.compute_similarity(ac.init_grid(layout, tau=0.5), layout)
     finite = np.isfinite(s1)
     npt.assert_allclose(s2[finite], 2.0 * s1[finite], atol=1e-9)
 
 
 def test_similarity_zero_norm_never_raises():
     fm = ac.FeatureMap(4, 4, np.zeros((16, 3)))
-    state = ac.init_grid(fm, 4)
-    d = ac.compute_similarity(state, fm)
+    layout = ac.cell_layout(fm, 4)
+    d = ac.compute_similarity(ac.init_grid(layout), layout)
     assert np.all(np.isfinite(d) | (d == -np.inf))
 
 
 def test_similarity_rejects_bad_temperature():
     fm = four_block_map()
+    layout = ac.cell_layout(fm, 4)
     with pytest.raises(ConfigError):
-        ac.init_grid(fm, 4, tau=-0.1)
-    state = ac.init_grid(fm, 4)
+        ac.init_grid(layout, tau=-0.1)
+    state = ac.init_grid(layout)
     state.tau = 0.0
     with pytest.raises(ConfigError):
-        ac.compute_similarity(state, fm)
+        ac.compute_similarity(state, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +174,7 @@ def test_update_centers_one_hot_means():
     assign = np.zeros((9, 8))
     assign[ac.OWN_CELL, [0, 1, 4, 2, 3, 6, 7]] = 1.0
     assign[offset_row(0, 1), 5] = 1.0  # pixel 5 goes to the cell on its right
-    centers = ac.update_centers(assign, fm, 2)
+    centers = ac.update_centers(assign, ac.cell_layout(fm, 2))
     npt.assert_allclose(centers[0], fm.features[[0, 1, 4]].mean(axis=0), atol=1e-12)
     npt.assert_allclose(centers[1], fm.features[[2, 3, 5, 6, 7]].mean(axis=0), atol=1e-12)
 
@@ -184,7 +187,7 @@ def test_update_centers_uniform_pair_mean():
     assign[ac.OWN_CELL] = 0.5
     assign[offset_row(0, 1), 0] = 0.5
     assign[offset_row(0, -1), 1] = 0.5
-    centers = ac.update_centers(assign, fm, 1)
+    centers = ac.update_centers(assign, ac.cell_layout(fm, 1))
     npt.assert_allclose(centers, [(u + v) / 2.0] * 2, atol=1e-12)
 
 
@@ -196,7 +199,7 @@ def test_update_centers_weighted_mean_oracle():
     assign = rng.random((9, height * width))
     assign[ac.candidate_regions(height, width, stride) < 0] = 0.0
     assign /= assign.sum(axis=0)
-    centers = ac.update_centers(assign, fm, stride)
+    centers = ac.update_centers(assign, ac.cell_layout(fm, stride))
     expected = np.zeros((grid_h * grid_w, 4))
     mass = np.zeros(grid_h * grid_w)
     for p in range(height * width):
@@ -215,7 +218,7 @@ def test_update_centers_empty_region_guarded():
     assign = np.zeros((9, 2))
     assign[ac.OWN_CELL, 0] = 1.0
     assign[offset_row(0, -1), 1] = 1.0
-    centers = ac.update_centers(assign, fm, 1)
+    centers = ac.update_centers(assign, ac.cell_layout(fm, 1))
     assert np.all(np.isfinite(centers))
     npt.assert_allclose(centers[0], [1.5], atol=1e-12)
 
@@ -228,7 +231,7 @@ def test_update_centers_empty_region_guarded():
 def test_cluster_planted_partition_recovery():
     fm = four_block_map()
     state = ac.cluster(fm, 4, tau=0.07, iters=6)
-    truth = ac.init_grid(fm, 4).hard_labels
+    truth = ac.init_grid(ac.cell_layout(fm, 4)).hard_labels
     agreement = np.mean(state.hard_labels == truth)
     assert agreement >= 0.99
 
@@ -260,14 +263,15 @@ def test_cluster_rejects_zero_iters():
 def test_cluster_column_stochastic_and_local_every_iteration():
     rng = np.random.default_rng(8)
     fm = ac.FeatureMap.from_grid(rng.normal(size=(8, 8, 3)))
-    state = ac.init_grid(fm, 4)
+    layout = ac.cell_layout(fm, 4)
+    state = ac.init_grid(layout)
     off_grid = ac.candidate_regions(8, 8, 4) < 0
     assign = state.assign
     centers = state.centers
     for _ in range(6):
         state.centers = centers
-        assign = ac.soft_assign(ac.compute_similarity(state, fm))
-        centers = ac.update_centers(assign, fm, 4)
+        assign = ac.soft_assign(ac.compute_similarity(state, layout))
+        centers = ac.update_centers(assign, layout)
         npt.assert_allclose(assign.sum(axis=0), 1.0, atol=1e-6)
         assert np.all(assign[off_grid] == 0.0)
 
@@ -329,15 +333,15 @@ def test_feature_map_validation():
 
 def test_similarity_rejects_mismatched_geometry():
     rng = np.random.default_rng(12)
-    state = ac.init_grid(ac.FeatureMap.from_grid(rng.normal(size=(8, 12, 2))), 4)
+    state = ac.init_grid(ac.cell_layout(ac.FeatureMap.from_grid(rng.normal(size=(8, 12, 2))), 4))
     transposed = ac.FeatureMap.from_grid(rng.normal(size=(12, 8, 2)))
     with pytest.raises(ShapeError):
-        ac.compute_similarity(state, transposed)
+        ac.compute_similarity(state, ac.cell_layout(transposed, 4))
 
 
 def test_update_centers_rejects_bad_layout():
     fm = four_block_map()
     with pytest.raises(ShapeError):
-        ac.update_centers(np.full((4, 64), 0.25), fm, 4)  # dense (N_p, H*W) layout
+        ac.update_centers(np.full((4, 64), 0.25), ac.cell_layout(fm, 4))  # dense (N_p, H*W) layout
     with pytest.raises(ConfigError):
-        ac.update_centers(ac.init_grid(fm, 4).assign, fm, 3)
+        ac.update_centers(ac.init_grid(ac.cell_layout(fm, 4)).assign, ac.cell_layout(fm, 3))

@@ -117,7 +117,7 @@ def test_cluster_ties_follow_dense_rule(height, width, stride, channels):
 @pytest.mark.parametrize("height,width,stride,channels", GEOMETRIES)
 def test_init_grid_matches_dense_oracle(height, width, stride, channels):
     fm = random_map(height, width, channels, seed=7 + height + width)
-    state = ac.init_grid(fm, stride)
+    state = ac.init_grid(ac.cell_layout(fm, stride))
     mask, assign, centers, cell = dense_init_grid(fm, stride)
     npt.assert_array_equal(state.hard_labels, cell)
     npt.assert_allclose(state.centers, centers, rtol=0, atol=1e-12)
@@ -128,10 +128,11 @@ def test_init_grid_matches_dense_oracle(height, width, stride, channels):
 def test_similarity_and_update_match_dense_oracle(height, width, stride, channels):
     rng = np.random.default_rng(height + 3 * width + stride)
     fm = random_map(height, width, channels, seed=11 + height)
-    state = ac.init_grid(fm, stride, tau=0.3)
+    layout = ac.cell_layout(fm, stride)
+    state = ac.init_grid(layout, tau=0.3)
     state.centers = rng.normal(size=state.centers.shape)
     mask, _ = dense_neighbor_mask(height, width, stride)
-    sim = ac.compute_similarity(state, fm)
+    sim = ac.compute_similarity(state, layout)
     expected = dense_similarity(state.centers, fm, mask, 0.3)
     scattered = to_dense(sim, height, width, stride, -np.inf)
     npt.assert_array_equal(np.isfinite(scattered), mask)
@@ -139,6 +140,6 @@ def test_similarity_and_update_match_dense_oracle(height, width, stride, channel
     assign = ac.soft_assign(sim)
     npt.assert_allclose(to_dense(assign, height, width, stride, 0.0),
                         softmax_columns(expected), rtol=0, atol=1e-12)
-    npt.assert_allclose(ac.update_centers(assign, fm, stride),
+    npt.assert_allclose(ac.update_centers(assign, layout),
                         dense_update_centers(softmax_columns(expected), fm),
                         rtol=0, atol=1e-12)

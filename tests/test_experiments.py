@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from segxfer import experiments
-from segxfer.errors import InputError
+from segxfer.adaptive_cluster import ClusterState, FeatureMap, region_pixel_lists
+from segxfer.errors import InputError, ShapeError
 from segxfer.experiments import ConfusionMatrix
+from segxfer.synthdata import TARGET, LabeledImage
 from segxfer.runconfig import RunConfig
 
 
@@ -20,6 +22,87 @@ def test_confusion_matrix_rejects_empty_label_maps():
     with pytest.raises(InputError):
         cm.add(np.zeros((0, 4), dtype=int), np.zeros((0, 4), dtype=int))
     assert cm.total == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_confusion_matrix_matches_a_per_pixel_loop(k):
+    rng = np.random.default_rng(k)
+    # class k - 1 appears in neither map when k > 1
+    truth = rng.integers(0, max(k - 1, 1), size=(6, 7))
+    pred = rng.integers(0, max(k - 1, 1), size=(6, 7))
+    cm = ConfusionMatrix.empty(k)
+    cm.add(truth, pred)
+    cm.add(pred, truth)
+    expected = np.zeros((k, k), dtype=np.int64)
+    for t, p in zip(np.concatenate([truth.ravel(), pred.ravel()]),
+                    np.concatenate([pred.ravel(), truth.ravel()])):
+        expected[t, p] += 1
+    assert cm.counts.dtype == np.int64
+    assert np.array_equal(cm.counts, expected)
+
+
+@pytest.mark.parametrize("truth, pred", [
+    (np.zeros(4, dtype=int), np.zeros(5, dtype=int)),
+    (np.array([0, 3]), np.array([0, 1])),
+    (np.array([0, 1]), np.array([-1, 1])),
+], ids=["size_mismatch", "truth_out_of_range", "pred_negative"])
+def test_confusion_matrix_rejects_bad_label_maps(truth, pred):
+    cm = ConfusionMatrix.empty(3)
+    with pytest.raises(InputError):
+        cm.add(truth, pred)
+    assert cm.total == 0
+
+
+def _state_with_labels(hard_labels, height, width, num_regions):
+    return ClusterState(height=height, width=width, stride=1, tau=0.07,
+                        centers=np.zeros((num_regions, 1)),
+                        assign=np.zeros((9, height * width)), hard_labels=hard_labels)
+
+
+def _image(labels):
+    labels = np.asarray(labels)
+    fm = FeatureMap(labels.shape[0], labels.shape[1], np.zeros((labels.size, 1)))
+    return LabeledImage(fm=fm, labels=labels, domain=TARGET, shift_classes=(2, 3))
+
+
+def _truth_bits_loop(state, image):
+    flat_bits = image.transfer_bits.reshape(-1)
+    out = np.full(state.num_regions, -1, dtype=int)
+    for i, pixels in enumerate(region_pixel_lists(state)):
+        if len(pixels):
+            out[i] = int(np.round(flat_bits[pixels].mean()))
+    return out
+
+
+def test_region_truth_bits_hand_built():
+    # classes 2 and 3 are shifted (bit 0); 0 and 1 transfer (bit 1)
+    image = _image([[0, 1, 2, 3],
+                    [2, 2, 0, 3]])
+    hard = np.array([0, 0, 1, 1,
+                     0, 1, 2, 2])
+    # region 0: bits 1, 1, 0 -> 1; region 1: 0, 0, 0 -> 0;
+    # region 2: 1, 0 -> an even split, rounded half to even -> 0; region 3 empty
+    state = _state_with_labels(hard, 2, 4, 4)
+    assert experiments.region_truth_bits(state, image).tolist() == [1, 0, 0, -1]
+
+
+def test_region_truth_bits_matches_the_per_region_loop():
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        height, width = rng.integers(1, 9, size=2)
+        num_regions = int(rng.integers(1, 12))
+        image = _image(rng.integers(0, 4, size=(height, width)))
+        hard = rng.integers(0, num_regions, size=height * width)
+        state = _state_with_labels(hard, height, width, num_regions)
+        got = experiments.region_truth_bits(state, image)
+        assert got.dtype == int
+        assert np.array_equal(got, _truth_bits_loop(state, image))
+
+
+def test_region_truth_bits_rejects_mismatched_image():
+    state = _state_with_labels(np.zeros(8, dtype=int), 2, 4, 1)
+    with pytest.raises(ShapeError):
+        experiments.region_truth_bits(state, _image(np.zeros((2, 3), dtype=int)))
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,21 @@ def test_bool_for_number_is_config_error(name, value):
     ("disc_lr", float("inf")),
     ("sigma", float("nan")),
     ("noise_scales", [1, 1, 1, float("nan")]),
+    ("height", 0),
+    ("width", 0),
+    ("cluster_iters", 0),
+    ("num_queries", 0),
+    ("model_channels", 0),
+    ("decoder_layers", 0),
+    ("ffn_hidden", 0),
+    ("disc_hidden", [0]),
+    ("disc_hidden", [64, -1]),
 ], ids=["r_zero", "seeds_float", "disc_hidden_float", "noise_scales_string",
         "shift_classes_string", "height_nan", "out_dir_number", "tau_nan", "tau_zero",
-        "disc_lr_inf", "sigma_nan", "noise_scales_nan"])
+        "disc_lr_inf", "sigma_nan", "noise_scales_nan", "height_zero", "width_zero",
+        "cluster_iters_zero", "num_queries_zero", "model_channels_zero",
+        "decoder_layers_zero", "ffn_hidden_zero", "disc_hidden_zero",
+        "disc_hidden_negative"])
 def test_bad_value_is_config_error(name, value):
     with pytest.raises(ConfigError):
         RunConfig.from_dict({name: value})

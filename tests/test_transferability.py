@@ -133,7 +133,7 @@ def test_map_source_identifiable_region_scores_zero():
     # Region 0's center is perfectly source-identifiable to a saturated
     # first-coordinate net; the remaining centers sit at its decision point.
     fm = ac.FeatureMap(8, 8, np.zeros((64, 2)))
-    state = ac.init_grid(fm, 4)
+    state = ac.init_grid(ac.cell_layout(fm, 4))
     state.centers = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     params = first_coord_net(2, 80.0)
     tmap = tr.build_transferability_map(params, state)
