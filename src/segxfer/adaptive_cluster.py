@@ -326,12 +326,3 @@ def cluster(fm: FeatureMap, stride: int, tau: float = 0.07, iters: int = 6) -> C
         hard_labels=hard,
     )
 
-
-def region_pixel_lists(state: ClusterState) -> list[np.ndarray]:
-    """Pixel indices per region from the hard labels; empty regions stay empty."""
-    if state.hard_labels.shape != (state.height * state.width,):
-        raise ShapeError("hard labels do not cover the image")
-    order = np.argsort(state.hard_labels, kind="stable")
-    sorted_labels = state.hard_labels[order]
-    boundaries = np.searchsorted(sorted_labels, np.arange(state.num_regions + 1))
-    return [order[boundaries[i]:boundaries[i + 1]] for i in range(state.num_regions)]

@@ -1,12 +1,20 @@
 """Minimal query-based segmentation head built around masked attention.
 
-Pixel features are linearly embedded once; N learnable queries pass through
-L decoder layers, each a masked cross-attention over the embedded pixels,
-a query self-attention, and a two-layer feed-forward block, all with
-residual connections.
-A class head maps final queries to num_classes+1 logits (the extra slot is
-no-object) and a mask-embedding head produces per-query mask logits as dot
-products with the embedded pixels.
+N learnable queries pass through L decoder layers, each a masked
+cross-attention over the embedded pixels E = W_e x + b, a query
+self-attention, and a two-layer feed-forward block, all with residual
+connections.  A class head maps final queries to num_classes+1 logits (the
+extra slot is no-object) and a mask-embedding head produces per-query mask
+logits as dot products with the embedded pixels.
+
+E is never formed.  The embedding is linear and mixes no pixels, so every
+product the decoder takes with E runs against the raw features x and a small
+factor projected through W_e: mask logits (W_e^T m)^T x + b^T m, attention
+scores (W_e^T q)^T x / sqrt(C), attention output W_e (x w^T) + b (w 1), and
+in the backward the embedding gradient as (C, d_in) products such as
+q (dS x^T).  The bias stays out of the scores and the weight gradient: it
+adds one constant per query, which the softmax and its backward cancel.  No
+(C, H*W) array is formed in a step.
 
 Queries are tied to classes by position (query n predicts class n), so the
 loss needs no bipartite matching.  Each layer's attention mask is built from
@@ -15,11 +23,11 @@ to the backward pass, while the final mask and class logits carry gradients.
 
 The transferability condition selects key columns: a pixel whose T is
 above the image's lambda_t can only be attended by a query that falls
-back, so each forward gathers the embedded pixels that pass it once, and
-every layer computes mask logits, scores, weights and their gradients over
-those columns only.  A layer in which some query falls back widens to all
-columns.  Without a transferability map every column is kept, as a full
-slice of the embedding.
+back, so each forward gathers the features of the pixels that pass it once,
+and every layer computes mask logits, scores, weights and their gradients
+over those columns only.  A layer in which some query falls back widens to
+all columns.  Without a transferability map every column is kept, and the
+features are used as they are.
 """
 
 from __future__ import annotations
@@ -235,9 +243,10 @@ def prediction_from_logits(class_logits: np.ndarray, mask_logits: np.ndarray,
 @dataclass
 class _LayerCache:
     q_in: np.ndarray          # queries entering the layer (C, N)
-    cols: slice | np.ndarray  # pixel columns the cross-attention covers
-    keys: np.ndarray          # the embedded pixels in those columns (C, keys)
+    feats: np.ndarray         # raw features of the columns attended over (d_in, keys)
     weights: np.ndarray       # cross-attention weights (N, keys)
+    weight_sums: np.ndarray   # their row sums, 1 up to rounding (N,)
+    mixed: np.ndarray         # weights @ feats.T, the weighted feature sums (N, d_in)
     u: np.ndarray             # post-cross-attention residual (C, N)
     self_weights: np.ndarray  # query self-attention weights (N, N)
     mix: np.ndarray           # self-attention value mix (C, N)
@@ -249,25 +258,31 @@ class _LayerCache:
 @dataclass
 class _ForwardCache:
     x: np.ndarray        # (d_in, H*W)
-    embed: np.ndarray    # (C, H*W)
     layers: list[_LayerCache] = field(default_factory=list)
     q_final: np.ndarray | None = None
     memb: np.ndarray | None = None
     prediction: SegPrediction | None = None
 
 
-def _layer_mask(params: SegModelParams, q: np.ndarray, embed: np.ndarray,
-                cols: slice | np.ndarray, keys: np.ndarray, tkeys: np.ndarray,
+def _mask_logits(params: SegModelParams, memb: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """(N, keys) mask logits memb^T (W_e X + b), as (W_e^T memb)^T X + b^T memb."""
+    logits = (params.embed_w.T @ memb).T @ feats
+    logits += (params.embed_b @ memb)[:, None]
+    return logits
+
+
+def _layer_mask(params: SegModelParams, q: np.ndarray, x: np.ndarray,
+                cols: slice | np.ndarray, feats: np.ndarray, tkeys: np.ndarray,
                 lambda_m: float, lambda_t: float
-                ) -> tuple[AttentionMaskTensor, slice | np.ndarray, np.ndarray]:
-    """The layer's attention mask over the pixel columns ``cols`` (embedded
-    as ``keys``, with transferability ``tkeys``), returned with the columns
-    and keys it covers: all of them once a query falls back."""
+                ) -> tuple[AttentionMaskTensor, np.ndarray]:
+    """The layer's attention mask over the pixel columns ``cols`` (with raw
+    features ``feats`` and transferability ``tkeys``), returned with the
+    features of the columns it covers: all of them once a query falls back."""
     memb = params.mask_w @ q + params.mask_b[:, None]
-    amask = build_mask(MaskInputs(memb.T @ keys, tkeys, lambda_m, lambda_t))
-    if amask.fallback.any() and keys.shape[1] < embed.shape[1]:
-        return widen_mask(amask, cols, embed.shape[1]), slice(None), embed
-    return amask, cols, keys
+    amask = build_mask(MaskInputs(_mask_logits(params, memb, feats), tkeys, lambda_m, lambda_t))
+    if amask.fallback.any() and feats.shape[1] < x.shape[1]:
+        return widen_mask(amask, cols, x.shape[1]), x
+    return amask, feats
 
 
 def _forward(params: SegModelParams, fm: FeatureMap,
@@ -279,7 +294,6 @@ def _forward(params: SegModelParams, fm: FeatureMap,
             f"({params.embed_w.shape[1]})"
         )
     x = fm.features.T
-    embed = params.embed_w @ x + params.embed_b[:, None]
 
     if tmap is not None:
         if tmap.pixel.shape != (fm.height, fm.width):
@@ -290,41 +304,41 @@ def _forward(params: SegModelParams, fm: FeatureMap,
         tvec = tmap.pixel.reshape(-1)
         lambda_t = percentile_threshold(tvec, p_t)
         cols = np.flatnonzero(tvec <= lambda_t)
+        gathered, tkeys = fm.features[cols].T, tvec[cols]
     else:
         # Vanilla mode: the transferability condition holds for every key.
-        tvec = np.zeros(fm.num_pixels)
         lambda_t = 1.0
         cols = slice(None)
-    gathered, tkeys = embed[:, cols], tvec[cols]
+        gathered, tkeys = x, np.zeros(fm.num_pixels)
 
-    cache = _ForwardCache(x=x, embed=embed)
+    cache = _ForwardCache(x=x)
     q = params.queries
     fallback_count = 0
     scale = math.sqrt(params.channels)
     for layer in params.layers:
-        amask, layer_cols, keys = _layer_mask(params, q, embed, cols, gathered, tkeys,
-                                              lambda_m, lambda_t)
+        amask, feats = _layer_mask(params, q, x, cols, gathered, tkeys, lambda_m, lambda_t)
         fallback_count += int(np.sum(amask.fallback))
-        weights = masked_attention_weights(q, keys, amask)
-        u = q + keys @ weights.T
+        weights = masked_attention_weights(q, params.embed_w, feats, amask)
+        # weights @ (W_e X + b)^T, taken against the raw features
+        weight_sums = weights.sum(axis=1)
+        mixed = weights @ feats.T
+        u = q + params.embed_w @ mixed.T + np.outer(params.embed_b, weight_sums)
         self_weights = softmax_columns((u.T @ u) / scale)
         mix = u @ self_weights
         v = u + layer.self_w @ mix
         z = layer.ffn_w1 @ v + layer.ffn_b1[:, None]
         h = relu(z)
         q_next = v + layer.ffn_w2 @ h + layer.ffn_b2[:, None]
-        cache.layers.append(_LayerCache(q_in=q, cols=layer_cols, keys=keys,
-                                        weights=weights, u=u,
-                                        self_weights=self_weights, mix=mix,
-                                        v=v, z=z, h=h))
+        cache.layers.append(_LayerCache(q_in=q, feats=feats, weights=weights,
+                                        weight_sums=weight_sums, mixed=mixed, u=u,
+                                        self_weights=self_weights, mix=mix, v=v, z=z, h=h))
         q = q_next
 
     cache.q_final = q
     class_logits = params.class_w @ q + params.class_b[:, None]
     cache.memb = params.mask_w @ q + params.mask_b[:, None]
-    mask_logits = cache.memb.T @ embed
     cache.prediction = prediction_from_logits(
-        class_logits, mask_logits, fm.height, fm.width,
+        class_logits, _mask_logits(params, cache.memb, x), fm.height, fm.width,
         fallback_count=fallback_count,
         fallback_slots=len(params.layers) * params.num_queries,
     )
@@ -390,12 +404,16 @@ def seg_loss(pred: SegPrediction, labels: np.ndarray,
     # Mask term: per-pixel binary cross-entropy, probabilities clamped so the
     # loss stays finite at saturation.  With 0/1 targets, -log of the
     # probability given to the target is the usual two-log formula exactly.
+    # The (N, H*W) arrays are built once and updated in place.
     probs = pred.mask_probs
     y = _mask_targets(flat, n_queries, num_classes)
     clamped = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS)
-    bce = -np.log(np.where(y, clamped, 1.0 - clamped))
-    inside = (probs > LOSS_EPS) & (probs < 1.0 - LOSS_EPS)
-    d_mask = np.where(inside, probs - y, 0.0)
+    bce = np.subtract(1.0, clamped)
+    np.copyto(bce, clamped, where=y)
+    np.log(bce, out=bce)
+    np.negative(bce, out=bce)
+    d_mask = np.subtract(probs, y)
+    np.copyto(d_mask, 0.0, where=(probs <= LOSS_EPS) | (probs >= 1.0 - LOSS_EPS))
     if pixel_weights is not None:
         bce *= pixel_weights
         d_mask *= pixel_weights
@@ -425,14 +443,19 @@ def model_loss_and_grads(
     loss, d_class, d_mask_logits = seg_loss(cache.prediction, labels, pixel_weights)
 
     q_final = cache.q_final
-    embed = cache.embed
+    x = cache.x
+    embed_w, embed_b = params.embed_w, params.embed_b
 
     dq = params.class_w.T @ d_class
     g_class_w = d_class @ q_final.T
     g_class_b = d_class.sum(axis=1)
 
-    d_memb = embed @ d_mask_logits.T           # (C, N)
-    d_embed = cache.memb @ d_mask_logits       # (C, H*W)
+    # mask logits memb^T (W_e x + b): d_mask_logits is taken against x once
+    d_mask_x = d_mask_logits @ x.T              # (N, d_in)
+    d_mask_sum = d_mask_logits.sum(axis=1)      # (N,)
+    d_memb = embed_w @ d_mask_x.T + np.outer(embed_b, d_mask_sum)   # (C, N)
+    g_embed_w = cache.memb @ d_mask_x
+    g_embed_b = cache.memb @ d_mask_sum
     g_mask_w = d_memb @ q_final.T
     g_mask_b = d_memb.sum(axis=1)
     dq = dq + params.mask_w.T @ d_memb
@@ -457,19 +480,17 @@ def model_loss_and_grads(
             d_sw - np.sum(lc.self_weights * d_sw, axis=0))
         du = du + (lc.u @ (d_scores + d_scores.T)) / scale
 
-        # cross-attention: u = q_in + keys @ weights.T, with the embedded
-        # pixels in the layer's columns as both keys and values
-        dqa, dk, dv = attention_backward_from_weights(
-            lc.q_in, lc.keys, lc.keys, lc.weights, du.T)
-        d_embed[:, lc.cols] += dk
-        d_embed[:, lc.cols] += dv
+        # cross-attention: u = q_in + weights @ (W_e x + b)^T over the
+        # layer's columns, the embedded pixels both keys and values; their
+        # gradients q_in dS and du weights reach W_e through x^T
+        dqa, d_att, d_att_x = attention_backward_from_weights(
+            embed_w, lc.feats, lc.weights, du.T)
+        g_embed_w += lc.q_in @ d_att_x + du @ lc.mixed
+        g_embed_b += lc.q_in @ d_att.sum(axis=1) + du @ lc.weight_sums
         dq = du + dqa
         layer_grads.append(DecoderLayer(self_w=g_self_w, ffn_w1=g_w1, ffn_b1=g_b1,
                                         ffn_w2=g_w2, ffn_b2=g_b2))
     layer_grads.reverse()
-
-    g_embed_w = d_embed @ cache.x.T
-    g_embed_b = d_embed.sum(axis=1)
 
     # Gradients take the parameters' own structure, so they come out in
     # param_list order by construction.

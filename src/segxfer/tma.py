@@ -16,7 +16,9 @@ transferability condition only, and ``widen_mask`` spreads it over every
 column when a row falls back.
 
 Attention weights are stored query-major, (queries x keys), so every
-softmax reduction runs over contiguous memory.
+softmax reduction runs over contiguous memory.  Keys and values are a linear
+map P X + b of per-key features X; the attention functions take P and X and
+never form the (C, keys) keys.
 """
 
 from __future__ import annotations
@@ -163,25 +165,31 @@ def widen_mask(mask: AttentionMaskTensor, cols: np.ndarray,
     return AttentionMaskTensor(allowed=allowed, fallback=mask.fallback)
 
 
-def masked_attention_weights(queries: np.ndarray, keys: np.ndarray,
+def masked_attention_weights(queries: np.ndarray, proj: np.ndarray, features: np.ndarray,
                              mask: AttentionMaskTensor) -> np.ndarray:
     """Attention weights (queries x keys); each row sums to 1 over its
     admitted keys and is exactly 0 elsewhere.
 
-    ``queries`` is (C, N) and ``keys`` is (C, keys).  Scores are
-    Q^T K / sqrt(C).  Each row is shifted by its maximum over the
-    admitted keys; shifted scores are capped at 0 so a masked key scoring
-    above that maximum cannot overflow the exponential before the mask
-    zeroes it.  A row that admits no key raises DegenerateColumnError:
-    callers must apply their fallback first.
+    The keys are a linear map of per-key features, K = P X (+ b): ``queries``
+    is (C, N), ``proj`` is P, (C, d), and ``features`` is X, (d, keys).
+    Scores are Q^T K / sqrt(C), computed as (P^T Q)^T X, then scaled, so no
+    (C, keys) array is formed.  A key bias b adds a per-query constant to
+    the scores, which the softmax cancels, so it is not an argument.  Each
+    row is shifted by its maximum over the admitted keys; shifted scores are
+    capped at 0 so a masked key scoring above that maximum cannot overflow
+    the exponential before the mask zeroes it.  A row that admits no key
+    raises DegenerateColumnError: callers must apply their fallback first.
     """
     channels, num_queries = queries.shape
-    if keys.shape[0] != channels:
-        raise ShapeError(f"channel dims disagree: Q {queries.shape}, K {keys.shape}")
-    expected = (num_queries, keys.shape[1])
+    if proj.shape[0] != channels:
+        raise ShapeError(f"channel dims disagree: Q {queries.shape}, P {proj.shape}")
+    if features.shape[0] != proj.shape[1]:
+        raise ShapeError(f"feature dims disagree: P {proj.shape}, X {features.shape}")
+    expected = (num_queries, features.shape[1])
     if mask.allowed.shape != expected:
         raise ShapeError(f"mask {mask.allowed.shape} does not match {expected}")
-    scores = (queries.T / math.sqrt(channels)) @ keys
+    scores = (proj.T @ queries).T @ features
+    scores *= 1.0 / math.sqrt(channels)
     row_max = np.where(mask.allowed, scores, -np.inf).max(axis=1, keepdims=True)
     if not np.all(np.isfinite(row_max)):
         bad = np.flatnonzero(~np.isfinite(row_max))
@@ -196,27 +204,27 @@ def masked_attention_weights(queries: np.ndarray, keys: np.ndarray,
 
 
 def attention_backward_from_weights(
-    queries: np.ndarray,
-    keys: np.ndarray,
-    values: np.ndarray,
+    proj: np.ndarray,
+    features: np.ndarray,
     weights: np.ndarray,
     upstream: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of ``weights @ values.T`` given precomputed attention weights.
+    """Gradients of ``weights @ (P X + b)^T`` given the weights of
+    ``masked_attention_weights``.
 
-    ``queries`` is (C, N); ``keys`` and ``values`` are channel-major,
-    (C, keys); ``weights`` is query-major, (N, keys), as returned by
-    ``masked_attention_weights``; ``upstream`` is the loss gradient at the
-    (N, C) output.  The gradients come back in the layouts of the inputs,
-    so the value gradient is a contiguous (C, keys) array.  Pairs whose
-    weight is exactly 0 (masked) receive zero gradient through the softmax
-    backward.
+    ``proj`` is P, (C, d); ``features`` is X, (d, keys); ``weights`` is
+    query-major, (N, keys); ``upstream`` is the loss gradient at the (N, C)
+    output.  Returns the (C, N) query gradient P (dS X^T)^T, the (N, keys)
+    gradient dS at the scaled scores, and dS X^T, (N, d).  The key gradient
+    is Q dS and the value gradient upstream^T weights; a caller that needs
+    them against X takes Q (dS X^T) and upstream^T (weights X^T), never a
+    (C, keys) array.  The bias b adds a per-query constant to the weight
+    gradient, which the softmax backward cancels, so it is not an argument.
+    Pairs whose weight is exactly 0 (masked) get a zero score gradient.
     """
-    d_values = upstream.T @ weights                 # (C, keys)
-    d_weights = upstream @ values                   # (N, keys)
+    d_weights = (proj.T @ upstream.T).T @ features  # (N, keys)
     d_weights -= np.sum(weights * d_weights, axis=1, keepdims=True)
     d_scores = np.multiply(weights, d_weights, out=d_weights)
-    d_scores *= 1.0 / math.sqrt(queries.shape[0])
-    d_queries = keys @ d_scores.T                   # (C, N)
-    d_keys = queries @ d_scores                     # (C, keys)
-    return d_queries, d_keys, d_values
+    d_scores *= 1.0 / math.sqrt(proj.shape[0])
+    d_scores_x = d_scores @ features.T              # (N, d)
+    return proj @ d_scores_x.T, d_scores, d_scores_x

@@ -298,32 +298,37 @@ def test_cluster_hard_label_is_a_neighbor():
 
 
 # ---------------------------------------------------------------------------
-# region_pixel_lists
+# region sizes from the hard labels
 # ---------------------------------------------------------------------------
+
+
+def region_sizes(state):
+    return np.bincount(state.hard_labels, minlength=state.num_regions)
 
 
 def test_region_lists_planted_case():
     fm = four_block_map()
     state = ac.cluster(fm, 4, tau=0.07, iters=6)
-    lists = ac.region_pixel_lists(state)
-    assert sorted(len(l) for l in lists) == [16, 16, 16, 16]
+    assert sorted(region_sizes(state).tolist()) == [16, 16, 16, 16]
 
 
 def test_region_lists_single_region():
     state = ac.cluster(four_block_map(), 4)
     state.hard_labels = np.zeros(64, dtype=int)
-    lists = ac.region_pixel_lists(state)
-    assert len(lists[0]) == 64
-    assert all(len(l) == 0 for l in lists[1:])
+    sizes = region_sizes(state)
+    assert sizes[0] == 64
+    assert np.all(sizes[1:] == 0)
 
 
 def test_region_lists_are_a_partition():
+    # every pixel carries exactly one label, and every label names a region
     rng = np.random.default_rng(11)
     fm = ac.FeatureMap.from_grid(rng.normal(size=(8, 8, 3)))
-    lists = ac.region_pixel_lists(ac.cluster(fm, 4))
-    everything = np.concatenate([l for l in lists if len(l)])
-    assert len(everything) == 64
-    assert len(np.unique(everything)) == 64
+    state = ac.cluster(fm, 4)
+    sizes = region_sizes(state)
+    assert state.hard_labels.shape == (64,) and state.hard_labels.min() >= 0
+    assert len(sizes) == state.num_regions
+    assert sizes.sum() == 64
 
 
 def test_feature_map_validation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from segxfer import experiments
-from segxfer.adaptive_cluster import ClusterState, FeatureMap, region_pixel_lists
+from segxfer.adaptive_cluster import ClusterState, FeatureMap
 from segxfer.errors import InputError, ShapeError
 from segxfer.experiments import ConfusionMatrix
 from segxfer.synthdata import TARGET, LabeledImage
@@ -68,7 +68,8 @@ def _image(labels):
 def _truth_bits_loop(state, image):
     flat_bits = image.transfer_bits.reshape(-1)
     out = np.full(state.num_regions, -1, dtype=int)
-    for i, pixels in enumerate(region_pixel_lists(state)):
+    for i in range(state.num_regions):
+        pixels = np.flatnonzero(state.hard_labels == i)
         if len(pixels):
             out[i] = int(np.round(flat_bits[pixels].mean()))
     return out

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +10,7 @@ from gradcheck import gradcheck
 from segxfer import segmodel as sm
 from segxfer.adaptive_cluster import FeatureMap
 from segxfer.errors import ConfigError, InputError, ShapeError
+from segxfer.numkit import LOSS_EPS
 from segxfer.serialize import save_arrays
 from segxfer.transferability import TransferabilityMap
 
@@ -27,14 +29,15 @@ def small_scene(seed=0, h=4, w=4, d=4, num_classes=3, scale=0.25):
     return fm, labels
 
 
-def seam_margins(params, cache, lambda_m):
+def seam_margins(params, fm, cache, lambda_m):
     """Distance of the closest layer mask probability to lambda_m and of the
     closest FFN pre-activation to 0.  The loss is only piecewise smooth;
     gradient checks need these margins to stay away from the seams."""
+    embed = params.embed_w @ fm.features.T + params.embed_b[:, None]
     mask_margin = relu_margin = np.inf
     for lc in cache.layers:
         memb = params.mask_w @ lc.q_in + params.mask_b[:, None]
-        probs = sm.sigmoid(memb.T @ cache.embed)
+        probs = sm.sigmoid(memb.T @ embed)
         mask_margin = min(mask_margin, float(np.min(np.abs(probs - lambda_m))))
         relu_margin = min(relu_margin, float(np.min(np.abs(lc.z))))
     return mask_margin, relu_margin
@@ -52,7 +55,8 @@ def gradcheck_instance(seed, perturb):
     for layer in params.layers:
         layer.self_w += 0.05 * perturb.normal(size=layer.self_w.shape)
     tmap = TransferabilityMap(np.zeros(1), rng.random((4, 4)), "t")
-    mask_margin, relu_margin = seam_margins(params, sm._forward(params, fm, tmap, 0.5, 60.0), 0.5)
+    cache = sm._forward(params, fm, tmap, 0.5, 60.0)
+    mask_margin, relu_margin = seam_margins(params, fm, cache, 0.5)
     if mask_margin < 5e-3 or relu_margin < 1e-2:
         return None
     return params, fm, labels, tmap
@@ -210,6 +214,36 @@ def test_seg_loss_pixel_weights_scale_mask_term():
     assert doubled == pytest.approx(class_part + 2.0 * mask_part, rel=1e-9)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_seg_loss_mask_term_is_bitwise_the_where_formula(weighted):
+    # Today's expressions as the oracle; saturated logits put probabilities
+    # beyond the clamp on both sides.
+    rng = np.random.default_rng(13)
+    num_classes, num_queries, h, w = 5, 8, 96, 96
+    labels = rng.integers(0, num_classes, size=(h, w))
+    mlog = rng.normal(scale=8.0, size=(num_queries, h * w))
+    mlog[:, :50] = rng.choice([-40.0, 40.0, 16.1, -16.1], size=(num_queries, 50))
+    pred = sm.prediction_from_logits(rng.normal(size=(num_classes + 1, num_queries)), mlog, h, w)
+    weights = rng.uniform(0.5, 2.0, size=h * w) if weighted else None
+    loss, _, d_mask = sm.seg_loss(pred, labels, pixel_weights=weights)
+    class_loss, _, _ = sm.seg_loss(pred, labels, pixel_weights=np.zeros(h * w))
+
+    probs = pred.mask_probs
+    y = np.stack([labels.reshape(-1) == n for n in range(num_queries)])
+    clamped = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS)
+    bce = -np.log(np.where(y, clamped, 1.0 - clamped))
+    inside = (probs > LOSS_EPS) & (probs < 1.0 - LOSS_EPS)
+    ref_d_mask = np.where(inside, probs - y, 0.0)
+    assert (probs < LOSS_EPS).any() and (probs > 1.0 - LOSS_EPS).any()
+    if weighted:
+        bce *= weights
+        ref_d_mask *= weights
+    scale = 1.0 / (num_queries * h * w)
+    ref_d_mask *= scale
+    assert loss == class_loss + float(np.sum(bce) * scale)
+    assert np.array_equal(d_mask, ref_d_mask)
+
+
 # ---------------------------------------------------------------------------
 # full-model gradients
 # ---------------------------------------------------------------------------
@@ -249,6 +283,23 @@ def test_model_gradcheck_vanilla_mode():
 
         errs.append(gradcheck(f, params.param_list()))
     assert max(errs) <= 1e-4
+
+
+def test_ungated_step_forms_no_channels_by_pixels_array():
+    # A (C, H*W) float array is 1.2 MB here; with the embedding folded into
+    # the queries a step forms none, and its temporaries stay under 7 MB.
+    rng = np.random.default_rng(14)
+    params = sm.init_seg_model(16, 5, rng)  # C 16, N 8, 3 layers
+    fm = FeatureMap.from_grid(rng.normal(size=(96, 96, 16)))
+    labels = rng.integers(0, 5, size=(96, 96))
+    sm.model_loss_and_grads(params, fm, labels)  # first-call caches
+    tracemalloc.start()
+    try:
+        sm.model_loss_and_grads(params, fm, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7e6
 
 
 # ---------------------------------------------------------------------------

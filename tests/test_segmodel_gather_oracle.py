@@ -28,6 +28,23 @@ def oracle_mask(logits, tvec, lambda_m, lambda_t):
     return tma.AttentionMaskTensor(allowed, fallback)
 
 
+def oracle_weights(queries, keys, mask):
+    """(N, keys) masked attention weights over the embedded pixels, scores
+    Q^T K / sqrt(C) with the embedding bias inside K."""
+    scores = (queries.T / math.sqrt(queries.shape[0])) @ keys
+    scores -= np.where(mask.allowed, scores, -np.inf).max(axis=1, keepdims=True)
+    weights = np.exp(np.minimum(scores, 0.0)) * mask.allowed
+    return weights / np.sum(weights, axis=1, keepdims=True)
+
+
+def oracle_attention_backward(queries, keys, values, weights, upstream):
+    """Gradients of weights @ values.T at the queries, keys and values."""
+    d_weights = upstream @ values
+    d_scores = weights * (d_weights - np.sum(weights * d_weights, axis=1, keepdims=True))
+    d_scores *= 1.0 / math.sqrt(queries.shape[0])
+    return keys @ d_scores.T, queries @ d_scores, upstream.T @ weights
+
+
 def oracle_loss_and_grads(params, fm, labels, tmap, lambda_m, p_t, pixel_weights):
     """(loss, gradients in param_list order, prediction, per-layer fallback rows)."""
     x = fm.features.T
@@ -45,7 +62,7 @@ def oracle_loss_and_grads(params, fm, labels, tmap, lambda_m, p_t, pixel_weights
         memb = params.mask_w @ q + params.mask_b[:, None]
         mask = oracle_mask(memb.T @ embed, tvec, lambda_m, lambda_t)
         fallbacks.append(mask.fallback)
-        weights = tma.masked_attention_weights(q, embed, mask)
+        weights = oracle_weights(q, embed, mask)
         u = q + embed @ weights.T
         self_weights = softmax_columns((u.T @ u) / scale)
         mix = u @ self_weights
@@ -77,7 +94,7 @@ def oracle_loss_and_grads(params, fm, labels, tmap, lambda_m, p_t, pixel_weights
         d_sw = u.T @ d_mix
         d_scores = self_weights * (d_sw - np.sum(self_weights * d_sw, axis=0))
         du = dv_res + d_mix @ self_weights.T + (u @ (d_scores + d_scores.T)) / scale
-        dqa, dk, dv = tma.attention_backward_from_weights(q_in, embed, embed, weights, du.T)
+        dqa, dk, dv = oracle_attention_backward(q_in, embed, embed, weights, du.T)
         d_embed += dk
         d_embed += dv
         dq = du + dqa
@@ -168,16 +185,16 @@ def test_gated_matches_full_width_oracle(p_t, lambda_m, mask_spy):
 
 
 @pytest.mark.parametrize("lambda_m", [0.0, 0.5, 1.0])
-def test_ungated_is_bitwise_the_full_width_oracle(lambda_m, mask_spy):
+def test_ungated_matches_full_width_oracle(lambda_m, mask_spy):
     for seed in SEEDS:
         params, fm, labels, _, pixel_weights = random_case(seed)
         loss, grads = sm.model_loss_and_grads(params, fm, labels, tmap=None,
                                               lambda_m=lambda_m, pixel_weights=pixel_weights)
         ref_loss, ref_grads, _, fallbacks = oracle_loss_and_grads(
             params, fm, labels, None, lambda_m, 30.0, pixel_weights)
-        assert loss == ref_loss
+        assert abs(loss - ref_loss) <= RTOL * abs(ref_loss)
         for g, r in zip(grads, ref_grads, strict=True):
-            np.testing.assert_array_equal(g, r)
+            assert_close(g, r)
         assert len(mask_spy) == len(params.layers)
         for (width, fallback), ref in zip(mask_spy, fallbacks):
             assert width == fm.num_pixels

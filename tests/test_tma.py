@@ -190,7 +190,7 @@ def test_widen_mask_spreads_columns_and_fallback_rows():
 
 
 # ---------------------------------------------------------------------------
-# masked attention: output = weights @ values.T, values channel-major (C, keys)
+# masked attention: keys = values = proj @ feats, output weights @ values.T
 # ---------------------------------------------------------------------------
 
 
@@ -199,41 +199,45 @@ def open_mask(n, keys):
     return tma.AttentionMaskTensor(np.ones((n, keys), dtype=bool), np.zeros(n, dtype=bool))
 
 
-def attend(q, k, v, mask):
-    """Masked attention output, (N, C)."""
-    return tma.masked_attention_weights(q, k, mask) @ v.T
+def attend(q, proj, feats, mask):
+    """Masked attention output, (N, C), over keys and values proj @ feats."""
+    return tma.masked_attention_weights(q, proj, feats, mask) @ (proj @ feats).T
 
 
-def attend_backward(q, k, v, mask, upstream):
-    """Gradients of ``attend`` w.r.t. q, k and v, in their layouts."""
-    weights = tma.masked_attention_weights(q, k, mask)
-    return tma.attention_backward_from_weights(q, k, v, weights, upstream)
+def attend_backward(q, proj, feats, mask, upstream):
+    """Gradients of ``attend`` w.r.t. q, proj and feats, in their layouts,
+    plus the score gradient."""
+    weights = tma.masked_attention_weights(q, proj, feats, mask)
+    dq, d_scores, _ = tma.attention_backward_from_weights(proj, feats, weights, upstream)
+    d_keys_values = q @ d_scores + upstream.T @ weights  # at proj @ feats, (C, keys)
+    return dq, d_keys_values @ feats.T, proj.T @ d_keys_values, d_scores
 
 
 def test_attention_single_key_returns_value_row():
     rng = np.random.default_rng(3)
-    q, k, v = rng.normal(size=(4, 3)), rng.normal(size=(4, 1)), rng.normal(size=(1, 4)).T
-    out = attend(q, k, v, open_mask(3, 1))
-    npt.assert_allclose(out, np.tile(v[:, 0], (3, 1)), atol=1e-12)
+    q, proj, feats = rng.normal(size=(4, 3)), rng.normal(size=(4, 5)), rng.normal(size=(5, 1))
+    out = attend(q, proj, feats, open_mask(3, 1))
+    npt.assert_allclose(out, np.tile((proj @ feats)[:, 0], (3, 1)), atol=1e-12)
 
 
 def test_attention_uniform_weights_give_value_mean():
     rng = np.random.default_rng(4)
-    values = rng.normal(size=(6, 4)).T
-    out = attend(np.zeros((4, 2)), rng.normal(size=(4, 6)), values, open_mask(2, 6))
-    npt.assert_allclose(out, np.tile(values.mean(axis=1), (2, 1)), atol=1e-12)
+    proj, feats = rng.normal(size=(4, 3)), rng.normal(size=(3, 6))
+    out = attend(np.zeros((4, 2)), proj, feats, open_mask(2, 6))
+    npt.assert_allclose(out, np.tile((proj @ feats).mean(axis=1), (2, 1)), atol=1e-12)
 
 
 def test_attention_matches_per_query_loop_oracle():
     rng = np.random.default_rng(5)
-    c, n, keys = 4, 2, 6
-    queries, k, values = (rng.normal(size=(c, n)), rng.normal(size=(c, keys)),
-                          rng.normal(size=(keys, c)).T)
+    c, d, n, keys = 4, 3, 2, 6
+    queries, proj, feats = (rng.normal(size=(c, n)), rng.normal(size=(c, d)),
+                            rng.normal(size=(d, keys)))
     allowed = rng.random((n, keys)) >= 0.3
     allowed[:, 0] = True  # keep every row alive
     mask = tma.AttentionMaskTensor(allowed, np.zeros(n, dtype=bool))
-    out = attend(queries, k, values, mask)
+    out = attend(queries, proj, feats, mask)
 
+    k = proj @ feats
     expected = np.zeros((n, c))
     for q in range(n):
         scores = np.full(keys, -np.inf)
@@ -244,17 +248,17 @@ def test_attention_matches_per_query_loop_oracle():
         w = np.exp(scores)
         w /= w.sum()
         for j in range(keys):
-            expected[q] += w[j] * values[:, j]
+            expected[q] += w[j] * k[:, j]
     npt.assert_allclose(out, expected, atol=1e-10)
 
 
 def test_attention_weights_are_distribution_and_masked_zero():
     rng = np.random.default_rng(6)
-    q, k = rng.normal(size=(3, 4)), rng.normal(size=(3, 5))
+    q, proj, feats = rng.normal(size=(3, 4)), rng.normal(size=(3, 2)), rng.normal(size=(2, 5))
     allowed = np.ones((4, 5), dtype=bool)
     allowed[1, 2] = False
     mask = tma.AttentionMaskTensor(allowed, np.zeros(4, dtype=bool))
-    weights = tma.masked_attention_weights(q, k, mask)
+    weights = tma.masked_attention_weights(q, proj, feats, mask)
     assert weights.shape == (4, 5)  # query-major
     npt.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(weights >= 0)
@@ -263,33 +267,36 @@ def test_attention_weights_are_distribution_and_masked_zero():
 
 def test_attention_gating_off_equals_plain_attention():
     rng = np.random.default_rng(7)
-    c, n, keys = 5, 3, 8
-    q, k, v = (rng.normal(size=(c, n)), rng.normal(size=(c, keys)),
-               rng.normal(size=(keys, c)).T)
+    c, d, n, keys = 5, 4, 3, 8
+    q, proj, feats = (rng.normal(size=(c, n)), rng.normal(size=(c, d)),
+                      rng.normal(size=(d, keys)))
     mi = tma.MaskInputs(logit(rng.random((n, keys))), rng.random(keys), 1.0, 1.0)
-    out = attend(q, k, v, tma.build_mask(mi))
-    plain = numkit.softmax_columns(k.T @ q / np.sqrt(c)).T @ v.T
+    out = attend(q, proj, feats, tma.build_mask(mi))
+    k = proj @ feats
+    plain = numkit.softmax_columns(k.T @ q / np.sqrt(c)).T @ k.T
     npt.assert_allclose(out, plain, atol=1e-10)
 
 
 def test_attention_fallback_output_is_finite():
     rng = np.random.default_rng(8)
-    c, n, keys = 4, 2, 6
-    q, k, v = (rng.normal(size=(c, n)), rng.normal(size=(c, keys)),
-               rng.normal(size=(keys, c)).T)
+    c, d, n, keys = 4, 3, 2, 6
+    q, proj, feats = (rng.normal(size=(c, n)), rng.normal(size=(c, d)),
+                      rng.normal(size=(d, keys)))
     mi = tma.MaskInputs(logit(np.ones((n, keys)) * 0.9), rng.random(keys), 0.5, 0.3)
     mask = tma.build_mask(mi)
     assert np.all(mask.fallback)
-    assert np.all(np.isfinite(attend(q, k, v, mask)))
+    assert np.all(np.isfinite(attend(q, proj, feats, mask)))
 
 
 def test_attention_shape_error():
     rng = np.random.default_rng(9)
     q = rng.normal(size=(4, 2))
-    # a mask over 5 keys for 6 keys, then keys with 3 channels for 4-channel queries
-    for k_channels, mask_keys in [(4, 5), (3, 6)]:
+    # a mask over 5 keys for 6 keys, a projection to 3 channels for
+    # 4-channel queries, then 2-dim features for a 3-dim projection
+    for proj_shape, feat_dims, mask_keys in [((4, 3), 3, 5), ((3, 3), 3, 6), ((4, 3), 2, 6)]:
         with pytest.raises(ShapeError):
-            tma.masked_attention_weights(q, rng.normal(size=(k_channels, 6)),
+            tma.masked_attention_weights(q, rng.normal(size=proj_shape),
+                                         rng.normal(size=(feat_dims, 6)),
                                          open_mask(2, mask_keys))
 
 
@@ -298,40 +305,40 @@ def test_attention_shape_error():
 # ---------------------------------------------------------------------------
 
 
-def random_instance(seed, c=4, n=3, keys=4):
-    """(q, k, v) with channel-major values, a mask and an upstream gradient."""
+def random_instance(seed, c=4, d=3, n=3, keys=4):
+    """(q, proj, feats), a mask and an upstream gradient."""
     rng = np.random.default_rng(seed)
-    qkv = (rng.normal(size=(c, n)), rng.normal(size=(c, keys)), rng.normal(size=(keys, c)).T)
+    inputs = (rng.normal(size=(c, n)), rng.normal(size=(c, d)), rng.normal(size=(d, keys)))
     allowed = rng.random((n, keys)) >= 0.3
     allowed[:, 0] = True
     mask = tma.AttentionMaskTensor(allowed, np.zeros(n, dtype=bool))
     upstream = rng.normal(size=(n, c))
-    return qkv, mask, upstream
+    return inputs, mask, upstream
 
 
 def test_attention_backward_gradcheck():
     errs = []
     for seed in range(20):
-        qkv, mask, upstream = random_instance(seed, c=4, n=2, keys=3)
+        inputs, mask, upstream = random_instance(seed, c=4, d=2, n=2, keys=3)
         def f(flat, mask=mask, upstream=upstream):
             out = attend(*flat, mask)
-            grads = attend_backward(*flat, mask, upstream)
+            grads = attend_backward(*flat, mask, upstream)[:3]
             return float(np.sum(out * upstream)), list(grads)
-        errs.append(gradcheck(f, list(qkv)))
+        errs.append(gradcheck(f, list(inputs)))
     assert max(errs) <= 1e-4
 
 
 def test_attention_backward_masked_positions_zero_gradient():
-    qkv, mask, upstream = random_instance(10)
+    inputs, mask, upstream = random_instance(10)
     mask.allowed[:, 3] = False  # key 3 invisible to every query
-    dq, dk, dv = attend_backward(*qkv, mask, upstream)
-    npt.assert_array_equal(dk[:, 3], 0.0)
-    npt.assert_array_equal(dv[:, 3], 0.0)
+    _, _, d_feats, d_scores = attend_backward(*inputs, mask, upstream)
+    npt.assert_array_equal(d_scores[:, 3], 0.0)  # no key gradient there
+    npt.assert_array_equal(d_feats[:, 3], 0.0)   # nor any gradient at its features
 
 
 def test_attention_backward_linear_in_upstream():
-    qkv, mask, upstream = random_instance(11)
-    g1 = attend_backward(*qkv, mask, upstream)
-    g2 = attend_backward(*qkv, mask, 2.0 * upstream)
+    inputs, mask, upstream = random_instance(11)
+    g1 = attend_backward(*inputs, mask, upstream)
+    g2 = attend_backward(*inputs, mask, 2.0 * upstream)
     for a, b in zip(g1, g2):
         npt.assert_allclose(2.0 * a, b, atol=1e-12)

@@ -1,10 +1,10 @@
 """Query-major, boolean-masked attention against the additive-mask reference.
 
-The reference below is the straightforward formulation: the mask as an
-additive {0, -inf} term, key-major (keys x queries) scores and a column
-softmax, plus the matching backward.  It makes a second pass over masked
-entries through the slow path of ``exp`` and reduces along strided axes, so
-it is kept only as an oracle.
+The reference below is the straightforward formulation: the keys formed,
+bias included, the mask as an additive {0, -inf} term, key-major
+(keys x queries) scores and a column softmax, plus the matching backward.
+It makes a second pass over masked entries through the slow path of ``exp``
+and reduces along strided axes, so it is kept only as an oracle.
 """
 
 import math
@@ -42,21 +42,22 @@ def assert_close(actual, expected):
 
 
 def random_case(seed, lambda_t=None):
-    """Random (queries, keys, values), values (keys, C), and a built mask
-    with masked keys and, for most seeds, at least one fallback row."""
+    """Random (queries, proj, feats, bias), keys = values = proj @ feats + bias,
+    and a built mask with masked keys and, for most seeds, at least one
+    fallback row."""
     rng = np.random.default_rng(seed)
-    c, n = int(rng.integers(2, 17)), int(rng.integers(1, 9))
+    c, d, n = int(rng.integers(2, 17)), int(rng.integers(1, 17)), int(rng.integers(1, 9))
     h, w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
     keys = h * w
     spread = rng.uniform(0.5, 4.0)  # from flat to peaked weights
-    qkv = (spread * rng.normal(size=(c, n)), spread * rng.normal(size=(c, keys)),
-           rng.normal(size=(keys, c)))
+    inputs = (spread * rng.normal(size=(c, n)), rng.normal(size=(c, d)) / math.sqrt(d),
+              spread * rng.normal(size=(d, keys)), rng.normal(size=c))
     probs = rng.random((n, keys))
     probs[rng.integers(0, n)] = 0.95  # this row admits no key: it falls back
     lam_t = rng.uniform(0.2, 1.0) if lambda_t is None else lambda_t
     logits = np.log(probs) - np.log1p(-probs)
     mask = tma.build_mask(tma.MaskInputs(logits, rng.random(keys), 0.6, lam_t))
-    return qkv, mask, rng.normal(size=(n, c))
+    return inputs, mask, rng.normal(size=(n, c))
 
 
 CASES = [(seed, None) for seed in range(30)] + [(seed, 1.0) for seed in range(30, 40)]
@@ -65,31 +66,34 @@ CASES = [(seed, None) for seed in range(30)] + [(seed, 1.0) for seed in range(30
 @pytest.mark.parametrize("seed, lambda_t", CASES,
                          ids=[f"seed{s}" + ("-lambda_t1" if lt else "") for s, lt in CASES])
 def test_weights_and_gradients_match_additive_oracle(seed, lambda_t):
-    (queries, keys, values), mask, upstream = random_case(seed, lambda_t)
+    # The bias is left out of the primitives: it moves every score of a
+    # query, and every weight gradient of a query, by one constant.
+    (queries, proj, feats, bias), mask, upstream = random_case(seed, lambda_t)
     assert mask.fallback.any()
+    keys = proj @ feats + bias[:, None]
 
-    weights = tma.masked_attention_weights(queries, keys, mask)
+    weights = tma.masked_attention_weights(queries, proj, feats, mask)
     ref = oracle_weights(queries, keys, mask)
     assert_close(weights, ref.T)
     assert np.all(weights[~mask.allowed] == 0.0)
 
-    dq, dk, dv = tma.attention_backward_from_weights(
-        queries, keys, values.T, weights, upstream)
-    rq, rk, rv = oracle_backward(queries, keys, values, ref, upstream)
-    assert dv.flags.c_contiguous
+    dq, d_scores, d_scores_x = tma.attention_backward_from_weights(proj, feats, weights, upstream)
+    rq, rk, rv = oracle_backward(queries, keys, keys.T, ref, upstream)
+    assert d_scores.flags.c_contiguous
     assert_close(dq, rq)
-    assert_close(dk, rk)
-    assert_close(dv, rv.T)
+    assert_close(queries @ d_scores, rk)      # the key gradient
+    assert_close(queries @ d_scores_x, rk @ feats.T)
+    assert_close(upstream.T @ weights, rv.T)  # the value gradient
 
 
 def test_row_admitting_no_key_raises():
     rng = np.random.default_rng(0)
-    queries, keys = rng.normal(size=(4, 3)), rng.normal(size=(4, 6))
+    queries, feats = rng.normal(size=(4, 3)), rng.normal(size=(4, 6))
     allowed = np.ones((3, 6), dtype=bool)
     allowed[1] = False  # hand-built: no fallback applied
     mask = tma.AttentionMaskTensor(allowed, np.zeros(3, dtype=bool))
     with pytest.raises(DegenerateColumnError):
-        tma.masked_attention_weights(queries, keys, mask)
+        tma.masked_attention_weights(queries, np.eye(4), feats, mask)
 
 
 def test_masked_key_far_above_admitted_keys():
@@ -98,6 +102,6 @@ def test_masked_key_far_above_admitted_keys():
     # divide 0 by 0), and an uncapped exponential would overflow.
     queries, keys = np.array([[40.0]]), np.array([[50.0, -49.0, -50.0]])
     mask = tma.AttentionMaskTensor(np.array([[False, True, True]]), np.zeros(1, dtype=bool))
-    weights = tma.masked_attention_weights(queries, keys, mask)
+    weights = tma.masked_attention_weights(queries, np.eye(1), keys, mask)
     assert weights[0, 0] == 0.0 and weights[0, 1] > weights[0, 2] > 0.0
     assert_close(weights, oracle_weights(queries, keys, mask).T)
