@@ -134,12 +134,6 @@ def _pixel_cells(height: int, width: int, stride: int) -> np.ndarray:
     return np.broadcast_to(cells, (grid_h, stride, grid_w, stride)).reshape(-1)
 
 
-def candidate_regions(height: int, width: int, stride: int) -> np.ndarray:
-    """(9, H*W) region index of every pixel's candidates, -1 off the grid."""
-    grid_h, grid_w = _grid_shape(height, width, stride)
-    return _cells_at(grid_h, grid_w, 1)[_pixel_cells(height, width, stride)].T.copy()
-
-
 @dataclass(frozen=True)
 class _GridTables:
     """Index tables of one geometry and channel count.

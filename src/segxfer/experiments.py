@@ -1,20 +1,9 @@
-"""Segmentation metrics, the four-variant ablation harness, and the
-percentile-threshold sweep.
+"""Segmentation metrics, the ablation harness, and the percentile-threshold
+sweep.
 
 The harness runs the full desk-scale protocol per seed: generate both
 domains, cluster, train the domain discriminator, pretrain a source model,
-then fine-tune four variants on the target domain:
-
-  tmt      adaptive regions + transferability-gated masked attention
-  no_acte  regular-grid regions (no iterative refinement) + gated attention
-  no_tma   adaptive regions, but transferability only reweights the loss
-           (w = 1 + (1 - T)); attention is not gated by it
-  vanilla  the mask-probability gate (p <= lambda_m) with the
-           transferability condition off; not plain attention, which
-           ``lambda_m = 1.0`` gives (every key admitted)
-
-The grid-region branch (grid states, their discriminator, PAD and T-maps) is
-read only by ``no_acte`` and is built the first time something reads it.
+then fine-tune each variant of ``VARIANT_TABLE`` on the target domain.
 
 Every variant starts from the same source checkpoint and consumes identical
 batch sequences, so metric differences isolate the mechanism under test.
@@ -26,6 +15,7 @@ import csv
 import functools
 import io
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -46,17 +36,42 @@ from .transferability import (
     PadEstimate,
     TransferabilityMap,
     build_transferability_map,
-    compute_pad,
     train_discriminator,
 )
 
-VARIANTS = ("tmt", "no_acte", "no_tma", "vanilla")
+
+@dataclass(frozen=True)
+class Variant:
+    """One ablation row: the region source whose discriminator scores the
+    variant and whose PAD it reports, and how it uses that source's T-map."""
+
+    regions: str       # "adaptive" or "grid"
+    use_t: str | None  # "gate" the attention, "weight" the loss, or None
+
+
+VARIANT_TABLE = MappingProxyType({
+    # adaptive regions + transferability-gated masked attention
+    "tmt": Variant("adaptive", "gate"),
+    # regular-grid regions (no iterative refinement) + gated attention
+    "no_acte": Variant("grid", "gate"),
+    # adaptive regions, but T only reweights the loss (w = 1 + (1 - T));
+    # attention is not gated by it
+    "no_tma": Variant("adaptive", "weight"),
+    # the mask-probability gate (p <= lambda_m) with the transferability
+    # condition off; not plain attention, which ``lambda_m = 1.0`` gives
+    # (every key admitted).  It reports the adaptive branch's PAD.
+    "vanilla": Variant("adaptive", None),
+})
+VARIANTS = tuple(VARIANT_TABLE)
 
 # substream tags so every phase of a seeded run draws independent randomness
 _MODEL_INIT_STREAM = 101
 _SOURCE_TRAIN_STREAM = 102
 _FINETUNE_STREAM = 103
 _DISC_SEED_OFFSET = 7919
+# A region source's discriminator is seeded at seed + step * _DISC_SEED_OFFSET,
+# so its branch is the same whenever it is built.
+_DISC_SEED_STEP = {"adaptive": 1, "grid": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -201,58 +216,71 @@ def report_csv(report: ExperimentReport, footer: bool = False) -> str:
 
 
 @dataclass
-class GridBranch:
-    """What the ``no_acte`` variant reads: the discriminator trained on
-    regular-grid regions, its PAD and the target images' grid T-maps."""
+class RegionBranch:
+    """One region source's discriminator (with its PAD) and target T-maps."""
 
     disc: DiscriminatorResult
-    pad: PadEstimate
     target_tmaps: list[TransferabilityMap]
+
+
+def _regions(config: RunConfig, source: str, img: LabeledImage) -> ClusterState:
+    if source == "adaptive":
+        return cluster(img.fm, config.r, tau=config.tau, iters=config.cluster_iters)
+    return init_grid(cell_layout(img.fm, config.r), tau=config.tau)
+
+
+def _region_branch(config: RunConfig, seed: int, source: str,
+                   source_images: list[LabeledImage], target_images: list[LabeledImage]
+                   ) -> tuple[list[ClusterState], RegionBranch]:
+    """The target images' regions, and the branch trained on both domains'
+    regions."""
+    source_states = [_regions(config, source, img) for img in source_images]
+    target_states = [_regions(config, source, img) for img in target_images]
+    disc = train_discriminator(
+        np.vstack([s.centers for s in source_states]),
+        np.vstack([s.centers for s in target_states]),
+        epochs=config.disc_epochs, lr=config.disc_lr,
+        seed=seed + _DISC_SEED_STEP[source] * _DISC_SEED_OFFSET,
+        hidden=config.disc_hidden, batch_size=config.disc_batch)
+    return target_states, RegionBranch(
+        disc, [build_transferability_map(disc.params, s) for s in target_states])
 
 
 @dataclass
 class SeedBundle:
-    """Everything one seed's variants share: data, regions, discriminators,
-    transferability maps and the pretrained source model.
-
-    The grid branch (``grid``, which ``disc_grid`` and ``pad_grid`` read) is
-    built on first use, so a seed that runs no ``no_acte`` variant never
-    trains the grid discriminator.  Its discriminator has its own seed and
-    RNG, so the branch is the same whenever it is built.
-    """
+    """Everything one seed's variants share: data, the region branches and
+    the pretrained source model.  The grid branch is built on first use, so
+    a seed that runs no grid variant never trains its discriminator."""
 
     config: RunConfig
     seed: int
     source_images: list[LabeledImage]
     target_images: list[LabeledImage]
     eval_images: list[LabeledImage]
-    target_states: list[ClusterState]
-    disc: DiscriminatorResult
-    pad: PadEstimate
-    target_tmaps: list[TransferabilityMap]
+    target_states: list[ClusterState]  # adaptive only: grid ones are not kept
+    adaptive: RegionBranch
     source_params: SegModelParams
     source_losses: list[float] = field(default_factory=list)
 
     @functools.cached_property
-    def grid(self) -> GridBranch:
-        """The grid-region branch, built on first access."""
-        config = self.config
+    def grid(self) -> RegionBranch:
+        return _region_branch(self.config, self.seed, "grid",
+                              self.source_images, self.target_images)[1]
 
-        def grid_states(images: list[LabeledImage]) -> list[ClusterState]:
-            return [init_grid(cell_layout(img.fm, config.r), tau=config.tau) for img in images]
+    def branch(self, source: str) -> RegionBranch:
+        return self.adaptive if source == "adaptive" else self.grid
 
-        source_states = grid_states(self.source_images)
-        target_states = grid_states(self.target_images)
-        disc = train_discriminator(
-            _region_features(source_states), _region_features(target_states),
-            epochs=config.disc_epochs, lr=config.disc_lr,
-            seed=self.seed + 2 * _DISC_SEED_OFFSET, hidden=config.disc_hidden,
-            batch_size=config.disc_batch)
-        return GridBranch(
-            disc=disc,
-            pad=compute_pad(disc.params, disc.held_out),
-            target_tmaps=[build_transferability_map(disc.params, s, disc.provenance)
-                          for s in target_states])
+    @property
+    def target_tmaps(self) -> list[TransferabilityMap]:
+        return self.adaptive.target_tmaps
+
+    @property
+    def disc(self) -> DiscriminatorResult:
+        return self.adaptive.disc
+
+    @property
+    def pad(self) -> PadEstimate:
+        return self.adaptive.disc.pad
 
     @property
     def disc_grid(self) -> DiscriminatorResult:
@@ -260,39 +288,18 @@ class SeedBundle:
 
     @property
     def pad_grid(self) -> PadEstimate:
-        return self.grid.pad
-
-
-def _region_features(states: list[ClusterState]) -> np.ndarray:
-    return np.vstack([s.centers for s in states])
+        return self.grid.disc.pad
 
 
 def prepare_seed(config: RunConfig, seed: int) -> SeedBundle:
-    """Generate data, fit the adaptive regions and their discriminator, and
-    pretrain the source model for one seed.
-
-    The grid-region branch that only ``no_acte`` reads is not built here but
-    on first use (``SeedBundle.grid``).
-    """
+    """Generate data, build the adaptive region branch, and pretrain the
+    source model for one seed."""
     synth = config.synth_config(seed)
     source_images = generate(synth, config.source_count, SOURCE)
     target_images = generate(synth, config.target_count, TARGET)
     eval_images = generate(synth, config.eval_count, TARGET, stream=1)
-
-    def refined(img: LabeledImage) -> ClusterState:
-        return cluster(img.fm, config.r, tau=config.tau, iters=config.cluster_iters)
-
-    source_states = [refined(img) for img in source_images]
-    target_states = [refined(img) for img in target_images]
-
-    disc = train_discriminator(
-        _region_features(source_states), _region_features(target_states),
-        epochs=config.disc_epochs, lr=config.disc_lr,
-        seed=seed + _DISC_SEED_OFFSET, hidden=config.disc_hidden,
-        batch_size=config.disc_batch)
-
-    target_tmaps = [build_transferability_map(disc.params, s, disc.provenance)
-                    for s in target_states]
+    target_states, adaptive = _region_branch(
+        config, seed, "adaptive", source_images, target_images)
 
     init_rng = np.random.default_rng([seed, _MODEL_INIT_STREAM])
     params = init_seg_model(
@@ -313,40 +320,25 @@ def prepare_seed(config: RunConfig, seed: int) -> SeedBundle:
         target_images=target_images,
         eval_images=eval_images,
         target_states=target_states,
-        disc=disc,
-        pad=compute_pad(disc.params, disc.held_out),
-        target_tmaps=target_tmaps,
+        adaptive=adaptive,
         source_params=source_params,
         source_losses=source_losses,
     )
 
 
-def _finetune_items(bundle: SeedBundle, variant: str) -> list[TrainItem]:
-    items = []
-    for i, img in enumerate(bundle.target_images):
-        if variant == "tmt":
-            items.append(TrainItem(img.fm, img.labels, tmap=bundle.target_tmaps[i]))
-        elif variant == "no_acte":
-            items.append(TrainItem(img.fm, img.labels, tmap=bundle.grid.target_tmaps[i]))
-        elif variant == "no_tma":
-            weights = 1.0 + (1.0 - bundle.target_tmaps[i].pixel.reshape(-1))
-            items.append(TrainItem(img.fm, img.labels, pixel_weights=weights))
-        elif variant == "vanilla":
-            items.append(TrainItem(img.fm, img.labels))
-        else:
-            raise InputError(f"unknown variant {variant!r}")
-    return items
+def _variant(name: str) -> Variant:
+    if name not in VARIANT_TABLE:
+        raise InputError(f"unknown variant {name!r}")
+    return VARIANT_TABLE[name]
 
 
-def _eval_tmap(bundle: SeedBundle, config: RunConfig, variant: str,
-               img: LabeledImage) -> TransferabilityMap | None:
-    if variant == "tmt":
-        state = cluster(img.fm, config.r, tau=config.tau, iters=config.cluster_iters)
-        return build_transferability_map(bundle.disc.params, state)
-    if variant == "no_acte":
-        state = init_grid(cell_layout(img.fm, config.r), tau=config.tau)
-        return build_transferability_map(bundle.disc_grid.params, state)
-    return None
+def _t_inputs(variant: Variant, tmap: TransferabilityMap) -> dict:
+    """The ``TrainItem`` fields through which a variant uses a T-map."""
+    if variant.use_t == "gate":
+        return {"tmap": tmap}
+    if variant.use_t == "weight":
+        return {"pixel_weights": 1.0 + (1.0 - tmap.pixel.reshape(-1))}
+    return {}
 
 
 def evaluate_variant(params: SegModelParams, bundle: SeedBundle, config: RunConfig,
@@ -355,8 +347,12 @@ def evaluate_variant(params: SegModelParams, bundle: SeedBundle, config: RunConf
     cm = ConfusionMatrix.empty(config.num_classes)
     fallback = []
     predictions = []
+    row = _variant(variant)
     for img in bundle.eval_images:
-        tmap = _eval_tmap(bundle, config, variant, img)
+        tmap = None
+        if row.use_t == "gate":
+            tmap = build_transferability_map(bundle.branch(row.regions).disc.params,
+                                             _regions(config, row.regions, img))
         pred = forward(params, img.fm, tmap=tmap, lambda_m=config.lambda_m, p_t=p_t)
         cm.add(img.labels, pred.labels)
         fallback.append(pred.fallback_rate)
@@ -372,14 +368,16 @@ def finetune_variant(bundle: SeedBundle, config: RunConfig, variant: str,
     differ only in the mechanism being ablated.
     """
     effective_p = config.p_t if p_t is None else p_t
-    items = _finetune_items(bundle, variant)
+    row = _variant(variant)
+    branch = bundle.branch(row.regions)
+    items = [TrainItem(img.fm, img.labels, **_t_inputs(row, tmap))
+             for img, tmap in zip(bundle.target_images, branch.target_tmaps)]
     ft_seed = int(np.random.default_rng([bundle.seed, _FINETUNE_STREAM]).integers(2**31))
     tuned, losses = train(
         bundle.source_params, items, steps=config.finetune_steps,
         batch_size=config.batch_size, lr=config.model_lr, seed=ft_seed,
         lambda_m=config.lambda_m, p_t=effective_p)
     cm, fallback_rate, _ = evaluate_variant(tuned, bundle, config, variant, effective_p)
-    pad = bundle.pad_grid if variant == "no_acte" else bundle.pad
     ious = per_class_iou(cm)
     return VariantResult(
         variant=variant,
@@ -388,23 +386,18 @@ def finetune_variant(bundle: SeedBundle, config: RunConfig, variant: str,
         miou=miou(cm),
         macc=macc(cm),
         per_class_iou=[float(v) for v in ious],
-        pad=pad.distance,
+        pad=branch.disc.pad.distance,
         fallback_rate=fallback_rate,
         train_losses=losses,
     )
 
 
 def run_ablation(config: RunConfig, seeds: tuple[int, ...] | None = None) -> ExperimentReport:
-    """Full four-variant ablation over the given seeds (at least 3)."""
+    """Every variant of ``VARIANT_TABLE`` over the given seeds (at least 3)."""
     seeds = tuple(seeds if seeds is not None else config.seeds)
     if len(seeds) < 3:
         raise InputError(f"ablation needs at least 3 seeds, got {len(seeds)}")
-    rows = []
-    for seed in seeds:
-        bundle = prepare_seed(config, seed)
-        for variant in VARIANTS:
-            rows.append(finetune_variant(bundle, config, variant))
-    return ExperimentReport(rows=rows, config=config.to_dict(), default_p_t=config.p_t)
+    return _run(config, seeds, [(variant, None) for variant in VARIANTS])
 
 
 def sweep_pt(config: RunConfig, p_values: tuple[float, ...] = (10, 20, 30, 40, 50),
@@ -412,10 +405,14 @@ def sweep_pt(config: RunConfig, p_values: tuple[float, ...] = (10, 20, 30, 40, 5
     """Fine-tune the gated model once per percentile value per seed."""
     if not p_values:
         raise InputError("p_values must be non-empty")
-    seeds = tuple(seeds if seeds is not None else config.seeds)
+    return _run(config, seeds, [("tmt", float(p)) for p in p_values])
+
+
+def _run(config: RunConfig, seeds: tuple[int, ...] | None,
+         runs: list[tuple[str, float | None]]) -> ExperimentReport:
+    """One ``prepare_seed`` per seed, then one ``finetune_variant`` per (variant, p_T)."""
     rows = []
-    for seed in seeds:
+    for seed in (seeds if seeds is not None else config.seeds):
         bundle = prepare_seed(config, seed)
-        for p in p_values:
-            rows.append(finetune_variant(bundle, config, "tmt", p_t=float(p)))
+        rows += [finetune_variant(bundle, config, variant, p_t) for variant, p_t in runs]
     return ExperimentReport(rows=rows, config=config.to_dict(), default_p_t=config.p_t)

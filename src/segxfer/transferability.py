@@ -33,41 +33,9 @@ TARGET_LABEL = 0
 
 
 @dataclass
-class DomainSample:
-    """A region feature vector tagged with its domain of origin."""
-
-    feature: np.ndarray
-    label: int  # 1 = source, 0 = target
-
-    def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise InputError(f"domain label must be 0 or 1, got {self.label!r}")
-        self.feature = np.asarray(self.feature, dtype=float)
-        if not np.all(np.isfinite(self.feature)):
-            raise InputError("non-finite region feature")
-
-
-@dataclass
 class TrainingLog:
     epoch_losses: list[float]
     epoch_accuracies: list[float]
-
-
-@dataclass
-class DiscriminatorResult:
-    params: MlpParams
-    log: TrainingLog
-    held_out: list[DomainSample]
-    provenance: str
-
-
-@dataclass
-class TransferabilityMap:
-    """Per-region scores plus their broadcast onto the pixel grid."""
-
-    region_scores: np.ndarray  # (N_p,) in [0, 1]
-    pixel: np.ndarray          # (H, W), piecewise constant on the region partition
-    provenance: str
 
 
 @dataclass
@@ -76,6 +44,21 @@ class PadEstimate:
 
     epsilon: float
     distance: float
+
+
+@dataclass
+class DiscriminatorResult:
+    params: MlpParams
+    log: TrainingLog
+    pad: PadEstimate  # on the held-out split, after the last epoch
+
+
+@dataclass
+class TransferabilityMap:
+    """Per-region scores plus their broadcast onto the pixel grid."""
+
+    region_scores: np.ndarray  # (N_p,) in [0, 1]
+    pixel: np.ndarray          # (H, W), piecewise constant on the region partition
 
 
 def _split_train_held(features: np.ndarray, rng: np.random.Generator,
@@ -102,7 +85,7 @@ def train_discriminator(
 
     Each batch is drawn half from source and half from target so supervision
     stays balanced.  Each domain is shuffle-split 80/20; the held-out 20%
-    yields the per-epoch balanced accuracy and feeds ``compute_pad``.
+    yields the per-epoch balanced accuracy and the PAD.
     """
     source = np.atleast_2d(np.asarray(source_regions, dtype=float))
     target = np.atleast_2d(np.asarray(target_regions, dtype=float))
@@ -146,14 +129,10 @@ def train_discriminator(
         epoch_losses.append(float(np.mean(losses)))
         epoch_accuracies.append(_balanced_accuracy(params, held_x, held_y))
 
-    held_out = [DomainSample(f, SOURCE_LABEL) for f in src_held]
-    held_out += [DomainSample(f, TARGET_LABEL) for f in tgt_held]
-    provenance = f"disc(seed={seed},epochs={epochs},hidden={'x'.join(map(str, hidden))})"
     return DiscriminatorResult(
         params=params.copy(),  # not the optimizer's buffer
         log=TrainingLog(epoch_losses, epoch_accuracies),
-        held_out=held_out,
-        provenance=provenance,
+        pad=compute_pad(params, held_x, held_y),
     )
 
 
@@ -172,8 +151,7 @@ def region_transferability_batch(params: MlpParams, region_features: np.ndarray)
     return 2.0 * np.minimum(probs, 1.0 - probs)
 
 
-def build_transferability_map(params: MlpParams, state: ClusterState,
-                              provenance: str = "") -> TransferabilityMap:
+def build_transferability_map(params: MlpParams, state: ClusterState) -> TransferabilityMap:
     """Score every region center and broadcast scores to pixels by hard label.
 
     The pixel map is piecewise constant on the region partition; regions with
@@ -181,21 +159,26 @@ def build_transferability_map(params: MlpParams, state: ClusterState,
     """
     scores = region_transferability_batch(params, state.centers)
     pixel = scores[state.hard_labels].reshape(state.height, state.width)
-    return TransferabilityMap(region_scores=scores, pixel=pixel, provenance=provenance)
+    return TransferabilityMap(region_scores=scores, pixel=pixel)
 
 
-def compute_pad(params: MlpParams, held_out: list[DomainSample]) -> PadEstimate:
-    """Proxy distance from the held-out balanced error rate.
+def compute_pad(params: MlpParams, x: np.ndarray, labels: np.ndarray) -> PadEstimate:
+    """Proxy distance from the held-out balanced error rate of features ``x``
+    (one row each) with domain ``labels`` (1 = source, 0 = target).
 
     eps is the mean of the two per-domain error rates; the distance
     2*(1 - 2*eps) is clamped to [-2, 2].
     """
-    if not held_out:
-        raise InputError("held-out set is empty")
-    labels = np.array([s.label for s in held_out], dtype=float)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    labels = np.asarray(labels, dtype=float).reshape(-1)
+    if not np.all((labels == SOURCE_LABEL) | (labels == TARGET_LABEL)):
+        raise InputError("domain labels must be 0 or 1")
     if not (np.any(labels == SOURCE_LABEL) and np.any(labels == TARGET_LABEL)):
         raise InputError("held-out set must contain both domains")
-    x = np.vstack([s.feature for s in held_out])
+    if x.shape[0] != labels.size:
+        raise InputError(f"{x.shape[0]} feature rows for {labels.size} labels")
+    if not np.all(np.isfinite(x)):
+        raise InputError("non-finite region feature")
     epsilon = 1.0 - _balanced_accuracy(params, x, labels)
     distance = float(np.clip(2.0 * (1.0 - 2.0 * epsilon), -2.0, 2.0))
     return PadEstimate(epsilon=float(epsilon), distance=distance)

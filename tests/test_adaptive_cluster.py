@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import cluster_oracle
 from segxfer import adaptive_cluster as ac
 from segxfer.errors import ConfigError, ShapeError
 
@@ -54,7 +55,7 @@ def test_init_grid_neighbor_counts_12x12():
     assert state.num_regions == 9
     corner = 0            # pixel (0, 0): its cell plus right, down, diag
     center = 5 * 12 + 5   # pixel (5, 5) sits in the middle cell
-    regions = ac.candidate_regions(12, 12, 4)
+    regions = cluster_oracle.candidate_regions(12, 12, 4)
     assert np.count_nonzero(regions[:, corner] >= 0) == 4
     assert np.count_nonzero(regions[:, center] >= 0) == 9
     d = ac.compute_similarity(state, layout)
@@ -75,7 +76,7 @@ def test_init_grid_assignment_is_cell_one_hot():
     state = ac.init_grid(ac.cell_layout(fm, 4))
     npt.assert_allclose(state.assign.sum(axis=0), 1.0, atol=1e-12)
     assert np.all(state.assign[ac.OWN_CELL] == 1.0)
-    regions = ac.candidate_regions(8, 8, 4)
+    regions = cluster_oracle.candidate_regions(8, 8, 4)
     npt.assert_array_equal(regions[ac.OWN_CELL], state.hard_labels)
 
 
@@ -97,7 +98,7 @@ def test_similarity_orthogonal_vectors():
     layout = ac.cell_layout(fm, 4)
     d = ac.compute_similarity(ac.init_grid(layout, tau=1.0), layout)
     # region 1, the cell right of pixel 0's, has a prototype orthogonal to it
-    assert ac.candidate_regions(8, 8, 4)[offset_row(0, 1), 0] == 1
+    assert cluster_oracle.candidate_regions(8, 8, 4)[offset_row(0, 1), 0] == 1
     assert d[offset_row(0, 1), 0] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -108,7 +109,7 @@ def test_similarity_non_neighbor_is_minus_inf():
     d = ac.compute_similarity(ac.init_grid(layout), layout)
     # pixel (0, 0): the far corner region 8 is not a candidate, and the
     # candidates above and left of the grid are -inf
-    regions = ac.candidate_regions(12, 12, 4)
+    regions = cluster_oracle.candidate_regions(12, 12, 4)
     assert 8 not in regions[:, 0]
     assert d[offset_row(-1, -1), 0] == -np.inf
     npt.assert_array_equal(np.isfinite(d), regions >= 0)
@@ -197,7 +198,7 @@ def test_update_centers_weighted_mean_oracle():
     grid_h, grid_w = height // stride, width // stride
     fm = ac.FeatureMap(height, width, rng.normal(size=(height * width, 4)))
     assign = rng.random((9, height * width))
-    assign[ac.candidate_regions(height, width, stride) < 0] = 0.0
+    assign[cluster_oracle.candidate_regions(height, width, stride) < 0] = 0.0
     assign /= assign.sum(axis=0)
     centers = ac.update_centers(assign, ac.cell_layout(fm, stride))
     expected = np.zeros((grid_h * grid_w, 4))
@@ -240,7 +241,7 @@ def test_cluster_constant_image_tie_break():
     fm = ac.FeatureMap(8, 8, np.ones((64, 2)))
     state = ac.cluster(fm, 4, tau=0.07, iters=6)
     # every neighbor is equally similar, so argmax picks the lowest index
-    regions = ac.candidate_regions(8, 8, 4)
+    regions = cluster_oracle.candidate_regions(8, 8, 4)
     expected = np.where(regions >= 0, regions, state.num_regions).min(axis=0)
     npt.assert_array_equal(state.hard_labels, expected)
 
@@ -265,7 +266,7 @@ def test_cluster_column_stochastic_and_local_every_iteration():
     fm = ac.FeatureMap.from_grid(rng.normal(size=(8, 8, 3)))
     layout = ac.cell_layout(fm, 4)
     state = ac.init_grid(layout)
-    off_grid = ac.candidate_regions(8, 8, 4) < 0
+    off_grid = cluster_oracle.candidate_regions(8, 8, 4) < 0
     assign = state.assign
     centers = state.centers
     for _ in range(6):

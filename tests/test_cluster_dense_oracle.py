@@ -11,6 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import cluster_oracle
 from segxfer import adaptive_cluster as ac
 from segxfer.numkit import softmax_columns
 
@@ -58,7 +59,7 @@ def dense_cluster(fm, stride, tau=0.07, iters=6):
 
 def to_dense(candidates, height, width, stride, fill):
     """Scatter a (9, H*W) candidate array into (N_p, H*W), ``fill`` elsewhere."""
-    regions = ac.candidate_regions(height, width, stride)
+    regions = cluster_oracle.candidate_regions(height, width, stride)
     n_regions = (height // stride) * (width // stride)
     out = np.full((n_regions, height * width), fill, dtype=float)
     on_grid = regions >= 0

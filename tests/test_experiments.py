@@ -214,8 +214,66 @@ def test_grid_branch_is_built_on_first_use(monkeypatch):
     assert len(seeds) == 4
     assert eager_pad == bundle.pad_grid
     assert eager_disc.log == bundle.disc_grid.log
-    assert eager_disc.provenance == bundle.disc_grid.provenance
     for a, b in zip(eager_disc.params.param_list(), bundle.disc_grid.params.param_list()):
         assert a.tobytes() == b.tobytes()
     for a, b in zip(eager.grid.target_tmaps, bundle.grid.target_tmaps):
         assert a.pixel.tobytes() == b.pixel.tobytes()
+
+
+@pytest.fixture(scope="module")
+def tiny_bundle():
+    return experiments.prepare_seed(RunConfig(**dict(TINY, finetune_steps=1)), 0)
+
+
+@pytest.mark.parametrize("name", experiments.VARIANTS)
+def test_each_table_row_routes_its_transferability_map(monkeypatch, tiny_bundle, name):
+    row = experiments.VARIANT_TABLE[name]
+    assert row.regions in ("adaptive", "grid") and row.use_t in ("gate", "weight", None)
+    config = tiny_bundle.config
+    trained, forwarded = [], []
+    train, forward = experiments.train, experiments.forward
+
+    def recorded_train(params, items, **kwargs):
+        trained.extend(items)
+        return train(params, items, **kwargs)
+
+    def recorded_forward(params, fm, **kwargs):
+        forwarded.append(kwargs["tmap"])
+        return forward(params, fm, **kwargs)
+
+    monkeypatch.setattr(experiments, "train", recorded_train)
+    monkeypatch.setattr(experiments, "forward", recorded_forward)
+    result = experiments.finetune_variant(tiny_bundle, config, name)
+
+    branch = tiny_bundle.branch(row.regions)
+    assert result.pad == branch.disc.pad.distance
+    assert len(trained) == config.target_count
+    for item, tmap in zip(trained, branch.target_tmaps):
+        if row.use_t == "gate":
+            assert item.tmap is tmap and item.pixel_weights is None
+        elif row.use_t == "weight":
+            assert item.tmap is None
+            assert np.array_equal(item.pixel_weights, 1.0 + (1.0 - tmap.pixel.reshape(-1)))
+        else:
+            assert item.tmap is None and item.pixel_weights is None
+
+    # evaluation forwards a T-map only for gate rows, built by the row's
+    # discriminator on the row's regions of each held-out image
+    assert len(forwarded) == config.eval_count
+    for img, tmap in zip(tiny_bundle.eval_images, forwarded):
+        if row.use_t != "gate":
+            assert tmap is None
+            continue
+        expected = experiments.build_transferability_map(
+            branch.disc.params, experiments._regions(config, row.regions, img))
+        assert tmap.region_scores.tobytes() == expected.region_scores.tobytes()
+        assert tmap.pixel.tobytes() == expected.pixel.tobytes()
+
+
+def test_unknown_variant_is_rejected(tiny_bundle):
+    config = tiny_bundle.config
+    with pytest.raises(InputError):
+        experiments.finetune_variant(tiny_bundle, config, "no_such_variant")
+    with pytest.raises(InputError):
+        experiments.evaluate_variant(tiny_bundle.source_params, tiny_bundle, config,
+                                     "no_such_variant", config.p_t)

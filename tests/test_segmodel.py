@@ -54,7 +54,7 @@ def gradcheck_instance(seed, perturb):
     params = small_model(seed)
     for layer in params.layers:
         layer.self_w += 0.05 * perturb.normal(size=layer.self_w.shape)
-    tmap = TransferabilityMap(np.zeros(1), rng.random((4, 4)), "t")
+    tmap = TransferabilityMap(np.zeros(1), rng.random((4, 4)))
     cache = sm._forward(params, fm, tmap, 0.5, 60.0)
     mask_margin, relu_margin = seam_margins(params, fm, cache, 0.5)
     if mask_margin < 5e-3 or relu_margin < 1e-2:
@@ -82,7 +82,7 @@ def test_forward_shape_contract():
 def test_forward_all_ones_tmap_at_p100_equals_vanilla():
     params = small_model(2)
     fm, _ = small_scene(2)
-    tmap = TransferabilityMap(np.ones(4), np.ones((4, 4)), "ones")
+    tmap = TransferabilityMap(np.ones(4), np.ones((4, 4)))
     gated = sm.forward(params, fm, tmap=tmap, lambda_m=0.5, p_t=100.0)
     vanilla = sm.forward(params, fm, tmap=None, lambda_m=0.5)
     npt.assert_allclose(gated.class_logits, vanilla.class_logits, atol=1e-9)
@@ -110,7 +110,7 @@ def test_forward_rejects_channel_mismatch():
 def test_forward_rejects_wrong_tmap_shape():
     params = small_model(5)
     fm, _ = small_scene(5)
-    bad = TransferabilityMap(np.zeros(1), np.ones((3, 3)), "bad")
+    bad = TransferabilityMap(np.zeros(1), np.ones((3, 3)))
     with pytest.raises(ShapeError):
         sm.forward(params, fm, tmap=bad)
 

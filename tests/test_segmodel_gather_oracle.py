@@ -117,7 +117,7 @@ def random_case(seed):
         layer.self_w += 0.1 * rng.normal(size=layer.self_w.shape)
     fm = FeatureMap.from_grid(rng.uniform(0.2, 2.0) * rng.normal(size=(h, w, d)))
     labels = rng.integers(0, num_classes, size=(h, w))
-    tmap = TransferabilityMap(np.zeros(1), rng.random((h, w)), "t")
+    tmap = TransferabilityMap(np.zeros(1), rng.random((h, w)))
     pixel_weights = rng.uniform(0.5, 2.0, size=h * w) if seed % 2 else None
     return params, fm, labels, tmap, pixel_weights
 

@@ -81,9 +81,8 @@ def test_train_discriminator_logs_every_epoch():
     result = tr.train_discriminator(source, target, epochs=3, seed=0)
     assert len(result.log.epoch_losses) == 3
     assert len(result.log.epoch_accuracies) == 3
-    assert result.held_out  # both domains represented
-    labels = {s.label for s in result.held_out}
-    assert labels == {0, 1}
+    # the PAD is taken on the held-out split the last epoch is scored on
+    assert result.pad.epsilon == 1.0 - result.log.epoch_accuracies[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +158,10 @@ def test_map_is_piecewise_constant_on_partition():
 # ---------------------------------------------------------------------------
 
 
-def held_out_from(features, labels):
-    return [tr.DomainSample(f, int(l)) for f, l in zip(features, labels)]
-
-
 def test_pad_indistinguishable():
     # A constant-output net predicts source for everything: balanced error 0.5.
     params = constant_net(2, 0.0)
-    samples = held_out_from(np.zeros((4, 2)), [1, 1, 0, 0])
-    pad = tr.compute_pad(params, samples)
+    pad = tr.compute_pad(params, np.zeros((4, 2)), [1, 1, 0, 0])
     assert pad.epsilon == pytest.approx(0.5)
     assert pad.distance == pytest.approx(0.0)
 
@@ -175,7 +169,7 @@ def test_pad_indistinguishable():
 def test_pad_perfectly_separable():
     params = first_coord_net(2, 80.0)
     features = np.array([[1.0, 0.0], [1.0, 0.5], [-1.0, 0.0], [-1.0, 0.5]])
-    pad = tr.compute_pad(params, held_out_from(features, [1, 1, 0, 0]))
+    pad = tr.compute_pad(params, features, [1, 1, 0, 0])
     assert pad.epsilon == pytest.approx(0.0)
     assert pad.distance == pytest.approx(2.0)
 
@@ -184,27 +178,41 @@ def test_pad_linear_formula_point():
     # Source half wrong, target all right: eps = (0.5 + 0) / 2 = 0.25.
     params = first_coord_net(2, 80.0)
     features = np.array([[1.0, 0.0], [-1.0, 0.0], [-1.0, 1.0], [-1.0, 2.0]])
-    pad = tr.compute_pad(params, held_out_from(features, [1, 1, 0, 0]))
+    pad = tr.compute_pad(params, features, [1, 1, 0, 0])
     assert pad.epsilon == pytest.approx(0.25)
     assert pad.distance == pytest.approx(1.0)
 
 
 def test_pad_monotone_in_error():
     params = first_coord_net(2, 80.0)
-    d0 = tr.compute_pad(params, held_out_from(
-        np.array([[1.0, 0.0], [-1.0, 0.0]]), [1, 0])).distance
-    d25 = tr.compute_pad(params, held_out_from(
-        np.array([[1.0, 0.0], [-1.0, 0.0], [-1.0, 1.0], [-1.0, 2.0]]),
-        [1, 1, 0, 0])).distance
-    d50 = tr.compute_pad(constant_net(2, 0.0), held_out_from(
-        np.zeros((2, 2)), [1, 0])).distance
+    d0 = tr.compute_pad(params, np.array([[1.0, 0.0], [-1.0, 0.0]]), [1, 0]).distance
+    d25 = tr.compute_pad(
+        params, np.array([[1.0, 0.0], [-1.0, 0.0], [-1.0, 1.0], [-1.0, 2.0]]),
+        [1, 1, 0, 0]).distance
+    d50 = tr.compute_pad(constant_net(2, 0.0), np.zeros((2, 2)), [1, 0]).distance
     assert d0 > d25 > d50
 
 
 def test_pad_rejects_single_domain():
     params = constant_net(2, 0.0)
     with pytest.raises(InputError):
-        tr.compute_pad(params, held_out_from(np.zeros((3, 2)), [1, 1, 1]))
+        tr.compute_pad(params, np.zeros((3, 2)), [1, 1, 1])
+    with pytest.raises(InputError):
+        tr.compute_pad(params, np.zeros((0, 2)), [])
+
+
+@pytest.mark.parametrize("labels", [[1, 0, 2], [1, 0, -1], [1, 0, 0.5]])
+def test_pad_rejects_labels_other_than_0_and_1(labels):
+    with pytest.raises(InputError):
+        tr.compute_pad(constant_net(2, 0.0), np.zeros((3, 2)), labels)
+
+
+def test_pad_rejects_mismatched_or_non_finite_features():
+    params = constant_net(2, 0.0)
+    with pytest.raises(InputError):
+        tr.compute_pad(params, np.zeros((3, 2)), [1, 0])
+    with pytest.raises(InputError):
+        tr.compute_pad(params, np.array([[0.0, np.nan], [0.0, 0.0]]), [1, 0])
 
 
 # ---------------------------------------------------------------------------
