@@ -164,9 +164,8 @@ def mlp_loss_and_grads(
     p: MlpParams,
     x: np.ndarray,
     labels: np.ndarray,
-    reduction: str = "mean",
 ) -> tuple[float, np.ndarray]:
-    """Binary cross-entropy of the net against 0/1 labels, with gradients.
+    """Mean binary cross-entropy of the net against 0/1 labels, with gradients.
 
     The loss per sample is -(d*log(E) + (1-d)*log(1-E)), i.e. the output is
     pushed toward the numeric label.  Probabilities are clamped to
@@ -175,8 +174,6 @@ def mlp_loss_and_grads(
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    if reduction not in ("mean", "sum"):
-        raise InputError(f"unknown reduction {reduction!r}")
     if x.ndim != 2 or labels.shape != (x.shape[0],):
         raise ShapeError(f"batch {x.shape} does not pair with labels {labels.shape}")
     if not np.all(np.isfinite(x)):
@@ -187,8 +184,7 @@ def mlp_loss_and_grads(
     probs, acts = _forward_cached(p, x)
     clamped = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS)
     per_sample = -(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))
-    n = x.shape[0]
-    scale = 1.0 / n if reduction == "mean" else 1.0
+    scale = 1.0 / x.shape[0]
     loss = float(np.sum(per_sample) * scale)
 
     # d(loss)/d(output logit); zero where the clamp froze the loss.

@@ -7,6 +7,11 @@ connections.  A class head maps final queries to num_classes+1 logits (the
 extra slot is no-object) and a mask-embedding head produces per-query mask
 logits as dot products with the embedded pixels.
 
+The parameters are one flat record, ``SegModelParams``: the L layers'
+self-attention and feed-forward arrays are stacked on a leading layer axis,
+and the record's field order is the order of the gradients, of the
+optimizer's vector and of the checkpoint.
+
 E is never formed.  The embedding is linear and mixes no pixels, so every
 product the decoder takes with E runs against the raw features x and a small
 factor projected through W_e: mask logits (W_e^T m)^T x + b^T m, attention
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,27 +62,25 @@ from .transferability import TransferabilityMap
 
 
 @dataclass
-class DecoderLayer:
-    self_w: np.ndarray  # (C, C) value projection of the query self-attention
-    ffn_w1: np.ndarray  # (F, C)
-    ffn_b1: np.ndarray  # (F,)
-    ffn_w2: np.ndarray  # (C, F)
-    ffn_b2: np.ndarray  # (C,)
-
-
-@dataclass
 class SegModelParams:
     """All trainable arrays plus the class count they were built for.
 
-    ``param_list`` flattens the arrays into ``param_names`` order, the order
-    of the loss gradients, of the optimizer's vector and of the saved file;
-    ``with_params`` and ``from_named`` rebuild the structure."""
+    The L decoder layers' arrays are stacked on a leading layer axis: layer
+    i's self-attention value projection is ``self_w[i]`` and its feed-forward
+    block ``ffn_w1[i]``, ``ffn_b1[i]``, ``ffn_w2[i]``, ``ffn_b2[i]``.
+    ``param_list`` gives the arrays in ``PARAM_NAMES`` order, the field order:
+    the order of the loss gradients, of the optimizer's vector and of the
+    saved file.  ``with_params`` is its inverse."""
 
     num_classes: int
     embed_w: np.ndarray   # (C, d_in)
     embed_b: np.ndarray   # (C,)
     queries: np.ndarray   # (C, N)
-    layers: list[DecoderLayer]
+    self_w: np.ndarray    # (L, C, C) value projections of the query self-attentions
+    ffn_w1: np.ndarray    # (L, F, C)
+    ffn_b1: np.ndarray    # (L, F)
+    ffn_w2: np.ndarray    # (L, C, F)
+    ffn_b2: np.ndarray    # (L, C)
     class_w: np.ndarray   # (num_classes + 1, C)
     class_b: np.ndarray   # (num_classes + 1,)
     mask_w: np.ndarray    # (C, C)
@@ -91,52 +94,25 @@ class SegModelParams:
     def num_queries(self) -> int:
         return self.queries.shape[1]
 
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        """Every trainable array by name, in ``param_names`` order."""
-        in_layers = {f"layer{i}.{n}": getattr(layer, n)
-                     for i, layer in enumerate(self.layers) for n in _LAYER_NAMES}
-        return {n: in_layers[n] if n in in_layers else getattr(self, n)
-                for n in param_names(len(self.layers))}
-
-    @classmethod
-    def from_named(cls, num_classes: int, num_layers: int,
-                   named: dict[str, np.ndarray]) -> "SegModelParams":
-        """Inverse of ``named_arrays``; the names must be exactly those of a
-        ``num_layers``-layer decoder."""
-        expected = param_names(num_layers)
-        odd = set(named) ^ set(expected)
-        if odd:
-            raise InputError(
-                f"arrays {sorted(odd)} are missing or extra for {num_layers} decoder layers")
-        layers = [DecoderLayer(**{n: named[f"layer{i}.{n}"] for n in _LAYER_NAMES})
-                  for i in range(num_layers)]
-        return cls(num_classes=num_classes, layers=layers,
-                   **{n: named[n] for n in expected if "." not in n})
+    @property
+    def num_layers(self) -> int:
+        return self.self_w.shape[0]
 
     def param_list(self) -> list[np.ndarray]:
-        return list(self.named_arrays().values())
+        return [getattr(self, n) for n in PARAM_NAMES]
 
     def with_params(self, flat: list[np.ndarray]) -> "SegModelParams":
-        """Rebuild the same architecture around a new flat parameter list,
-        given in ``param_names`` order; the inverse of ``param_list``."""
-        names = param_names(len(self.layers))
-        if len(flat) != len(names):
+        """The same class count around new arrays, given in ``PARAM_NAMES``
+        order; the inverse of ``param_list``."""
+        if len(flat) != len(PARAM_NAMES):
             raise ShapeError("parameter list does not match architecture")
-        return self.from_named(self.num_classes, len(self.layers), dict(zip(names, flat)))
+        return replace(self, **dict(zip(PARAM_NAMES, flat)))
 
     def copy(self) -> "SegModelParams":
         return self.with_params([a.copy() for a in self.param_list()])
 
 
-_LAYER_NAMES = tuple(f.name for f in fields(DecoderLayer))
-
-
-@functools.cache
-def param_names(num_layers: int) -> tuple[str, ...]:
-    """Names of the trainable arrays in ``param_list`` order: the order of
-    the loss gradients and of the saved file."""
-    in_layers = [f"layer{i}.{n}" for i in range(num_layers) for n in _LAYER_NAMES]
-    return ("embed_w", "embed_b", "queries", *in_layers, "class_w", "class_b", "mask_w", "mask_b")
+PARAM_NAMES = tuple(f.name for f in fields(SegModelParams) if f.name != "num_classes")
 
 
 def init_seg_model(
@@ -158,23 +134,20 @@ def init_seg_model(
     def dense(fan_out: int, fan_in: int) -> np.ndarray:
         return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
 
-    layers = [
-        DecoderLayer(
-            # zero init: self-attention starts as a no-op and learns to mix
-            self_w=np.zeros((channels, channels)),
-            ffn_w1=dense(ffn_hidden, channels),
-            ffn_b1=np.zeros(ffn_hidden),
-            ffn_w2=dense(channels, ffn_hidden),
-            ffn_b2=np.zeros(channels),
-        )
-        for _ in range(num_layers)
-    ]
+    # drawn one layer at a time, each layer's ffn_w1 before its ffn_w2
+    ffn = [(dense(ffn_hidden, channels), dense(channels, ffn_hidden)) for _ in range(num_layers)]
+    ffn_w1, ffn_w2 = (np.stack(ws) for ws in zip(*ffn))
     return SegModelParams(
         num_classes=num_classes,
         embed_w=dense(channels, in_channels),
         embed_b=np.zeros(channels),
         queries=rng.normal(0.0, 1.0 / math.sqrt(channels), size=(channels, num_queries)),
-        layers=layers,
+        # zero init: self-attention starts as a no-op and learns to mix
+        self_w=np.zeros((num_layers, channels, channels)),
+        ffn_w1=ffn_w1,
+        ffn_b1=np.zeros((num_layers, ffn_hidden)),
+        ffn_w2=ffn_w2,
+        ffn_b2=np.zeros((num_layers, channels)),
         class_w=dense(num_classes + 1, channels),
         class_b=np.zeros(num_classes + 1),
         mask_w=dense(channels, channels),
@@ -315,7 +288,8 @@ def _forward(params: SegModelParams, fm: FeatureMap,
     q = params.queries
     fallback_count = 0
     scale = math.sqrt(params.channels)
-    for layer in params.layers:
+    for self_w, ffn_w1, ffn_b1, ffn_w2, ffn_b2 in zip(
+            params.self_w, params.ffn_w1, params.ffn_b1, params.ffn_w2, params.ffn_b2):
         amask, feats = _layer_mask(params, q, x, cols, gathered, tkeys, lambda_m, lambda_t)
         fallback_count += int(np.sum(amask.fallback))
         weights = masked_attention_weights(q, params.embed_w, feats, amask)
@@ -325,10 +299,10 @@ def _forward(params: SegModelParams, fm: FeatureMap,
         u = q + params.embed_w @ mixed.T + np.outer(params.embed_b, weight_sums)
         self_weights = softmax_columns((u.T @ u) / scale)
         mix = u @ self_weights
-        v = u + layer.self_w @ mix
-        z = layer.ffn_w1 @ v + layer.ffn_b1[:, None]
+        v = u + self_w @ mix
+        z = ffn_w1 @ v + ffn_b1[:, None]
         h = relu(z)
-        q_next = v + layer.ffn_w2 @ h + layer.ffn_b2[:, None]
+        q_next = v + ffn_w2 @ h + ffn_b2[:, None]
         cache.layers.append(_LayerCache(q_in=q, feats=feats, weights=weights,
                                         weight_sums=weight_sums, mixed=mixed, u=u,
                                         self_weights=self_weights, mix=mix, v=v, z=z, h=h))
@@ -340,7 +314,7 @@ def _forward(params: SegModelParams, fm: FeatureMap,
     cache.prediction = prediction_from_logits(
         class_logits, _mask_logits(params, cache.memb, x), fm.height, fm.width,
         fallback_count=fallback_count,
-        fallback_slots=len(params.layers) * params.num_queries,
+        fallback_slots=params.num_layers * params.num_queries,
     )
     return cache
 
@@ -396,8 +370,7 @@ def seg_loss(pred: SegPrediction, labels: np.ndarray,
     col_max = cls.max(axis=0)
     lse = col_max + np.log(np.sum(np.exp(cls - col_max), axis=0))
     class_loss = float(np.mean(lse - cls[targets, np.arange(n_queries)]))
-    soft = softmax_columns(cls)
-    d_class = soft.copy()
+    d_class = pred.class_probs.T.copy()  # softmax_columns(cls), already taken
     d_class[targets, np.arange(n_queries)] -= 1.0
     d_class /= n_queries
 
@@ -460,20 +433,22 @@ def model_loss_and_grads(
     g_mask_b = d_memb.sum(axis=1)
     dq = dq + params.mask_w.T @ d_memb
 
-    layer_grads: list[DecoderLayer] = []
+    g_self_w, g_w1, g_b1, g_w2, g_b2 = (np.empty_like(a) for a in (
+        params.self_w, params.ffn_w1, params.ffn_b1, params.ffn_w2, params.ffn_b2))
     scale = math.sqrt(params.channels)
-    for layer, lc in zip(reversed(params.layers), reversed(cache.layers)):
-        g_w2 = dq @ lc.h.T
-        g_b2 = dq.sum(axis=1)
-        dh = layer.ffn_w2.T @ dq
+    for i in reversed(range(params.num_layers)):
+        lc = cache.layers[i]
+        g_w2[i] = dq @ lc.h.T
+        g_b2[i] = dq.sum(axis=1)
+        dh = params.ffn_w2[i].T @ dq
         dz = dh * (lc.z > 0)
-        g_w1 = dz @ lc.v.T
-        g_b1 = dz.sum(axis=1)
-        dv_res = dq + layer.ffn_w1.T @ dz       # gradient at v
+        g_w1[i] = dz @ lc.v.T
+        g_b1[i] = dz.sum(axis=1)
+        dv_res = dq + params.ffn_w1[i].T @ dz   # gradient at v
 
         # self-attention: v = u + self_w @ (u @ self_weights), scores u^T u
-        g_self_w = dv_res @ lc.mix.T
-        d_mix = layer.self_w.T @ dv_res         # (C, N)
+        g_self_w[i] = dv_res @ lc.mix.T
+        d_mix = params.self_w[i].T @ dv_res     # (C, N)
         du = dv_res + d_mix @ lc.self_weights.T
         d_sw = lc.u.T @ d_mix                   # (N, N)
         d_scores = lc.self_weights * (
@@ -488,16 +463,13 @@ def model_loss_and_grads(
         g_embed_w += lc.q_in @ d_att_x + du @ lc.mixed
         g_embed_b += lc.q_in @ d_att.sum(axis=1) + du @ lc.weight_sums
         dq = du + dqa
-        layer_grads.append(DecoderLayer(self_w=g_self_w, ffn_w1=g_w1, ffn_b1=g_b1,
-                                        ffn_w2=g_w2, ffn_b2=g_b2))
-    layer_grads.reverse()
 
     # Gradients take the parameters' own structure, so they come out in
     # param_list order by construction.
     grads = SegModelParams(
         num_classes=params.num_classes, embed_w=g_embed_w, embed_b=g_embed_b, queries=dq,
-        layers=layer_grads, class_w=g_class_w, class_b=g_class_b, mask_w=g_mask_w,
-        mask_b=g_mask_b)
+        self_w=g_self_w, ffn_w1=g_w1, ffn_b1=g_b1, ffn_w2=g_w2, ffn_b2=g_b2,
+        class_w=g_class_w, class_b=g_class_b, mask_w=g_mask_w, mask_b=g_mask_b)
     return loss, grads.param_list()
 
 
@@ -517,13 +489,12 @@ def train(
     steps: int,
     batch_size: int = 8,
     lr: float = 1e-4,
-    weight_decay: float = 0.01,
     seed: int = 0,
     lambda_m: float = 0.5,
     p_t: float = 30.0,
 ) -> tuple[SegModelParams, list[float]]:
-    """AdamW training over uniformly sampled batches; returns new params and
-    the per-step mean batch loss.
+    """AdamW training (``AdamWState``'s weight decay) over uniformly sampled
+    batches; returns new params and the per-step mean batch loss.
 
     The optimizer owns one parameter vector, which the model being trained
     views.  Loss and gradients are deterministic, so an item drawn more than
@@ -536,7 +507,7 @@ def train(
     arrays = params.param_list()
     vector = flatten(arrays)
     current = params.with_params(flat_views(vector, [a.shape for a in arrays]))
-    state = AdamWState.for_params(vector, lr=lr, weight_decay=weight_decay)
+    state = AdamWState.for_params(vector, lr=lr)
     losses: list[float] = []
     for _ in range(steps):
         picks = rng.integers(0, len(items), size=batch_size)
@@ -565,26 +536,52 @@ def train(
 
 
 def save_params(params: SegModelParams, bin_path: str | Path, json_path: str | Path) -> None:
-    meta = {"num_classes": params.num_classes, "num_layers": len(params.layers)}
-    save_arrays(params.named_arrays(), bin_path, json_path, meta=meta)
+    """Write ``params`` through ``serialize.save_arrays``.
+
+    The checkpoint holds one array per entry of ``PARAM_NAMES``, in that
+    order, with the shapes of ``SegModelParams`` (the five decoder-layer
+    arrays stacked on a leading layer axis), and a meta that holds
+    ``num_classes`` only; the layer, query, channel and hidden counts are
+    read off the shapes."""
+    save_arrays({n: getattr(params, n) for n in PARAM_NAMES}, bin_path, json_path,
+                meta={"num_classes": params.num_classes})
 
 
 def load_params(bin_path: str | Path, json_path: str | Path) -> SegModelParams:
     """Read a model written by ``save_params``.
 
-    The meta counts must be positive integers, the array names exactly those
-    of a decoder with ``num_layers`` layers, and the class head must have one
-    row per class plus no-object; anything else raises InputError.
+    Raises InputError unless the meta's ``num_classes`` is a positive
+    integer, the arrays are exactly ``PARAM_NAMES``, their shapes chain into
+    one decoder with at least one query per class and ``num_classes + 1``
+    class-head rows, and every value is finite.
     """
     named, meta = load_arrays(bin_path, json_path)
-    counts = [meta.get(key) for key in ("num_classes", "num_layers")]
-    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in counts):
-        raise InputError(f"meta num_classes/num_layers {counts} are not positive integers")
-    num_classes, num_layers = counts
-    if num_layers > len(named):  # checked first so no name list that long is built
-        raise InputError(f"{len(named)} arrays cannot hold {num_layers} decoder layers")
-    params = SegModelParams.from_named(num_classes, num_layers, named)
-    if params.class_w.shape[:1] != (num_classes + 1,):
-        raise InputError(f"class head of shape {params.class_w.shape} does not have "
-                         f"{num_classes} class rows plus no-object")
-    return params
+    num_classes = meta.get("num_classes")
+    if not (isinstance(num_classes, int) and not isinstance(num_classes, bool)
+            and num_classes >= 1):
+        raise InputError(f"meta num_classes {num_classes!r} is not a positive integer")
+    odd = set(named) ^ set(PARAM_NAMES)
+    if odd:
+        raise InputError(f"arrays {sorted(odd)} are missing or extra for a decoder")
+    dims = [named[n].shape for n in ("embed_w", "queries", "self_w", "ffn_w1")]
+    if [len(d) for d in dims] != [2, 2, 3, 3] or any(0 in d for d in dims):
+        raise InputError(f"embed_w, queries, self_w, ffn_w1 of shapes {dims} do not "
+                         "start a decoder")
+    (c, d_in), (_, n), (layers, _, _), (_, f, _) = dims
+    rows = num_classes + 1
+    expected = dict(embed_w=(c, d_in), embed_b=(c,), queries=(c, n), self_w=(layers, c, c),
+                    ffn_w1=(layers, f, c), ffn_b1=(layers, f), ffn_w2=(layers, c, f),
+                    ffn_b2=(layers, c), class_w=(rows, c), class_b=(rows,), mask_w=(c, c),
+                    mask_b=(c,))
+    wrong = [f"{name} {named[name].shape} (expected {shape})"
+             for name, shape in expected.items() if named[name].shape != shape]
+    if wrong:
+        raise InputError(f"arrays do not form one {num_classes}-class decoder: "
+                         + ", ".join(wrong))
+    if n < num_classes:
+        raise InputError(f"{n} queries cannot predict {num_classes} classes: "
+                         "need one per class")
+    bad = [name for name in PARAM_NAMES if not np.all(np.isfinite(named[name]))]
+    if bad:
+        raise InputError(f"arrays {bad} hold non-finite values")
+    return SegModelParams(num_classes=num_classes, **named)

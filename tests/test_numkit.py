@@ -163,7 +163,7 @@ def _split(p, grads):
 
 def _grads_one(p, x, d):
     """Gradients of the single-sample cross-entropy loss, param_list order."""
-    _, grads = numkit.mlp_loss_and_grads(p, x[None, :], np.array([d]), reduction="sum")
+    _, grads = numkit.mlp_loss_and_grads(p, x[None, :], np.array([d]))
     return _split(p, grads)
 
 
@@ -192,16 +192,14 @@ def test_mlp_backward_output_bias_sign():
         assert bias_grad == pytest.approx(e - d, abs=1e-12)
 
 
-def test_mlp_backward_duplicate_sample_doubles_under_sum():
+def test_mlp_backward_duplicate_sample_keeps_the_mean_gradient():
     rng = np.random.default_rng(8)
     p = numkit.init_mlp(4, (3,), rng)
     x = rng.normal(size=4)
     single = _grads_one(p, x, 1)
-    _, double = numkit.mlp_loss_and_grads(
-        p, np.vstack([x, x]), np.array([1.0, 1.0]), reduction="sum"
-    )
+    _, double = numkit.mlp_loss_and_grads(p, np.vstack([x, x]), np.array([1.0, 1.0]))
     for g1, g2 in zip(single, _split(p, double)):
-        npt.assert_array_equal(2.0 * g1, g2)
+        npt.assert_array_equal(g1, g2)
 
 
 def test_mlp_backward_rejects_bad_label():
