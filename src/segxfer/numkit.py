@@ -20,35 +20,43 @@ from .errors import DegenerateColumnError, InputError, ShapeError
 LOSS_EPS = 1e-7
 
 
+def mt(a: np.ndarray) -> np.ndarray:
+    """The transpose of every matrix in a stack (the last two axes): a view."""
+    return a.swapaxes(-1, -2)
+
+
 def softmax_columns(m: np.ndarray) -> np.ndarray:
-    """Column-wise softmax, stabilized by per-column max subtraction.
+    """Column-wise softmax, stabilized by per-column max subtraction; a stack
+    of matrices, (..., rows, columns), is normalized matrix by matrix.
 
     Entries equal to -inf map to exactly 0.  A column with no finite entry
     raises DegenerateColumnError: callers that build -inf masks must apply
     their fallback before normalizing.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ShapeError(f"softmax_columns expects a 2-D array, got {m.shape}")
-    col_max = np.max(m, axis=0)
-    if not np.all(np.isfinite(col_max)):
+    if m.ndim < 2:
+        raise ShapeError(f"softmax_columns expects a matrix or a stack of them, got {m.shape}")
+    col_max = m.max(axis=-2, keepdims=True)
+    if not np.isfinite(col_max).all():
         bad = np.flatnonzero(~np.isfinite(col_max))
         raise DegenerateColumnError(
             f"columns {bad.tolist()} have no finite entry; apply the caller's fallback first"
         )
     z = np.exp(m - col_max)  # exp(-inf) == 0.0 exactly
-    return z / np.sum(z, axis=0)
+    z /= z.sum(axis=-2, keepdims=True)
+    return z
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function.
 
     With e = exp(-|x|), which never overflows, this is 1 / (1 + e) for
-    x >= 0 and e / (1 + e) below.
+    x >= 0 and e / (1 + e) below; the numerator max(e, x >= 0) is 1 or e,
+    as e lies in [0, 1].
     """
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -26,13 +26,21 @@ loss needs no bipartite matching.  Each layer's attention mask is built from
 that layer's current mask logits; those thresholded masks are constants
 to the backward pass, while the final mask and class logits carry gradients.
 
+The decoder runs a batch of same-geometry images: queries, weights and
+logits carry a leading batch axis, (B, C, N), (B, N, keys), (B, N, H*W).
+``forward`` decodes a one-image batch; training gets one loss and one
+gradient row per image.
+
 The transferability condition selects key columns: a pixel whose T is
-above the image's lambda_t can only be attended by a query that falls
+above its image's lambda_t can only be attended by a query that falls
 back, so each forward gathers the features of the pixels that pass it once,
 and every layer computes mask logits, scores, weights and their gradients
-over those columns only.  A layer in which some query falls back widens to
-all columns.  Without a transferability map every column is kept, and the
-features are used as they are.
+over those columns only.  Each image's columns are padded to the batch's
+widest with more of its own pixels, ones that fail the condition, so the
+condition is the padding's validity mask.  A layer in which any query of
+any image falls back widens the whole batch to all H*W columns.  An image
+without a transferability map keeps every column, and so then does the
+whole batch, each image's condition masking its own.
 """
 
 from __future__ import annotations
@@ -46,8 +54,8 @@ import numpy as np
 
 from .adaptive_cluster import FeatureMap
 from .errors import ConfigError, InputError, ShapeError
-from .numkit import (LOSS_EPS, AdamWState, adamw_step, flat_views, flatten, relu, sigmoid,
-                     softmax_columns)
+from .numkit import (LOSS_EPS, AdamWState, adamw_step, flat_views, flatten, mt, relu,
+                     sigmoid, softmax_columns)
 from .serialize import load_arrays, save_arrays
 from .tma import (
     AttentionMaskTensor,
@@ -158,12 +166,13 @@ def init_seg_model(
 @dataclass
 class SegPrediction:
     """Per-query class and mask predictions; the pixel labels are decoded
-    on first access, so a training step never decodes them."""
+    on first access, so a training step, whose arrays carry a leading batch
+    axis (one entry per image), never decodes them."""
 
-    class_logits: np.ndarray  # (num_classes + 1, N)
-    mask_logits: np.ndarray   # (N, H*W)
-    class_probs: np.ndarray   # (N, num_classes + 1)
-    mask_probs: np.ndarray    # (N, H*W)
+    class_logits: np.ndarray  # (..., num_classes + 1, N)
+    mask_logits: np.ndarray   # (..., N, H*W)
+    class_probs: np.ndarray   # (..., N, num_classes + 1)
+    mask_probs: np.ndarray    # (..., N, H*W)
     height: int
     width: int
     fallback_count: int
@@ -176,7 +185,7 @@ class SegPrediction:
 
     @property
     def num_classes(self) -> int:
-        return self.class_logits.shape[0] - 1
+        return self.class_logits.shape[-2] - 1
 
     @property
     def fallback_rate(self) -> float:
@@ -204,7 +213,7 @@ def prediction_from_logits(class_logits: np.ndarray, mask_logits: np.ndarray,
     return SegPrediction(
         class_logits=class_logits,
         mask_logits=mask_logits,
-        class_probs=softmax_columns(class_logits).T,
+        class_probs=mt(softmax_columns(class_logits)),
         mask_probs=sigmoid(mask_logits),
         height=height,
         width=width,
@@ -215,89 +224,116 @@ def prediction_from_logits(class_logits: np.ndarray, mask_logits: np.ndarray,
 
 @dataclass
 class _LayerCache:
-    q_in: np.ndarray          # queries entering the layer (C, N)
-    feats: np.ndarray         # raw features of the columns attended over (d_in, keys)
-    weights: np.ndarray       # cross-attention weights (N, keys)
-    weight_sums: np.ndarray   # their row sums, 1 up to rounding (N,)
-    mixed: np.ndarray         # weights @ feats.T, the weighted feature sums (N, d_in)
-    u: np.ndarray             # post-cross-attention residual (C, N)
-    self_weights: np.ndarray  # query self-attention weights (N, N)
-    mix: np.ndarray           # self-attention value mix (C, N)
-    v: np.ndarray             # post-self-attention residual (C, N)
-    z: np.ndarray             # FFN pre-activation (F, N)
-    h: np.ndarray             # FFN hidden activation (F, N)
+    q_in: np.ndarray          # queries entering the layer (B, C, N); (C, N) in layer 0
+    feats: np.ndarray         # raw features of the columns attended over (B, d_in, keys)
+    weights: np.ndarray       # cross-attention weights (B, N, keys)
+    weight_sums: np.ndarray   # their row sums, 1 up to rounding (B, N)
+    mixed: np.ndarray         # weights @ feats^T, the weighted feature sums (B, N, d_in)
+    u: np.ndarray             # post-cross-attention residual (B, C, N)
+    self_weights: np.ndarray  # query self-attention weights (B, N, N)
+    mix: np.ndarray           # self-attention value mix (B, C, N)
+    v: np.ndarray             # post-self-attention residual (B, C, N)
+    z: np.ndarray             # FFN pre-activation (B, F, N)
+    h: np.ndarray             # FFN hidden activation (B, F, N)
 
 
 @dataclass
 class _ForwardCache:
-    x: np.ndarray        # (d_in, H*W)
+    x: np.ndarray                     # (B, d_in, H*W)
     layers: list[_LayerCache] = field(default_factory=list)
-    q_final: np.ndarray | None = None
-    memb: np.ndarray | None = None
-    prediction: SegPrediction | None = None
+    q_final: np.ndarray | None = None       # (B, C, N)
+    memb: np.ndarray | None = None          # (B, C, N)
+    class_logits: np.ndarray | None = None  # (B, num_classes + 1, N)
+    mask_logits: np.ndarray | None = None   # (B, N, H*W)
+    fallback_count: np.ndarray | None = None  # (B,) fallback rows over all layers
 
 
 def _mask_logits(params: SegModelParams, memb: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    """(N, keys) mask logits memb^T (W_e X + b), as (W_e^T memb)^T X + b^T memb."""
-    logits = (params.embed_w.T @ memb).T @ feats
-    logits += (params.embed_b @ memb)[:, None]
+    """(B, N, keys) mask logits memb^T (W_e X + b), as (W_e^T memb)^T X + b^T memb."""
+    logits = mt(params.embed_w.T @ memb) @ feats
+    logits += (params.embed_b @ memb)[..., None]
     return logits
 
 
 def _layer_mask(params: SegModelParams, q: np.ndarray, x: np.ndarray,
-                cols: slice | np.ndarray, feats: np.ndarray, tkeys: np.ndarray,
-                lambda_m: float, lambda_t: float
+                cols: np.ndarray | None, feats: np.ndarray, tkeys: np.ndarray,
+                lambda_m: float, lambda_t: np.ndarray
                 ) -> tuple[AttentionMaskTensor, np.ndarray]:
-    """The layer's attention mask over the pixel columns ``cols`` (with raw
-    features ``feats`` and transferability ``tkeys``), returned with the
-    features of the columns it covers: all of them once a query falls back."""
+    """The layer's attention mask over each image's pixel columns ``cols``
+    (all of them if None, with raw features ``feats`` and transferability
+    ``tkeys``), returned with the features of the columns it covers: all of
+    them once a query of any image falls back."""
     memb = params.mask_w @ q + params.mask_b[:, None]
     amask = build_mask(MaskInputs(_mask_logits(params, memb, feats), tkeys, lambda_m, lambda_t))
-    if amask.fallback.any() and feats.shape[1] < x.shape[1]:
-        return widen_mask(amask, cols, x.shape[1]), x
+    if cols is not None and amask.fallback.any():
+        return widen_mask(amask, cols, x.shape[-1]), x
     return amask, feats
 
 
-def _forward(params: SegModelParams, fm: FeatureMap,
-             tmap: TransferabilityMap | None, lambda_m: float,
-             p_t: float) -> _ForwardCache:
-    if fm.channels != params.embed_w.shape[1]:
+def _check_images(params: SegModelParams, fms: list[FeatureMap]) -> None:
+    """Raise unless ``fms`` holds at least one image, all of one geometry
+    and with the embedding's channel count."""
+    if not fms:
+        raise InputError("no images to decode")
+    first = fms[0]
+    if first.channels != params.embed_w.shape[1]:
         raise ShapeError(
-            f"feature channels {fm.channels} do not match embedding "
+            f"feature channels {first.channels} do not match embedding "
             f"({params.embed_w.shape[1]})"
         )
-    x = fm.features.T
+    geometry = (first.height, first.width, first.channels)
+    for fm in fms:
+        if (fm.height, fm.width, fm.channels) != geometry:
+            raise ShapeError(f"image {fm.height}x{fm.width}x{fm.channels} in a batch of "
+                             "{}x{}x{} images".format(*geometry))
 
-    if tmap is not None:
-        if tmap.pixel.shape != (fm.height, fm.width):
-            raise ShapeError(
-                f"transferability map {tmap.pixel.shape} does not match "
-                f"image {fm.height}x{fm.width}"
-            )
-        tvec = tmap.pixel.reshape(-1)
-        lambda_t = percentile_threshold(tvec, p_t)
-        cols = np.flatnonzero(tvec <= lambda_t)
-        gathered, tkeys = fm.features[cols].T, tvec[cols]
+
+def _forward(params: SegModelParams, fms: list[FeatureMap],
+             tmaps: list[TransferabilityMap | None], lambda_m: float,
+             p_t: float) -> _ForwardCache:
+    _check_images(params, fms)
+    first = fms[0]
+
+    # Vanilla mode (no map): the transferability condition holds for every key.
+    tvec = np.zeros((len(fms), first.num_pixels))
+    lambda_t = np.ones(len(fms))
+    for b, tmap in enumerate(tmaps):
+        if tmap is not None:
+            if tmap.pixel.shape != (first.height, first.width):
+                raise ShapeError(
+                    f"transferability map {tmap.pixel.shape} does not match "
+                    f"image {first.height}x{first.width}"
+                )
+            tvec[b] = tmap.pixel.reshape(-1)
+            lambda_t[b] = percentile_threshold(tvec[b], p_t)
+    keep = tvec <= lambda_t[:, None]
+    keys = int(keep.sum(axis=1).max())
+    # one image's features are used in place, not copied
+    xs = first.features[None] if len(fms) == 1 else np.stack([fm.features for fm in fms])
+    x = mt(xs)
+    if keys == first.num_pixels:
+        cols, gathered, tkeys = None, x, tvec
     else:
-        # Vanilla mode: the transferability condition holds for every key.
-        lambda_t = 1.0
-        cols = slice(None)
-        gathered, tkeys = x, np.zeros(fm.num_pixels)
+        # each image's admitted columns in pixel order, padded to the batch's
+        # widest with its next columns, which fail the transferability test
+        cols = np.argsort(~keep, axis=1, kind="stable")[:, :keys]
+        rows = np.arange(len(fms))[:, None]
+        gathered, tkeys = mt(xs[rows, cols]), tvec[rows, cols]
 
     cache = _ForwardCache(x=x)
-    q = params.queries
-    fallback_count = 0
+    q = params.queries  # shared by every image: (C, N) until the first residual
+    fallback_count = np.zeros(len(fms), dtype=int)
     scale = math.sqrt(params.channels)
     for self_w, ffn_w1, ffn_b1, ffn_w2, ffn_b2 in zip(
             params.self_w, params.ffn_w1, params.ffn_b1, params.ffn_w2, params.ffn_b2):
         amask, feats = _layer_mask(params, q, x, cols, gathered, tkeys, lambda_m, lambda_t)
-        fallback_count += int(np.sum(amask.fallback))
+        fallback_count += amask.fallback.sum(axis=-1)
         weights = masked_attention_weights(q, params.embed_w, feats, amask)
         # weights @ (W_e X + b)^T, taken against the raw features
-        weight_sums = weights.sum(axis=1)
-        mixed = weights @ feats.T
-        u = q + params.embed_w @ mixed.T + np.outer(params.embed_b, weight_sums)
-        self_weights = softmax_columns((u.T @ u) / scale)
+        weight_sums = weights.sum(axis=-1)
+        mixed = weights @ mt(feats)
+        u = q + params.embed_w @ mt(mixed) + params.embed_b[:, None] * weight_sums[:, None, :]
+        self_weights = softmax_columns((mt(u) @ u) / scale)
         mix = u @ self_weights
         v = u + self_w @ mix
         z = ffn_w1 @ v + ffn_b1[:, None]
@@ -309,13 +345,10 @@ def _forward(params: SegModelParams, fm: FeatureMap,
         q = q_next
 
     cache.q_final = q
-    class_logits = params.class_w @ q + params.class_b[:, None]
+    cache.class_logits = params.class_w @ q + params.class_b[:, None]
     cache.memb = params.mask_w @ q + params.mask_b[:, None]
-    cache.prediction = prediction_from_logits(
-        class_logits, _mask_logits(params, cache.memb, x), fm.height, fm.width,
-        fallback_count=fallback_count,
-        fallback_slots=params.num_layers * params.num_queries,
-    )
+    cache.mask_logits = _mask_logits(params, cache.memb, x)
+    cache.fallback_count = fallback_count
     return cache
 
 
@@ -325,64 +358,64 @@ def forward(params: SegModelParams, fm: FeatureMap,
     """Run the decoder.  With a transferability map, every layer's attention
     is gated by it (threshold = the p_t percentile of this image's values);
     without one, only the mask-probability condition applies."""
-    return _forward(params, fm, tmap, lambda_m, p_t).prediction
-
-
-def _mask_targets(labels_flat: np.ndarray, num_queries: int, num_classes: int) -> np.ndarray:
-    """(num_queries, H*W) bool: query n's target mask is class n's pixels."""
-    targets = np.zeros((num_queries, labels_flat.size), dtype=bool)
-    for n in range(min(num_queries, num_classes)):
-        targets[n] = labels_flat == n
-    return targets
+    cache = _forward(params, [fm], [tmap], lambda_m, p_t)
+    return prediction_from_logits(
+        cache.class_logits[0], cache.mask_logits[0], fm.height, fm.width,
+        fallback_count=int(cache.fallback_count[0]),
+        fallback_slots=params.num_layers * params.num_queries,
+    )
 
 
 def seg_loss(pred: SegPrediction, labels: np.ndarray,
              pixel_weights: np.ndarray | None = None
-             ) -> tuple[float, np.ndarray, np.ndarray]:
+             ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-assignment segmentation loss with gradients at the logits.
 
     Query n is responsible for class n (queries beyond the class count target
     no-object and an empty mask).  The loss is mean per-query class
     cross-entropy plus mean per-pixel binary mask loss; optional pixel
     weights rescale the mask term per pixel.  Returns (loss,
-    d_class_logits, d_mask_logits).
+    d_class_logits, d_mask_logits).  A prediction with a batch axis takes
+    labels and pixel weights with that axis and gives one loss per image.
     """
     labels = np.asarray(labels)
     num_classes = pred.num_classes
-    n_queries = pred.mask_logits.shape[0]
-    num_pixels = pred.mask_logits.shape[1]
-    if labels.size != num_pixels:
-        raise ShapeError(f"labels {labels.shape} do not cover {num_pixels} pixels")
-    flat = labels.reshape(-1)
+    *batch, n_queries, num_pixels = pred.mask_logits.shape
+    if labels.size != math.prod(batch) * num_pixels:
+        raise ShapeError(f"labels {labels.shape} do not cover {num_pixels} pixels "
+                         f"of batch {tuple(batch)}")
+    flat = labels.reshape(*batch, num_pixels)
     if flat.min() < 0 or flat.max() >= num_classes:
         raise InputError(f"labels must lie in [0, {num_classes}), got "
                          f"[{flat.min()}, {flat.max()}]")
     if pixel_weights is not None:
-        pixel_weights = np.asarray(pixel_weights, dtype=float).reshape(-1)
-        if pixel_weights.shape != (num_pixels,):
+        pixel_weights = np.asarray(pixel_weights, dtype=float)
+        if pixel_weights.size != flat.size:
             raise ShapeError(
-                f"pixel weights {pixel_weights.shape} do not cover {num_pixels} pixels")
+                f"pixel weights {pixel_weights.shape} do not cover {num_pixels} pixels "
+                f"of batch {tuple(batch)}")
+        pixel_weights = pixel_weights.reshape(*batch, 1, num_pixels)
 
     # Class term: stable log-softmax cross-entropy against the fixed targets.
     cls = pred.class_logits
-    targets = np.array([n if n < num_classes else num_classes
-                        for n in range(n_queries)])
-    col_max = cls.max(axis=0)
-    lse = col_max + np.log(np.sum(np.exp(cls - col_max), axis=0))
-    class_loss = float(np.mean(lse - cls[targets, np.arange(n_queries)]))
-    d_class = pred.class_probs.T.copy()  # softmax_columns(cls), already taken
-    d_class[targets, np.arange(n_queries)] -= 1.0
+    queries = np.arange(n_queries)
+    targets = np.minimum(queries, num_classes)
+    col_max = cls.max(axis=-2)
+    lse = col_max + np.log(np.exp(cls - col_max[..., None, :]).sum(axis=-2))
+    class_loss = (lse - cls[..., targets, queries]).mean(axis=-1)
+    d_class = mt(pred.class_probs).copy()  # softmax_columns(cls), already taken
+    d_class[..., targets, queries] -= 1.0
     d_class /= n_queries
 
     # Mask term: per-pixel binary cross-entropy, probabilities clamped so the
     # loss stays finite at saturation.  With 0/1 targets, -log of the
     # probability given to the target is the usual two-log formula exactly.
+    # Query n's target mask is class n's pixels, empty past the class count.
     # The (N, H*W) arrays are built once and updated in place.
     probs = pred.mask_probs
-    y = _mask_targets(flat, n_queries, num_classes)
-    clamped = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS)
-    bce = np.subtract(1.0, clamped)
-    np.copyto(bce, clamped, where=y)
+    y = flat[..., None, :] == queries[:, None]
+    bce = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS)
+    np.subtract(1.0, bce, out=bce, where=~y)
     np.log(bce, out=bce)
     np.negative(bce, out=bce)
     d_mask = np.subtract(probs, y)
@@ -391,86 +424,10 @@ def seg_loss(pred: SegPrediction, labels: np.ndarray,
         bce *= pixel_weights
         d_mask *= pixel_weights
     scale = 1.0 / (n_queries * num_pixels)
-    mask_loss = float(np.sum(bce) * scale)
+    mask_loss = bce.reshape(*batch, -1).sum(axis=-1) * scale
     d_mask *= scale
 
     return class_loss + mask_loss, d_class, d_mask
-
-
-def model_loss_and_grads(
-    params: SegModelParams,
-    fm: FeatureMap,
-    labels: np.ndarray,
-    tmap: TransferabilityMap | None = None,
-    lambda_m: float = 0.5,
-    p_t: float = 30.0,
-    pixel_weights: np.ndarray | None = None,
-) -> tuple[float, list[np.ndarray]]:
-    """Loss plus analytic gradients for every entry of ``param_list``.
-
-    Attention masks are threshold constants, so gradients flow through the
-    attention weights, the feed-forward blocks, both heads and the pixel
-    embedding, but not through the mask-building comparisons.
-    """
-    cache = _forward(params, fm, tmap, lambda_m, p_t)
-    loss, d_class, d_mask_logits = seg_loss(cache.prediction, labels, pixel_weights)
-
-    q_final = cache.q_final
-    x = cache.x
-    embed_w, embed_b = params.embed_w, params.embed_b
-
-    dq = params.class_w.T @ d_class
-    g_class_w = d_class @ q_final.T
-    g_class_b = d_class.sum(axis=1)
-
-    # mask logits memb^T (W_e x + b): d_mask_logits is taken against x once
-    d_mask_x = d_mask_logits @ x.T              # (N, d_in)
-    d_mask_sum = d_mask_logits.sum(axis=1)      # (N,)
-    d_memb = embed_w @ d_mask_x.T + np.outer(embed_b, d_mask_sum)   # (C, N)
-    g_embed_w = cache.memb @ d_mask_x
-    g_embed_b = cache.memb @ d_mask_sum
-    g_mask_w = d_memb @ q_final.T
-    g_mask_b = d_memb.sum(axis=1)
-    dq = dq + params.mask_w.T @ d_memb
-
-    g_self_w, g_w1, g_b1, g_w2, g_b2 = (np.empty_like(a) for a in (
-        params.self_w, params.ffn_w1, params.ffn_b1, params.ffn_w2, params.ffn_b2))
-    scale = math.sqrt(params.channels)
-    for i in reversed(range(params.num_layers)):
-        lc = cache.layers[i]
-        g_w2[i] = dq @ lc.h.T
-        g_b2[i] = dq.sum(axis=1)
-        dh = params.ffn_w2[i].T @ dq
-        dz = dh * (lc.z > 0)
-        g_w1[i] = dz @ lc.v.T
-        g_b1[i] = dz.sum(axis=1)
-        dv_res = dq + params.ffn_w1[i].T @ dz   # gradient at v
-
-        # self-attention: v = u + self_w @ (u @ self_weights), scores u^T u
-        g_self_w[i] = dv_res @ lc.mix.T
-        d_mix = params.self_w[i].T @ dv_res     # (C, N)
-        du = dv_res + d_mix @ lc.self_weights.T
-        d_sw = lc.u.T @ d_mix                   # (N, N)
-        d_scores = lc.self_weights * (
-            d_sw - np.sum(lc.self_weights * d_sw, axis=0))
-        du = du + (lc.u @ (d_scores + d_scores.T)) / scale
-
-        # cross-attention: u = q_in + weights @ (W_e x + b)^T over the
-        # layer's columns, the embedded pixels both keys and values; their
-        # gradients q_in dS and du weights reach W_e through x^T
-        dqa, d_att, d_att_x = attention_backward_from_weights(
-            embed_w, lc.feats, lc.weights, du.T)
-        g_embed_w += lc.q_in @ d_att_x + du @ lc.mixed
-        g_embed_b += lc.q_in @ d_att.sum(axis=1) + du @ lc.weight_sums
-        dq = du + dqa
-
-    # Gradients take the parameters' own structure, so they come out in
-    # param_list order by construction.
-    grads = SegModelParams(
-        num_classes=params.num_classes, embed_w=g_embed_w, embed_b=g_embed_b, queries=dq,
-        self_w=g_self_w, ffn_w1=g_w1, ffn_b1=g_b1, ffn_w2=g_w2, ffn_b2=g_b2,
-        class_w=g_class_w, class_b=g_class_b, mask_w=g_mask_w, mask_b=g_mask_b)
-    return loss, grads.param_list()
 
 
 @dataclass
@@ -481,6 +438,121 @@ class TrainItem:
     labels: np.ndarray
     tmap: TransferabilityMap | None = None
     pixel_weights: np.ndarray | None = None
+
+
+def _pixel_rows(arrays: list[np.ndarray], num_pixels: int, what: str) -> np.ndarray:
+    """(B, H*W): one image's per-pixel values per row."""
+    rows = [np.asarray(a).reshape(-1) for a in arrays]
+    if any(r.size != num_pixels for r in rows):
+        raise ShapeError(f"{what} of shapes {[np.shape(a) for a in arrays]} do not cover "
+                         f"{num_pixels} pixels each")
+    return np.stack(rows)
+
+
+# Items are decoded in as few batches as keep each batch's (B, N, H*W)
+# arrays within this many elements (256 KB).  At 32x32, one batch of 8 images
+# was no faster than two of 4, and page-faulted about 140 times per step.
+_STACK_ELEMENTS = 1 << 15
+
+
+def model_loss_and_grads(
+    params: SegModelParams,
+    items: list[TrainItem],
+    lambda_m: float = 0.5,
+    p_t: float = 30.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each item's loss and analytic gradients, for items of one geometry.
+
+    Returns the (B,) losses and a (B, parameters) array whose row b is item
+    b's gradient of every entry of ``param_list``, in ``flatten`` layout.
+    Consecutive items are decoded together, in batches of near-equal size
+    bounded by ``_STACK_ELEMENTS``.  Attention masks are threshold
+    constants, so gradients flow through the attention weights, the
+    feed-forward blocks, both heads and the pixel embedding, but not through
+    the mask-building comparisons.
+    """
+    _check_images(params, [it.fm for it in items])
+    n = len(items)
+    parts = min(n, math.ceil(n * params.num_queries * items[0].fm.num_pixels / _STACK_ELEMENTS))
+    if parts == 1:
+        return _batch_loss_and_grads(params, items, lambda_m, p_t)
+    losses, rows = zip(*(_batch_loss_and_grads(params, items[n * k // parts:n * (k + 1) // parts],
+                                               lambda_m, p_t) for k in range(parts)))
+    return np.concatenate(losses), np.concatenate(rows)
+
+
+def _batch_loss_and_grads(params: SegModelParams, items: list[TrainItem], lambda_m: float,
+                          p_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """``model_loss_and_grads`` of one batch."""
+    cache = _forward(params, [it.fm for it in items], [it.tmap for it in items], lambda_m, p_t)
+    x = cache.x
+    num_pixels = x.shape[-1]
+    pixel_weights = None
+    if any(it.pixel_weights is not None for it in items):
+        pixel_weights = _pixel_rows(
+            [np.ones(num_pixels) if it.pixel_weights is None else it.pixel_weights
+             for it in items], num_pixels, "pixel weights")
+    pred = prediction_from_logits(cache.class_logits, cache.mask_logits,
+                                  items[0].fm.height, items[0].fm.width)
+    loss, d_class, d_mask_logits = seg_loss(
+        pred, _pixel_rows([it.labels for it in items], num_pixels, "labels"), pixel_weights)
+
+    q_final = cache.q_final
+    embed_w, embed_b = params.embed_w, params.embed_b
+
+    dq = params.class_w.T @ d_class
+    g_class_w = d_class @ mt(q_final)
+    g_class_b = d_class.sum(axis=-1)
+
+    # mask logits memb^T (W_e x + b): d_mask_logits is taken against x once
+    d_mask_x = d_mask_logits @ mt(x)               # (B, N, d_in)
+    d_mask_sum = d_mask_logits.sum(axis=-1)        # (B, N)
+    d_memb = embed_w @ mt(d_mask_x) + embed_b[:, None] * d_mask_sum[:, None, :]  # (B, C, N)
+    g_embed_w = cache.memb @ d_mask_x
+    g_embed_b = (cache.memb @ d_mask_sum[..., None])[..., 0]
+    g_mask_w = d_memb @ mt(q_final)
+    g_mask_b = d_memb.sum(axis=-1)
+    dq = dq + params.mask_w.T @ d_memb
+
+    g_self_w, g_w1, g_b1, g_w2, g_b2 = (np.empty((len(items), *a.shape)) for a in (
+        params.self_w, params.ffn_w1, params.ffn_b1, params.ffn_w2, params.ffn_b2))
+    scale = math.sqrt(params.channels)
+    for i in reversed(range(params.num_layers)):
+        lc = cache.layers[i]
+        g_w2[:, i] = dq @ mt(lc.h)
+        g_b2[:, i] = dq.sum(axis=-1)
+        dh = params.ffn_w2[i].T @ dq
+        dz = dh * (lc.z > 0)
+        g_w1[:, i] = dz @ mt(lc.v)
+        g_b1[:, i] = dz.sum(axis=-1)
+        dv_res = dq + params.ffn_w1[i].T @ dz   # gradient at v
+
+        # self-attention: v = u + self_w @ (u @ self_weights), scores u^T u
+        g_self_w[:, i] = dv_res @ mt(lc.mix)
+        d_mix = params.self_w[i].T @ dv_res     # (B, C, N)
+        du = dv_res + d_mix @ mt(lc.self_weights)
+        d_sw = mt(lc.u) @ d_mix                 # (B, N, N)
+        d_scores = lc.self_weights * (
+            d_sw - (lc.self_weights * d_sw).sum(axis=-2, keepdims=True))
+        du = du + (lc.u @ (d_scores + mt(d_scores))) / scale
+
+        # cross-attention: u = q_in + weights @ (W_e x + b)^T over the
+        # layer's columns, the embedded pixels both keys and values; their
+        # gradients q_in dS and du weights reach W_e through x^T
+        dqa, d_att, d_att_x = attention_backward_from_weights(
+            embed_w, lc.feats, lc.weights, mt(du))
+        g_embed_w += lc.q_in @ d_att_x + du @ lc.mixed
+        g_embed_b += (lc.q_in @ d_att.sum(axis=-1)[..., None]
+                      + du @ lc.weight_sums[..., None])[..., 0]
+        dq = du + dqa
+
+    # Gradients take the parameters' own structure, so they come out in
+    # param_list order by construction.
+    grads = SegModelParams(
+        num_classes=params.num_classes, embed_w=g_embed_w, embed_b=g_embed_b, queries=dq,
+        self_w=g_self_w, ffn_w1=g_w1, ffn_b1=g_b1, ffn_w2=g_w2, ffn_b2=g_b2,
+        class_w=g_class_w, class_b=g_class_b, mask_w=g_mask_w, mask_b=g_mask_b)
+    return loss, np.concatenate([g.reshape(len(items), -1) for g in grads.param_list()], axis=1)
 
 
 def train(
@@ -497,9 +569,10 @@ def train(
     batches; returns new params and the per-step mean batch loss.
 
     The optimizer owns one parameter vector, which the model being trained
-    views.  Loss and gradients are deterministic, so an item drawn more than
-    once in a batch is evaluated once and its gradient vector added again for
-    each draw.
+    views.  Loss and gradients are deterministic, so each step evaluates its
+    distinct items once, as one ``model_loss_and_grads`` batch in the order
+    they are first drawn, and adds an item's loss and gradient row again for
+    each further draw.
     """
     if not items:
         raise InputError("training set is empty")
@@ -511,18 +584,19 @@ def train(
     losses: list[float] = []
     for _ in range(steps):
         picks = rng.integers(0, len(items), size=batch_size)
-        total = 0.0
-        acc: np.ndarray | None = None
-        drawn: dict[int, tuple[float, np.ndarray]] = {}
+        slots: dict[int, int] = {}
+        distinct: list[TrainItem] = []
         for idx in picks:
             item = items[idx]
-            if idx not in drawn:
-                loss, grads = model_loss_and_grads(
-                    current, item.fm, item.labels, tmap=item.tmap,
-                    lambda_m=lambda_m, p_t=p_t, pixel_weights=item.pixel_weights)
-                drawn[idx] = loss, flatten(grads)
-            loss, grad = drawn[idx]
-            total += loss
+            if idx not in slots:
+                slots[idx] = len(distinct)
+                distinct.append(item)
+        item_losses, rows = model_loss_and_grads(current, distinct, lambda_m=lambda_m, p_t=p_t)
+        total = 0.0
+        acc: np.ndarray | None = None
+        for idx in picks:
+            total += float(item_losses[slots[idx]])
+            grad = rows[slots[idx]]
             acc = grad if acc is None else acc + grad
         assert acc is not None
         adamw_step(state, vector, acc / batch_size)

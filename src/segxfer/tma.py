@@ -15,6 +15,14 @@ fallback row, so callers may build the mask over the columns that pass the
 transferability condition only, and ``widen_mask`` spreads it over every
 column when a row falls back.
 
+Every array may carry leading batch axes, one entry per image: mask logits
+(B, N, keys), transferability (B, keys) with one lambda_t per image, features
+(B, d, keys), weights (B, N, keys).  Images of a batch share the key count,
+so a caller that gathers a different number of columns per image pads each
+image with columns that fail its transferability condition: the condition
+is the padding's validity mask, and only a fallback row admits a padding
+column.  Without batch axes the arrays are one image's.
+
 Attention weights are stored query-major, (queries x keys), so every
 softmax reduction runs over contiguous memory.  Keys and values are a linear
 map P X + b of per-key features X; the attention functions take P and X and
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateColumnError, InputError, ShapeError
-from .numkit import sigmoid
+from .numkit import mt, sigmoid
 
 
 def percentile_threshold(values: np.ndarray, p: float) -> float:
@@ -90,23 +98,28 @@ def logit_threshold(lam: float) -> float:
 
 @dataclass
 class MaskInputs:
-    """Predicted mask logits, per-key transferability, and thresholds."""
+    """Predicted mask logits, per-key transferability, and thresholds; with
+    batch axes, one lambda_t per image or one for all."""
 
-    mask_logits: np.ndarray      # (N, keys), any value but NaN
-    transferability: np.ndarray  # (keys,) in [0, 1]
+    mask_logits: np.ndarray      # (..., N, keys), any value but NaN
+    transferability: np.ndarray  # (..., keys) in [0, 1]
     lambda_m: float
-    lambda_t: float
+    lambda_t: float | np.ndarray  # () or (...)
 
     def __post_init__(self) -> None:
         self.mask_logits = np.asarray(self.mask_logits, dtype=float)
         self.transferability = np.asarray(self.transferability, dtype=float)
-        if self.mask_logits.ndim != 2:
-            raise ShapeError(f"mask logits must be (N, keys), got {self.mask_logits.shape}")
-        if self.transferability.shape != (self.mask_logits.shape[1],):
+        if self.mask_logits.ndim < 2:
+            raise ShapeError(f"mask logits must be (..., N, keys), got {self.mask_logits.shape}")
+        batch, keys = self.mask_logits.shape[:-2], self.mask_logits.shape[-1]
+        if self.transferability.shape != (*batch, keys):
             raise ShapeError(
                 f"transferability {self.transferability.shape} does not match "
-                f"{self.mask_logits.shape[1]} key locations"
+                f"{keys} key locations of batch {batch}"
             )
+        self.lambda_t = np.asarray(self.lambda_t, dtype=float)
+        if self.lambda_t.shape not in ((), batch):
+            raise ShapeError(f"lambda_t {self.lambda_t.shape} does not match batch {batch}")
         # the minimum is NaN iff some entry is
         if self.mask_logits.size and np.isnan(self.mask_logits.min()):
             raise InputError("mask logits must not be NaN")
@@ -114,17 +127,18 @@ class MaskInputs:
         # a NaN fails both comparisons, so it is rejected too
         if t.size and not (t.min() >= 0 and t.max() <= 1):
             raise InputError("transferability must lie in [0, 1]")
-        for name, val in (("lambda_m", self.lambda_m), ("lambda_t", self.lambda_t)):
-            if not 0.0 <= val <= 1.0:
-                raise InputError(f"{name} must lie in [0, 1], got {val}")
+        if not 0.0 <= self.lambda_m <= 1.0:
+            raise InputError(f"lambda_m must lie in [0, 1], got {self.lambda_m}")
+        if not (self.lambda_t.min() >= 0.0 and self.lambda_t.max() <= 1.0):
+            raise InputError(f"lambda_t must lie in [0, 1], got {self.lambda_t}")
 
 
 @dataclass
 class AttentionMaskTensor:
     """Admitted (query, key) pairs plus per-query fallback flags."""
 
-    allowed: np.ndarray   # (N, H_l*W_l) bool
-    fallback: np.ndarray  # (N,) bool
+    allowed: np.ndarray   # (..., N, keys) bool
+    fallback: np.ndarray  # (..., N) bool
 
     @property
     def additive(self) -> np.ndarray:
@@ -145,23 +159,23 @@ def build_mask(mi: MaskInputs) -> AttentionMaskTensor:
     every key and get their fallback flag set.
     """
     allowed = mi.mask_logits <= logit_threshold(mi.lambda_m)
-    allowed &= mi.transferability <= mi.lambda_t
-    fallback = ~allowed.any(axis=1)
-    allowed[fallback, :] = True
+    allowed &= (mi.transferability <= mi.lambda_t[..., None])[..., None, :]
+    fallback = ~allowed.any(axis=-1)
+    allowed[fallback] = True
     return AttentionMaskTensor(allowed=allowed, fallback=fallback)
 
 
 def widen_mask(mask: AttentionMaskTensor, cols: np.ndarray,
                num_keys: int) -> AttentionMaskTensor:
-    """A mask built over the key columns ``cols`` spread over all
-    ``num_keys`` columns.
+    """A mask built over the key columns ``cols``, (..., keys) distinct
+    indices per image, spread over all ``num_keys`` columns.
 
     Every column left out must fail the transferability condition, so the
     mask admits it only in fallback rows, which admit every key.
     """
-    allowed = np.zeros((mask.allowed.shape[0], num_keys), dtype=bool)
-    allowed[:, cols] = mask.allowed
-    allowed[mask.fallback, :] = True
+    allowed = np.zeros((*mask.allowed.shape[:-1], num_keys), dtype=bool)
+    np.put_along_axis(allowed, np.expand_dims(cols, -2), mask.allowed, axis=-1)
+    allowed[mask.fallback] = True
     return AttentionMaskTensor(allowed=allowed, fallback=mask.fallback)
 
 
@@ -171,7 +185,7 @@ def masked_attention_weights(queries: np.ndarray, proj: np.ndarray, features: np
     admitted keys and is exactly 0 elsewhere.
 
     The keys are a linear map of per-key features, K = P X (+ b): ``queries``
-    is (C, N), ``proj`` is P, (C, d), and ``features`` is X, (d, keys).
+    is (..., C, N), ``proj`` is P, (C, d), and ``features`` is X, (..., d, keys).
     Scores are Q^T K / sqrt(C), computed as (P^T Q)^T X, then scaled, so no
     (C, keys) array is formed.  A key bias b adds a per-query constant to
     the scores, which the softmax cancels, so it is not an argument.  Each
@@ -180,18 +194,18 @@ def masked_attention_weights(queries: np.ndarray, proj: np.ndarray, features: np
     the exponential before the mask zeroes it.  A row that admits no key
     raises DegenerateColumnError: callers must apply their fallback first.
     """
-    channels, num_queries = queries.shape
+    channels, num_queries = queries.shape[-2:]
     if proj.shape[0] != channels:
         raise ShapeError(f"channel dims disagree: Q {queries.shape}, P {proj.shape}")
-    if features.shape[0] != proj.shape[1]:
+    if features.shape[-2] != proj.shape[1]:
         raise ShapeError(f"feature dims disagree: P {proj.shape}, X {features.shape}")
-    expected = (num_queries, features.shape[1])
+    expected = (*features.shape[:-2], num_queries, features.shape[-1])
     if mask.allowed.shape != expected:
         raise ShapeError(f"mask {mask.allowed.shape} does not match {expected}")
-    scores = (proj.T @ queries).T @ features
+    scores = mt(proj.T @ queries) @ features
     scores *= 1.0 / math.sqrt(channels)
-    row_max = np.where(mask.allowed, scores, -np.inf).max(axis=1, keepdims=True)
-    if not np.all(np.isfinite(row_max)):
+    row_max = np.where(mask.allowed, scores, -np.inf).max(axis=-1, keepdims=True)
+    if not np.isfinite(row_max).all():
         bad = np.flatnonzero(~np.isfinite(row_max))
         raise DegenerateColumnError(
             f"queries {bad.tolist()} admit no key; apply the fallback first")
@@ -199,7 +213,7 @@ def masked_attention_weights(queries: np.ndarray, proj: np.ndarray, features: np
     np.minimum(scores, 0.0, out=scores)
     weights = np.exp(scores, out=scores)
     weights *= mask.allowed
-    weights /= np.sum(weights, axis=1, keepdims=True)
+    weights /= weights.sum(axis=-1, keepdims=True)
     return weights
 
 
@@ -212,19 +226,20 @@ def attention_backward_from_weights(
     """Gradients of ``weights @ (P X + b)^T`` given the weights of
     ``masked_attention_weights``.
 
-    ``proj`` is P, (C, d); ``features`` is X, (d, keys); ``weights`` is
-    query-major, (N, keys); ``upstream`` is the loss gradient at the (N, C)
-    output.  Returns the (C, N) query gradient P (dS X^T)^T, the (N, keys)
-    gradient dS at the scaled scores, and dS X^T, (N, d).  The key gradient
-    is Q dS and the value gradient upstream^T weights; a caller that needs
-    them against X takes Q (dS X^T) and upstream^T (weights X^T), never a
-    (C, keys) array.  The bias b adds a per-query constant to the weight
-    gradient, which the softmax backward cancels, so it is not an argument.
-    Pairs whose weight is exactly 0 (masked) get a zero score gradient.
+    ``proj`` is P, (C, d); ``features`` is X, (..., d, keys); ``weights`` is
+    query-major, (..., N, keys); ``upstream`` is the loss gradient at the
+    (..., N, C) output.  Returns the (..., C, N) query gradient P (dS X^T)^T,
+    the (..., N, keys) gradient dS at the scaled scores, and dS X^T,
+    (..., N, d).  The key gradient is Q dS and the value gradient
+    upstream^T weights; a caller that needs them against X takes Q (dS X^T)
+    and upstream^T (weights X^T), never a (C, keys) array.  The bias b adds
+    a per-query constant to the weight gradient, which the softmax backward
+    cancels, so it is not an argument.  Pairs whose weight is exactly 0
+    (masked) get a zero score gradient.
     """
-    d_weights = (proj.T @ upstream.T).T @ features  # (N, keys)
-    d_weights -= np.sum(weights * d_weights, axis=1, keepdims=True)
+    d_weights = mt(proj.T @ mt(upstream)) @ features  # (..., N, keys)
+    d_weights -= (weights * d_weights).sum(axis=-1, keepdims=True)
     d_scores = np.multiply(weights, d_weights, out=d_weights)
     d_scores *= 1.0 / math.sqrt(proj.shape[0])
-    d_scores_x = d_scores @ features.T              # (N, d)
-    return proj @ d_scores_x.T, d_scores, d_scores_x
+    d_scores_x = d_scores @ mt(features)              # (..., N, d)
+    return proj @ mt(d_scores_x), d_scores, d_scores_x

@@ -38,6 +38,17 @@ def test_sigmoid_bitwise_equals_masked_formula():
     assert numkit.sigmoid(np.array([[1000.0, -1000.0]])).tolist() == [[1.0, 0.0]]
 
 
+def test_sigmoid_bitwise_equals_where_formula():
+    # The numerator is max(e, x >= 0) with e = exp(-|x|); values and sign
+    # bits must match the np.where(x >= 0, 1, e) form, NaN included.
+    rng = np.random.default_rng(14)
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0]
+    x = np.concatenate([rng.normal(scale=30.0, size=100_000), edges])
+    e = np.exp(-np.abs(x))
+    where = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    npt.assert_array_equal(numkit.sigmoid(x).view(np.int64), where.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # softmax_columns
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from adamw_oracle import ListAdamWState, list_adamw_step
+from decoder_oracle import one_item_loss_and_grads
 from gradcheck import gradcheck
 from segxfer import segmodel as sm
 from segxfer.adaptive_cluster import FeatureMap
@@ -38,7 +39,7 @@ def seam_margins(params, fm, cache, lambda_m):
     mask_margin = relu_margin = np.inf
     for lc in cache.layers:
         memb = params.mask_w @ lc.q_in + params.mask_b[:, None]
-        probs = sm.sigmoid(memb.T @ embed)
+        probs = sm.sigmoid(memb.swapaxes(-1, -2) @ embed)
         mask_margin = min(mask_margin, float(np.min(np.abs(probs - lambda_m))))
         relu_margin = min(relu_margin, float(np.min(np.abs(lc.z))))
     return mask_margin, relu_margin
@@ -55,7 +56,7 @@ def gradcheck_instance(seed, perturb):
     params = small_model(seed)
     params.self_w += 0.05 * perturb.normal(size=params.self_w.shape)
     tmap = TransferabilityMap(np.zeros(1), rng.random((4, 4)))
-    cache = sm._forward(params, fm, tmap, 0.5, 60.0)
+    cache = sm._forward(params, [fm], [tmap], 0.5, 60.0)
     mask_margin, relu_margin = seam_margins(params, fm, cache, 0.5)
     if mask_margin < 5e-3 or relu_margin < 1e-2:
         return None
@@ -276,7 +277,7 @@ def test_model_gradcheck_all_trainable_paths():
 
         def f(flat, params=params, fm=fm, labels=labels, tmap=tmap):
             cur = params.with_params(flat)
-            return sm.model_loss_and_grads(cur, fm, labels, tmap=tmap,
+            return one_item_loss_and_grads(cur, sm.TrainItem(fm, labels, tmap),
                                            lambda_m=0.5, p_t=60.0)
 
         errs.append(gradcheck(f, params.param_list()))
@@ -293,7 +294,7 @@ def test_model_gradcheck_vanilla_mode():
 
         def f(flat, params=params, fm=fm, labels=labels):
             cur = params.with_params(flat)
-            return sm.model_loss_and_grads(cur, fm, labels, lambda_m=1.0)
+            return one_item_loss_and_grads(cur, sm.TrainItem(fm, labels), lambda_m=1.0)
 
         errs.append(gradcheck(f, params.param_list()))
     assert max(errs) <= 1e-4
@@ -305,11 +306,11 @@ def test_ungated_step_forms_no_channels_by_pixels_array():
     rng = np.random.default_rng(14)
     params = sm.init_seg_model(16, 5, rng)  # C 16, N 8, 3 layers
     fm = FeatureMap.from_grid(rng.normal(size=(96, 96, 16)))
-    labels = rng.integers(0, 5, size=(96, 96))
-    sm.model_loss_and_grads(params, fm, labels)  # first-call caches
+    item = sm.TrainItem(fm, rng.integers(0, 5, size=(96, 96)))
+    sm.model_loss_and_grads(params, [item])  # first-call caches
     tracemalloc.start()
     try:
-        sm.model_loss_and_grads(params, fm, labels)
+        sm.model_loss_and_grads(params, [item])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -382,8 +383,8 @@ class ReadLog(list):
 
 
 def per_draw_train(params, items, steps, batch_size, lr, seed):
-    """``train`` with one loss and gradient evaluation per draw, and the
-    per-array AdamW loop."""
+    """``train`` with one loss and gradient evaluation per draw, each a
+    one-item batch, and the per-array AdamW loop."""
     rng = np.random.default_rng(seed)
     flat = [a.copy() for a in params.param_list()]
     state = ListAdamWState.for_params(flat, lr=lr, weight_decay=0.01)
@@ -393,9 +394,7 @@ def per_draw_train(params, items, steps, batch_size, lr, seed):
         total, acc = 0.0, None
         current = params.with_params(flat)
         for idx in picks:
-            item = items[idx]
-            loss, grads = sm.model_loss_and_grads(current, item.fm, item.labels,
-                                                  pixel_weights=item.pixel_weights)
+            loss, grads = one_item_loss_and_grads(current, items[idx])
             total += loss
             acc = grads if acc is None else [a + g for a, g in zip(acc, grads)]
         flat = list_adamw_step(state, flat, [a / batch_size for a in acc])
@@ -408,11 +407,11 @@ def test_train_duplicate_draws_match_per_draw_loop(monkeypatch):
     items[1].pixel_weights = np.linspace(0.5, 1.5, 64)
     params = small_model(4)
     steps, batch = 4, 5  # 5 draws from 3 items: every batch repeats an index
-    evaluations = []
+    evaluations = []  # items evaluated, per call
 
-    def counted(*args, **kwargs):
-        evaluations.append(1)
-        return model_loss_and_grads(*args, **kwargs)
+    def counted(params, batch_items, **kwargs):
+        evaluations.append(len(batch_items))
+        return model_loss_and_grads(params, batch_items, **kwargs)
 
     model_loss_and_grads = sm.model_loss_and_grads
     monkeypatch.setattr(sm, "model_loss_and_grads", counted)
@@ -422,7 +421,8 @@ def test_train_duplicate_draws_match_per_draw_loop(monkeypatch):
 
     assert len(log.reads) == steps * batch  # items[idx] is read on every draw
     per_step = [log.reads[i:i + batch] for i in range(0, len(log.reads), batch)]
-    assert len(evaluations) == sum(len(set(step)) for step in per_step) < steps * batch
+    assert evaluations == [len(set(step)) for step in per_step]  # one call per step
+    assert sum(evaluations) < steps * batch
 
     ref_params, ref_losses = per_draw_train(params, items, steps, batch, 1e-2, 5)
     assert losses == ref_losses

@@ -1,0 +1,127 @@
+"""``model_loss_and_grads`` on batches of several images.
+
+An ungated batch must give each item bitwise the loss and gradient row of a
+one-item batch.  A gated batch pads each image's gathered columns to the
+widest image's count, which changes the order of the sums over keys, so it
+is judged against the long-double reference of ``decoder_oracle``.
+"""
+
+import numpy as np
+import pytest
+
+from decoder_oracle import oracle_check
+from segxfer import segmodel as sm
+from segxfer import tma
+from segxfer.adaptive_cluster import FeatureMap
+from segxfer.errors import ShapeError
+from segxfer.numkit import flat_views
+from segxfer.transferability import TransferabilityMap
+
+H, W, D, CLASSES = 6, 7, 5, 3
+
+
+def batch_case(seed, count=4):
+    """A decoder off its zero inits and ``count`` images of one geometry,
+    each with labels, a T-map whose values tie (so images keep different
+    numbers of columns at one p_T) and, for odd images, pixel weights."""
+    rng = np.random.default_rng(seed)
+    params = sm.init_seg_model(D, CLASSES, rng, num_queries=5, channels=6, num_layers=2,
+                               ffn_hidden=7)
+    params.self_w += 0.1 * rng.normal(size=params.self_w.shape)
+    params.embed_b += 0.5 * rng.normal(size=params.embed_b.shape)
+    items = []
+    for k in range(count):
+        fm = FeatureMap.from_grid(rng.normal(size=(H, W, D)))
+        labels = rng.integers(0, CLASSES, size=(H, W))
+        tmap = TransferabilityMap(np.zeros(1), rng.integers(0, 5, size=(H, W)) / 4.0)
+        weights = rng.uniform(0.5, 2.0, size=H * W) if k % 2 else None
+        items.append(sm.TrainItem(fm, labels, tmap, weights))
+    return params, items
+
+
+def kept_columns(item, p_t):
+    t = item.tmap.pixel
+    return int(np.sum(t <= tma.percentile_threshold(t, p_t)))
+
+
+def check_against_oracle(params, items, lambda_m, p_t):
+    losses, rows = sm.model_loss_and_grads(params, items, lambda_m=lambda_m, p_t=p_t)
+    assert losses.shape == (len(items),) and rows.shape[0] == len(items)
+    shapes = [a.shape for a in params.param_list()]
+    fallbacks = []
+    for item, loss, row in zip(items, losses, rows):
+        pred = sm.forward(params, item.fm, tmap=item.tmap, lambda_m=lambda_m, p_t=p_t)
+        fallbacks.append(oracle_check(
+            params, item.fm, item.labels, item.tmap, lambda_m, p_t, item.pixel_weights,
+            [loss, *flat_views(row, shapes), pred.class_logits, pred.mask_logits]))
+    return fallbacks
+
+
+@pytest.fixture
+def mask_widths(monkeypatch):
+    """The key count of every build_mask call, in call order."""
+    widths = []
+    build = sm.build_mask
+
+    def spy(mi):
+        widths.append(mi.mask_logits.shape[-1])
+        return build(mi)
+
+    monkeypatch.setattr(sm, "build_mask", spy)
+    return widths
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_ungated_batch_is_bitwise_one_item_batches(split, monkeypatch):
+    params, items = batch_case(0)
+    batch = [sm.TrainItem(it.fm, it.labels, pixel_weights=it.pixel_weights) for it in items]
+    batch.insert(2, batch[1])  # a duplicate draw
+    if split:  # two batches, of 2 and 3 images
+        monkeypatch.setattr(sm, "_STACK_ELEMENTS", 3 * params.num_queries * H * W)
+    losses, rows = sm.model_loss_and_grads(params, batch)
+    for item, loss, row in zip(batch, losses, rows):
+        one_loss, one_row = sm.model_loss_and_grads(params, [item])
+        assert loss == one_loss[0]
+        assert np.array_equal(row, one_row[0])
+    assert np.array_equal(rows[1], rows[2])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gated_batch_with_different_column_counts_matches_oracle(seed, mask_widths):
+    # every layer's mask is built over the widest image's kept columns
+    params, items = batch_case(seed)
+    p_t = 40.0
+    kept = [kept_columns(it, p_t) for it in items]
+    assert len(set(kept)) > 1
+    check_against_oracle(params, items, lambda_m=0.5, p_t=p_t)
+    assert mask_widths[:params.num_layers] == [max(kept)] * params.num_layers
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mixed_gated_and_ungated_batch_matches_oracle(seed):
+    params, items = batch_case(seed)
+    items[0].tmap = items[3].tmap = None
+    check_against_oracle(params, items, lambda_m=0.5, p_t=30.0)
+
+
+def test_widening_batch_matches_oracle(mask_widths):
+    # lambda_m = 0 admits no logit: every row falls back, so every layer
+    # widens the whole batch to all H*W columns.
+    params, items = batch_case(5)
+    fallbacks = check_against_oracle(params, items, lambda_m=0.0, p_t=30.0)
+    assert all(f.all() for per_item in fallbacks for f in per_item)
+    kept = [kept_columns(it, 30.0) for it in items]
+    assert max(kept) < H * W
+    assert mask_widths[:params.num_layers] == [max(kept)] * params.num_layers
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_mixed_geometry_raises(split, monkeypatch):
+    params, items = batch_case(6, count=2)
+    rng = np.random.default_rng(6)
+    other = sm.TrainItem(FeatureMap.from_grid(rng.normal(size=(H, W + 1, D))),
+                         rng.integers(0, CLASSES, size=(H, W + 1)))
+    if split:  # one image per batch
+        monkeypatch.setattr(sm, "_STACK_ELEMENTS", 1)
+    with pytest.raises(ShapeError):
+        sm.model_loss_and_grads(params, [*items, other])

@@ -1,158 +1,21 @@
-"""Gathered-key decoder against the full-width reference.
-
-The reference below is the decoder written the direct way: every layer
-thresholds full-image mask probabilities, sigmoid(logits) <= lambda_m, and
-attends over all H*W keys, those with transferability above lambda_t
-masked out.  It computes, exponentiates and back-propagates through keys
-that only a fallback row can admit, so it is kept only as an oracle.
-
-The comparison judges accuracy, not operation order.  The reference runs
-once in float64, whose thresholds give every layer's mask, and once in long
-double over those same masks; the gathered decoder's error against the
-long-double values must stay within ERROR_RATIO times the float64
-reference's own error.  Masks, fallback rows and key widths compare exactly.
-"""
+"""Gathered-key decoder against the full-width reference of
+``decoder_oracle``, on one-image batches.  Masks, fallback rows and key
+widths compare exactly."""
 
 import numpy as np
 import pytest
 
+from decoder_oracle import one_item_loss_and_grads, oracle_check
 from segxfer import segmodel as sm
 from segxfer import tma
 from segxfer.adaptive_cluster import FeatureMap
-from segxfer.numkit import LOSS_EPS
 from segxfer.transferability import TransferabilityMap
-
-# The gated path's max error against a long-double evaluation may be at most
-# this multiple of the float64 oracle's own (floored at one float64 ulp of the
-# array's largest entry).  Over every case below the ratio has a median near
-# 1 and a maximum near 35; a wrong term gives errors near the values' size.
-ERROR_RATIO = 128.0
-
-
-def sigmoid(x):
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def softmax_columns(m):
-    z = np.exp(m - m.max(axis=0))
-    return z / z.sum(axis=0)
-
-
-def oracle_mask(logits, tvec, lambda_m, lambda_t):
-    allowed = (sigmoid(logits) <= lambda_m) & (tvec[None, :] <= lambda_t)
-    fallback = ~allowed.any(axis=1)
-    allowed[fallback] = True
-    return tma.AttentionMaskTensor(allowed, fallback)
-
-
-def oracle_weights(queries, keys, mask, root_c):
-    """(N, keys) masked attention weights over the embedded pixels, scores
-    Q^T K / sqrt(C) with the embedding bias inside K."""
-    scores = (queries.T / root_c) @ keys
-    scores -= np.where(mask.allowed, scores, -np.inf).max(axis=1, keepdims=True)
-    weights = np.exp(np.minimum(scores, 0.0)) * mask.allowed
-    return weights / np.sum(weights, axis=1, keepdims=True)
-
-
-def oracle_attention_backward(queries, keys, values, weights, upstream, root_c):
-    """Gradients of weights @ values.T at the queries, keys and values."""
-    d_weights = upstream @ values
-    d_scores = weights * (d_weights - np.sum(weights * d_weights, axis=1, keepdims=True))
-    d_scores /= root_c
-    return keys @ d_scores.T, queries @ d_scores, upstream.T @ weights
-
-
-def oracle_loss(class_logits, mask_logits, labels, pixel_weights):
-    """``seg_loss`` in the logits' own precision: (loss, d_class, d_mask)."""
-    n_queries, num_pixels = mask_logits.shape
-    num_classes = class_logits.shape[0] - 1
-    targets, cols = np.minimum(np.arange(n_queries), num_classes), np.arange(n_queries)
-    col_max = class_logits.max(axis=0)
-    lse = col_max + np.log(np.sum(np.exp(class_logits - col_max), axis=0))
-    class_loss = np.mean(lse - class_logits[targets, cols])
-    d_class = softmax_columns(class_logits)
-    d_class[targets, cols] -= 1.0
-    d_class /= n_queries
-
-    probs = sigmoid(mask_logits)
-    y = labels.reshape(1, -1) == np.arange(n_queries)[:, None]
-    clamped = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS)
-    bce = -np.log(np.where(y, clamped, 1.0 - clamped))
-    d_mask = np.where((probs > LOSS_EPS) & (probs < 1.0 - LOSS_EPS), probs - y, 0.0)
-    if pixel_weights is not None:
-        bce *= pixel_weights
-        d_mask *= pixel_weights
-    scale = 1.0 / (n_queries * num_pixels)
-    return class_loss + np.sum(bce) * scale, d_class, d_mask * scale
-
-
-def oracle_loss_and_grads(params, fm, labels, tmap, lambda_m, p_t, pixel_weights,
-                          dtype=np.float64, masks=None):
-    """([loss, *gradients in param_list order, class logits, mask logits],
-    per-layer masks), evaluated in ``dtype``.  Without ``masks`` each layer
-    thresholds its own mask probabilities; given them, it attends over
-    exactly those."""
-    p = {n: a.astype(dtype) for n, a in zip(sm.PARAM_NAMES, params.param_list())}
-    x = fm.features.T.astype(dtype)
-    embed = p["embed_w"] @ x + p["embed_b"][:, None]
-    if tmap is not None:
-        tvec = tmap.pixel.reshape(-1)
-        lambda_t = tma.percentile_threshold(tvec, p_t)
-    else:
-        tvec, lambda_t = np.zeros(fm.num_pixels), 1.0
-
-    q = p["queries"]
-    root_c = np.sqrt(dtype(params.channels))
-    caches, used = [], []
-    for i in range(params.num_layers):
-        memb = p["mask_w"] @ q + p["mask_b"][:, None]
-        mask = (masks[i] if masks is not None
-                else oracle_mask(memb.T @ embed, tvec, lambda_m, lambda_t))
-        used.append(mask)
-        weights = oracle_weights(q, embed, mask, root_c)
-        u = q + embed @ weights.T
-        self_weights = softmax_columns((u.T @ u) / root_c)
-        mix = u @ self_weights
-        v = u + p["self_w"][i] @ mix
-        z = p["ffn_w1"][i] @ v + p["ffn_b1"][i][:, None]
-        h = np.maximum(z, 0.0)
-        caches.append((q, weights, u, self_weights, mix, v, z, h))
-        q = v + p["ffn_w2"][i] @ h + p["ffn_b2"][i][:, None]
-
-    memb = p["mask_w"] @ q + p["mask_b"][:, None]
-    class_logits, mask_logits = p["class_w"] @ q + p["class_b"][:, None], memb.T @ embed
-    pixel_w = None if pixel_weights is None else pixel_weights.astype(dtype)
-    loss, d_class, d_mask_logits = oracle_loss(class_logits, mask_logits, labels, pixel_w)
-
-    grads = {n: np.empty_like(p[n]) for n in ("self_w", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")}
-    grads["class_w"], grads["class_b"] = d_class @ q.T, d_class.sum(axis=1)
-    d_memb = embed @ d_mask_logits.T
-    d_embed = memb @ d_mask_logits
-    grads["mask_w"], grads["mask_b"] = d_memb @ q.T, d_memb.sum(axis=1)
-    dq = p["class_w"].T @ d_class + p["mask_w"].T @ d_memb
-    for i in reversed(range(params.num_layers)):
-        q_in, weights, u, self_weights, mix, v, z, h = caches[i]
-        grads["ffn_w2"][i], grads["ffn_b2"][i] = dq @ h.T, dq.sum(axis=1)
-        dz = (p["ffn_w2"][i].T @ dq) * (z > 0)
-        grads["ffn_w1"][i], grads["ffn_b1"][i] = dz @ v.T, dz.sum(axis=1)
-        dv_res = dq + p["ffn_w1"][i].T @ dz
-        grads["self_w"][i] = dv_res @ mix.T
-        d_mix = p["self_w"][i].T @ dv_res
-        d_sw = u.T @ d_mix
-        d_scores = self_weights * (d_sw - np.sum(self_weights * d_sw, axis=0))
-        du = dv_res + d_mix @ self_weights.T + (u @ (d_scores + d_scores.T)) / root_c
-        dqa, dk, dv = oracle_attention_backward(q_in, embed, embed, weights, du.T, root_c)
-        d_embed += dk
-        d_embed += dv
-        dq = du + dqa
-    grads["queries"] = dq
-    grads["embed_w"], grads["embed_b"] = d_embed @ x.T, d_embed.sum(axis=1)
-    return [loss, *(grads[n] for n in sm.PARAM_NAMES), class_logits, mask_logits], used
 
 
 def random_case(seed):
-    """A random decoder, image, labels, T-map and pixel weights."""
+    """A random decoder, image, labels, T-map and pixel weights.  The
+    embedding bias is drawn off its zero init from a stream of its own, so
+    the other draws do not depend on it."""
     rng = np.random.default_rng(seed)
     h, w, d = (int(v) for v in rng.integers(3, 10, size=3))
     num_classes = int(rng.integers(2, 5))
@@ -161,6 +24,7 @@ def random_case(seed):
         channels=int(rng.integers(4, 13)), num_layers=int(rng.integers(1, 4)),
         ffn_hidden=int(rng.integers(4, 13)))
     params.self_w += 0.1 * rng.normal(size=params.self_w.shape)  # off the zero init
+    params.embed_b = 0.5 * np.random.default_rng([seed, 1]).normal(size=params.embed_b.shape)
     fm = FeatureMap.from_grid(rng.uniform(0.2, 2.0) * rng.normal(size=(h, w, d)))
     labels = rng.integers(0, num_classes, size=(h, w))
     tmap = TransferabilityMap(np.zeros(1), rng.random((h, w)))
@@ -168,38 +32,16 @@ def random_case(seed):
     return params, fm, labels, tmap, pixel_weights
 
 
-def error_ratio(actual, oracle, exact):
-    """The max error of ``actual`` against ``exact`` over the float64
-    oracle's, the latter floored at one ulp of the largest exact entry."""
-    assert np.shape(actual) == np.shape(oracle) == np.shape(exact)
-    scale = np.max(np.abs(exact), initial=0.0)
-    own = max(np.max(np.abs(oracle - exact), initial=0.0),
-              np.finfo(np.float64).eps * scale, np.finfo(np.float64).tiny)
-    return float(np.max(np.abs(actual - exact), initial=0.0) / own)
-
-
-def oracle_check(params, fm, labels, tmap, lambda_m, p_t, pixel_weights, actual):
-    """Assert the gated path's outputs ``actual`` (in the oracle's order) are
-    within ERROR_RATIO of a long-double evaluation over the float64 oracle's
-    masks; returns those masks' fallback rows."""
-    oracle, masks = oracle_loss_and_grads(params, fm, labels, tmap, lambda_m, p_t,
-                                          pixel_weights)
-    exact, _ = oracle_loss_and_grads(params, fm, labels, tmap, lambda_m, p_t, pixel_weights,
-                                     dtype=np.longdouble, masks=masks)
-    for a, o, e in zip(actual, oracle, exact, strict=True):
-        assert error_ratio(a, o, e) <= ERROR_RATIO
-    return [m.fallback for m in masks]
-
-
 @pytest.fixture
 def mask_spy(monkeypatch):
-    """Every build_mask call's (key columns, fallback rows), in call order."""
+    """Every build_mask call's (key columns, fallback rows of each image), in
+    call order."""
     calls = []
     build = sm.build_mask
 
     def spy(mi):
         out = build(mi)
-        calls.append((out.allowed.shape[1], out.fallback.copy()))
+        calls.append((out.allowed.shape[-1], out.fallback.copy()))
         return out
 
     monkeypatch.setattr(sm, "build_mask", spy)
@@ -217,8 +59,8 @@ def test_gated_matches_full_width_oracle(p_t, lambda_m, mask_spy):
     widened = narrow = 0
     for seed in SEEDS:
         params, fm, labels, tmap, pixel_weights = random_case(seed)
-        loss, grads = sm.model_loss_and_grads(params, fm, labels, tmap=tmap, lambda_m=lambda_m,
-                                              p_t=p_t, pixel_weights=pixel_weights)
+        loss, grads = one_item_loss_and_grads(params, sm.TrainItem(fm, labels, tmap, pixel_weights),
+                                              lambda_m=lambda_m, p_t=p_t)
         pred = sm.forward(params, fm, tmap=tmap, lambda_m=lambda_m, p_t=p_t)
         fallbacks = oracle_check(params, fm, labels, tmap, lambda_m, p_t, pixel_weights,
                                  [loss, *grads, pred.class_logits, pred.mask_logits])
@@ -228,7 +70,7 @@ def test_gated_matches_full_width_oracle(p_t, lambda_m, mask_spy):
         # with the oracle's fallback rows
         assert len(mask_spy) == 2 * params.num_layers
         keys = int(np.sum(tmap.pixel <= tma.percentile_threshold(tmap.pixel, p_t)))
-        for (width, fallback), ref in zip(mask_spy, fallbacks * 2):
+        for (width, (fallback,)), ref in zip(mask_spy, fallbacks * 2):
             assert width == keys
             np.testing.assert_array_equal(fallback, ref)
             widened += bool(fallback.any()) and width < fm.num_pixels
@@ -244,13 +86,13 @@ def test_gated_matches_full_width_oracle(p_t, lambda_m, mask_spy):
 def test_ungated_matches_full_width_oracle(lambda_m, mask_spy):
     for seed in SEEDS:
         params, fm, labels, _, pixel_weights = random_case(seed)
-        loss, grads = sm.model_loss_and_grads(params, fm, labels, tmap=None,
-                                              lambda_m=lambda_m, pixel_weights=pixel_weights)
+        loss, grads = one_item_loss_and_grads(params, sm.TrainItem(fm, labels, None, pixel_weights),
+                                              lambda_m=lambda_m)
         pred = sm.forward(params, fm, lambda_m=lambda_m)
         fallbacks = oracle_check(params, fm, labels, None, lambda_m, 30.0, pixel_weights,
                                  [loss, *grads, pred.class_logits, pred.mask_logits])
         assert len(mask_spy) == 2 * params.num_layers
-        for (width, fallback), ref in zip(mask_spy, fallbacks * 2):
+        for (width, (fallback,)), ref in zip(mask_spy, fallbacks * 2):
             assert width == fm.num_pixels
             np.testing.assert_array_equal(fallback, ref)
         mask_spy.clear()

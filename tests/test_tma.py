@@ -189,6 +189,27 @@ def test_widen_mask_spreads_columns_and_fallback_rows():
     npt.assert_array_equal(out.fallback, [False, True])
 
 
+def test_batched_mask_matches_per_image_masks():
+    # one lambda_t per image; widen_mask takes each image's own columns
+    rng = np.random.default_rng(10)
+    logits, t = logit(rng.random((3, 4, 6))), rng.random((3, 6))
+    lam_t = np.array([0.2, 0.5, 1.0])
+    logits[0, 1] = logit(0.9)  # a fallback row
+    batched = tma.build_mask(tma.MaskInputs(logits, t, 0.6, lam_t))
+    cols = np.array([rng.permutation(9)[:6] for _ in range(3)])
+    wide = tma.widen_mask(batched, cols, 9)
+    for b in range(3):
+        one = tma.build_mask(tma.MaskInputs(logits[b], t[b], 0.6, lam_t[b]))
+        npt.assert_array_equal(batched.allowed[b], one.allowed)
+        npt.assert_array_equal(batched.fallback[b], one.fallback)
+        npt.assert_array_equal(wide.allowed[b], tma.widen_mask(one, cols[b], 9).allowed)
+    assert batched.fallback[0, 1]
+    with pytest.raises(ShapeError):
+        tma.MaskInputs(logits, t, 0.6, lam_t[:2])
+    with pytest.raises(InputError):
+        tma.MaskInputs(logits, t, 0.6, np.array([0.2, np.nan, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # masked attention: keys = values = proj @ feats, output weights @ values.T
 # ---------------------------------------------------------------------------
@@ -298,6 +319,24 @@ def test_attention_shape_error():
             tma.masked_attention_weights(q, rng.normal(size=proj_shape),
                                          rng.normal(size=(feat_dims, 6)),
                                          open_mask(2, mask_keys))
+
+
+def test_batched_attention_is_bitwise_per_image_attention():
+    rng = np.random.default_rng(11)
+    c, d, n, keys = 4, 3, 2, 6
+    q, proj = rng.normal(size=(3, c, n)), rng.normal(size=(c, d))
+    feats, upstream = rng.normal(size=(3, d, keys)), rng.normal(size=(3, n, c))
+    mask = tma.build_mask(tma.MaskInputs(logit(rng.random((3, n, keys))), rng.random((3, keys)),
+                                         0.6, np.array([0.3, 0.6, 1.0])))
+    weights = tma.masked_attention_weights(q, proj, feats, mask)
+    grads = tma.attention_backward_from_weights(proj, feats, weights, upstream)
+    for b in range(3):
+        one = tma.AttentionMaskTensor(mask.allowed[b], mask.fallback[b])
+        w = tma.masked_attention_weights(q[b], proj, feats[b], one)
+        npt.assert_array_equal(weights[b], w)
+        for got, ref in zip(grads, tma.attention_backward_from_weights(proj, feats[b], w,
+                                                                       upstream[b])):
+            npt.assert_array_equal(got[b], ref)
 
 
 # ---------------------------------------------------------------------------
