@@ -223,8 +223,8 @@ def cell_layout(fm: FeatureMap, stride: int) -> CellLayout:
 
 def init_grid(layout: CellLayout, tau: float = 0.07) -> ClusterState:
     """Seed regions from a regular grid; centers are per-cell feature means."""
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
+    if not 0.0 < tau < np.inf:
+        raise ConfigError(f"temperature must be finite and positive, got {tau}")
     assign = np.zeros((len(OFFSETS), layout.num_pixels))
     assign[OWN_CELL] = 1.0
     return ClusterState(
@@ -243,8 +243,8 @@ def compute_similarity(state: ClusterState, layout: CellLayout) -> np.ndarray:
 
     Norms are guarded by +1e-12, so zero vectors never raise.
     """
-    if state.tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {state.tau}")
+    if not 0.0 < state.tau < np.inf:
+        raise ConfigError(f"temperature must be finite and positive, got {state.tau}")
     grid_h, grid_w = state.grid_shape
     if ((layout.height, layout.width, layout.stride) != (state.height, state.width, state.stride)
             or state.centers.shape != (grid_h * grid_w, layout.channels)):

@@ -343,21 +343,21 @@ def _t_inputs(variant: Variant, tmap: TransferabilityMap) -> dict:
 
 def evaluate_variant(params: SegModelParams, bundle: SeedBundle, config: RunConfig,
                      variant: str, p_t: float) -> tuple[ConfusionMatrix, float, list[SegPrediction]]:
-    """Confusion matrix over all held-out pixels plus the mean fallback rate."""
-    cm = ConfusionMatrix.empty(config.num_classes)
-    fallback = []
-    predictions = []
+    """Confusion matrix over all held-out pixels, the mean fallback rate and
+    the predictions of one ``forward`` call over every held-out image, gated
+    for a gate row by its discriminator's T-map of its regions of each."""
     row = _variant(variant)
-    for img in bundle.eval_images:
-        tmap = None
-        if row.use_t == "gate":
-            tmap = build_transferability_map(bundle.branch(row.regions).disc.params,
-                                             _regions(config, row.regions, img))
-        pred = forward(params, img.fm, tmap=tmap, lambda_m=config.lambda_m, p_t=p_t)
-        cm.add(img.labels, pred.labels)
-        fallback.append(pred.fallback_rate)
-        predictions.append(pred)
-    return cm, float(np.mean(fallback)), predictions
+    images = bundle.eval_images
+    tmaps = None
+    if row.use_t == "gate":
+        disc = bundle.branch(row.regions).disc.params
+        tmaps = [build_transferability_map(disc, _regions(config, row.regions, img))
+                 for img in images]
+    predictions = forward(params, [img.fm for img in images], tmaps,
+                          lambda_m=config.lambda_m, p_t=p_t)
+    cm = ConfusionMatrix.empty(config.num_classes)
+    cm.add(np.stack([img.labels for img in images]), np.stack([p.labels for p in predictions]))
+    return cm, float(np.mean([p.fallback_rate for p in predictions])), predictions
 
 
 def finetune_variant(bundle: SeedBundle, config: RunConfig, variant: str,
@@ -411,8 +411,11 @@ def sweep_pt(config: RunConfig, p_values: tuple[float, ...] = (10, 20, 30, 40, 5
 def _run(config: RunConfig, seeds: tuple[int, ...] | None,
          runs: list[tuple[str, float | None]]) -> ExperimentReport:
     """One ``prepare_seed`` per seed, then one ``finetune_variant`` per (variant, p_T)."""
+    seeds = tuple(config.seeds if seeds is None else seeds)
+    if len(set(seeds)) != len(seeds):
+        raise InputError(f"seeds {seeds} repeat a seed")
     rows = []
-    for seed in (seeds if seeds is not None else config.seeds):
+    for seed in seeds:
         bundle = prepare_seed(config, seed)
         rows += [finetune_variant(bundle, config, variant, p_t) for variant, p_t in runs]
     return ExperimentReport(rows=rows, config=config.to_dict(), default_p_t=config.p_t)

@@ -234,12 +234,10 @@ class AdamWState:
     step: int = 0
 
     @classmethod
-    def for_params(cls, params: np.ndarray, lr: float = 1e-4,
-                   weight_decay: float = 0.01) -> "AdamWState":
+    def for_params(cls, params: np.ndarray, lr: float = 1e-4) -> "AdamWState":
         if params.ndim != 1:
             raise ShapeError(f"AdamW expects a 1-D parameter vector, got {params.shape}")
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr,
-                   weight_decay=weight_decay)
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 
 def adamw_step(state: AdamWState, params: np.ndarray, grads: np.ndarray) -> None:

@@ -28,8 +28,8 @@ to the backward pass, while the final mask and class logits carry gradients.
 
 The decoder runs a batch of same-geometry images: queries, weights and
 logits carry a leading batch axis, (B, C, N), (B, N, keys), (B, N, H*W).
-``forward`` decodes a one-image batch; training gets one loss and one
-gradient row per image.
+``forward`` and ``model_loss_and_grads`` take any number of such images and
+split them into consecutive batches by one rule, ``_batches``.
 
 The transferability condition selects key columns: a pixel whose T is
 above its image's lambda_t can only be attended by a query that falls
@@ -270,9 +270,16 @@ def _layer_mask(params: SegModelParams, q: np.ndarray, x: np.ndarray,
     return amask, feats
 
 
-def _check_images(params: SegModelParams, fms: list[FeatureMap]) -> None:
-    """Raise unless ``fms`` holds at least one image, all of one geometry
-    and with the embedding's channel count."""
+# Images are decoded in as few batches as keep each batch's (B, N, H*W)
+# arrays within this many elements (256 KB).  At 32x32, one batch of 8 images
+# was no faster than two of 4, and page-faulted about 140 times per step.
+_STACK_ELEMENTS = 1 << 15
+
+
+def _batches(params: SegModelParams, fms: list[FeatureMap]) -> list[slice]:
+    """``fms`` cut into as few consecutive batches of near-equal size as keep
+    each within ``_STACK_ELEMENTS``.  Raises unless ``fms`` holds at least
+    one image, all of one geometry and with the embedding's channel count."""
     if not fms:
         raise InputError("no images to decode")
     first = fms[0]
@@ -286,12 +293,15 @@ def _check_images(params: SegModelParams, fms: list[FeatureMap]) -> None:
         if (fm.height, fm.width, fm.channels) != geometry:
             raise ShapeError(f"image {fm.height}x{fm.width}x{fm.channels} in a batch of "
                              "{}x{}x{} images".format(*geometry))
+    n = len(fms)
+    parts = min(n, math.ceil(n * params.num_queries * first.num_pixels / _STACK_ELEMENTS))
+    return [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
 def _forward(params: SegModelParams, fms: list[FeatureMap],
              tmaps: list[TransferabilityMap | None], lambda_m: float,
              p_t: float) -> _ForwardCache:
-    _check_images(params, fms)
+    """The decoder over one batch of ``_batches``."""
     first = fms[0]
 
     # Vanilla mode (no map): the transferability condition holds for every key.
@@ -352,18 +362,25 @@ def _forward(params: SegModelParams, fms: list[FeatureMap],
     return cache
 
 
-def forward(params: SegModelParams, fm: FeatureMap,
-            tmap: TransferabilityMap | None = None,
-            lambda_m: float = 0.5, p_t: float = 30.0) -> SegPrediction:
-    """Run the decoder.  With a transferability map, every layer's attention
-    is gated by it (threshold = the p_t percentile of this image's values);
-    without one, only the mask-probability condition applies."""
-    cache = _forward(params, [fm], [tmap], lambda_m, p_t)
-    return prediction_from_logits(
-        cache.class_logits[0], cache.mask_logits[0], fm.height, fm.width,
-        fallback_count=int(cache.fallback_count[0]),
-        fallback_slots=params.num_layers * params.num_queries,
-    )
+def forward(params: SegModelParams, fms: list[FeatureMap],
+            tmaps: list[TransferabilityMap | None] | None = None,
+            lambda_m: float = 0.5, p_t: float = 30.0) -> list[SegPrediction]:
+    """One prediction per image, in order, for same-geometry images decoded
+    in the batches of ``_batches``.  An image whose ``tmaps`` entry is a map
+    (None: no image's is) has every layer's attention gated by it, at the
+    p_t percentile of its values; the others get only the mask-probability
+    condition.  A batch pads a gated image's columns to its widest, which
+    reorders their sums; an ungated image decodes bitwise as on its own."""
+    tmaps = [None] * len(fms) if tmaps is None else tmaps
+    if len(tmaps) != len(fms):
+        raise ShapeError(f"{len(tmaps)} transferability maps for {len(fms)} images")
+    preds = []
+    for batch in _batches(params, fms):
+        cache = _forward(params, fms[batch], tmaps[batch], lambda_m, p_t)
+        preds += [prediction_from_logits(c, m, fms[0].height, fms[0].width, int(f),
+                                         params.num_layers * params.num_queries)
+                  for c, m, f in zip(cache.class_logits, cache.mask_logits, cache.fallback_count)]
+    return preds
 
 
 def seg_loss(pred: SegPrediction, labels: np.ndarray,
@@ -449,12 +466,6 @@ def _pixel_rows(arrays: list[np.ndarray], num_pixels: int, what: str) -> np.ndar
     return np.stack(rows)
 
 
-# Items are decoded in as few batches as keep each batch's (B, N, H*W)
-# arrays within this many elements (256 KB).  At 32x32, one batch of 8 images
-# was no faster than two of 4, and page-faulted about 140 times per step.
-_STACK_ELEMENTS = 1 << 15
-
-
 def model_loss_and_grads(
     params: SegModelParams,
     items: list[TrainItem],
@@ -465,19 +476,13 @@ def model_loss_and_grads(
 
     Returns the (B,) losses and a (B, parameters) array whose row b is item
     b's gradient of every entry of ``param_list``, in ``flatten`` layout.
-    Consecutive items are decoded together, in batches of near-equal size
-    bounded by ``_STACK_ELEMENTS``.  Attention masks are threshold
-    constants, so gradients flow through the attention weights, the
-    feed-forward blocks, both heads and the pixel embedding, but not through
-    the mask-building comparisons.
+    Items are decoded in the batches of ``_batches``.  Attention masks are
+    threshold constants, so gradients flow through the attention weights,
+    the feed-forward blocks, both heads and the pixel embedding, but not
+    through the mask-building comparisons.
     """
-    _check_images(params, [it.fm for it in items])
-    n = len(items)
-    parts = min(n, math.ceil(n * params.num_queries * items[0].fm.num_pixels / _STACK_ELEMENTS))
-    if parts == 1:
-        return _batch_loss_and_grads(params, items, lambda_m, p_t)
-    losses, rows = zip(*(_batch_loss_and_grads(params, items[n * k // parts:n * (k + 1) // parts],
-                                               lambda_m, p_t) for k in range(parts)))
+    losses, rows = zip(*(_batch_loss_and_grads(params, items[batch], lambda_m, p_t)
+                         for batch in _batches(params, [it.fm for it in items])))
     return np.concatenate(losses), np.concatenate(rows)
 
 
@@ -570,9 +575,9 @@ def train(
 
     The optimizer owns one parameter vector, which the model being trained
     views.  Loss and gradients are deterministic, so each step evaluates its
-    distinct items once, as one ``model_loss_and_grads`` batch in the order
+    distinct items once, in one ``model_loss_and_grads`` call in the order
     they are first drawn, and adds an item's loss and gradient row again for
-    each further draw.
+    each further draw.  ``items[idx]`` is read once per draw.
     """
     if not items:
         raise InputError("training set is empty")
@@ -583,24 +588,14 @@ def train(
     state = AdamWState.for_params(vector, lr=lr)
     losses: list[float] = []
     for _ in range(steps):
-        picks = rng.integers(0, len(items), size=batch_size)
-        slots: dict[int, int] = {}
-        distinct: list[TrainItem] = []
-        for idx in picks:
-            item = items[idx]
-            if idx not in slots:
-                slots[idx] = len(distinct)
-                distinct.append(item)
-        item_losses, rows = model_loss_and_grads(current, distinct, lambda_m=lambda_m, p_t=p_t)
-        total = 0.0
-        acc: np.ndarray | None = None
-        for idx in picks:
-            total += float(item_losses[slots[idx]])
-            grad = rows[slots[idx]]
-            acc = grad if acc is None else acc + grad
-        assert acc is not None
-        adamw_step(state, vector, acc / batch_size)
-        losses.append(total / batch_size)
+        picks = rng.integers(0, len(items), size=batch_size).tolist()
+        drawn = {idx: items[idx] for idx in picks}  # keys in first-draw order
+        taken = list(map(list(drawn).index, picks))  # each draw's row
+        item_losses, rows = model_loss_and_grads(current, list(drawn.values()),
+                                                 lambda_m=lambda_m, p_t=p_t)
+        # both sums run in pick order, one draw after another
+        adamw_step(state, vector, rows[taken].sum(axis=0) / batch_size)
+        losses.append(float(np.cumsum(item_losses[taken])[-1]) / batch_size)
     return current.copy(), losses  # not the optimizer's buffer
 
 

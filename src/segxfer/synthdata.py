@@ -26,6 +26,7 @@ TARGET = "target"
 _DOMAIN_CODE = {SOURCE: 1, TARGET: 0}
 
 MIN_CLASS_FRACTION = 0.05
+LAYOUT_CELLS = 4  # a rectangular layout is a LAYOUT_CELLS x LAYOUT_CELLS grid
 _MAX_LAYOUT_TRIES = 200
 
 
@@ -46,7 +47,6 @@ class SynthConfig:
     # instead of isotropic space: domain-stable camouflage that resembles
     # random mixtures of the real classes.
     camouflage_classes: tuple[int, ...] = ()
-    layout_cells: int = 4        # layout grid is layout_cells x layout_cells
     rectangular: bool = True
     seed: int = 0
 
@@ -80,10 +80,8 @@ class SynthConfig:
                 f"need channels >= 2 * num_classes for orthogonal prototypes and "
                 f"shift directions, got {self.channels} < {2 * self.num_classes}"
             )
-        if self.layout_cells < 1 or self.height % self.layout_cells or self.width % self.layout_cells:
-            raise ConfigError(
-                f"layout grid {self.layout_cells} must divide {self.height}x{self.width}"
-            )
+        if self.height % LAYOUT_CELLS or self.width % LAYOUT_CELLS:
+            raise ConfigError(f"layout grid {LAYOUT_CELLS} must divide {self.height}x{self.width}")
 
     def class_noise(self) -> np.ndarray:
         if self.noise_scales is None:
@@ -129,9 +127,9 @@ def class_prototypes(config: SynthConfig, domain: str) -> np.ndarray:
 
 
 def _rect_layout(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
-    cell_h = config.height // config.layout_cells
-    cell_w = config.width // config.layout_cells
-    cells = rng.integers(0, config.num_classes, size=(config.layout_cells, config.layout_cells))
+    cell_h = config.height // LAYOUT_CELLS
+    cell_w = config.width // LAYOUT_CELLS
+    cells = rng.integers(0, config.num_classes, size=(LAYOUT_CELLS, LAYOUT_CELLS))
     return np.repeat(np.repeat(cells, cell_h, axis=0), cell_w, axis=1)
 
 

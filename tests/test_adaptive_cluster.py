@@ -132,14 +132,19 @@ def test_similarity_zero_norm_never_raises():
 
 
 def test_similarity_rejects_bad_temperature():
+    # nan would fail late, as a degenerate soft assignment; inf would give
+    # one region
     fm = four_block_map()
     layout = ac.cell_layout(fm, 4)
-    with pytest.raises(ConfigError):
-        ac.init_grid(layout, tau=-0.1)
-    state = ac.init_grid(layout)
-    state.tau = 0.0
-    with pytest.raises(ConfigError):
-        ac.compute_similarity(state, layout)
+    for tau in (-0.1, 0.0, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            ac.init_grid(layout, tau=tau)
+        with pytest.raises(ConfigError):
+            ac.cluster(fm, 4, tau=tau)
+        state = ac.init_grid(layout)
+        state.tau = tau
+        with pytest.raises(ConfigError):
+            ac.compute_similarity(state, layout)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,21 @@ def test_tiny_clutter_report_csv_bytes_are_pinned():
         "3364aa8cb1f91cb90983b3a2d978f4e0177fb72e907779469b0e58cc79c29f1b")
 
 
+@pytest.mark.parametrize("seeds", [(0, 0, 0), (0, 1, 0)], ids=["one_seed", "one_repeat"])
+@pytest.mark.parametrize("run", [
+    lambda config, seeds: experiments.run_ablation(config, seeds),
+    lambda config, seeds: experiments.sweep_pt(config, (30,), seeds),
+], ids=["ablation", "sweep"])
+def test_repeated_seed_override_is_rejected_before_any_seed_runs(monkeypatch, run, seeds):
+    # (0, 0, 0) would pass the ablation's "at least 3 seeds" with one seed
+    def prepare_seed(config, seed):
+        raise AssertionError(f"seed {seed} ran")
+
+    monkeypatch.setattr(experiments, "prepare_seed", prepare_seed)
+    with pytest.raises(InputError):
+        run(RunConfig(**TINY), seeds)
+
+
 def test_tiny_clutter_sweep_csv_bytes_are_pinned():
     report = experiments.sweep_pt(RunConfig(**TINY, **CLUTTER), p_values=(10, 30, 50))
     assert _sha256(report) == (
@@ -237,9 +252,9 @@ def test_each_table_row_routes_its_transferability_map(monkeypatch, tiny_bundle,
         trained.extend(items)
         return train(params, items, **kwargs)
 
-    def recorded_forward(params, fm, **kwargs):
-        forwarded.append(kwargs["tmap"])
-        return forward(params, fm, **kwargs)
+    def recorded_forward(params, fms, tmaps, **kwargs):
+        forwarded.append((fms, tmaps))
+        return forward(params, fms, tmaps, **kwargs)
 
     monkeypatch.setattr(experiments, "train", recorded_train)
     monkeypatch.setattr(experiments, "forward", recorded_forward)
@@ -257,13 +272,18 @@ def test_each_table_row_routes_its_transferability_map(monkeypatch, tiny_bundle,
         else:
             assert item.tmap is None and item.pixel_weights is None
 
-    # evaluation forwards a T-map only for gate rows, built by the row's
-    # discriminator on the row's regions of each held-out image
-    assert len(forwarded) == config.eval_count
-    for img, tmap in zip(tiny_bundle.eval_images, forwarded):
-        if row.use_t != "gate":
-            assert tmap is None
-            continue
+    # evaluation decodes every held-out image in one forward call, with
+    # T-maps only for gate rows, built by the row's discriminator on the
+    # row's regions of each held-out image
+    assert len(forwarded) == 1
+    fms, tmaps = forwarded[0]
+    assert len(fms) == config.eval_count
+    assert all(fm is img.fm for fm, img in zip(fms, tiny_bundle.eval_images))
+    if row.use_t != "gate":
+        assert tmaps is None
+        return
+    assert len(tmaps) == config.eval_count
+    for img, tmap in zip(tiny_bundle.eval_images, tmaps):
         expected = experiments.build_transferability_map(
             branch.disc.params, experiments._regions(config, row.regions, img))
         assert tmap.region_scores.tobytes() == expected.region_scores.tobytes()

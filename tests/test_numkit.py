@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -226,7 +228,7 @@ def test_mlp_backward_rejects_bad_label():
 
 def test_adamw_zero_grad_zero_decay_is_identity():
     params = np.array([1.0, -2.0, 3.0])
-    state = numkit.AdamWState.for_params(params, lr=0.1, weight_decay=0.0)
+    state = replace(numkit.AdamWState.for_params(params, lr=0.1), weight_decay=0.0)
     before = params.copy()
     numkit.adamw_step(state, params, np.zeros(3))
     npt.assert_array_equal(before, params)
@@ -235,7 +237,7 @@ def test_adamw_zero_grad_zero_decay_is_identity():
 def test_adamw_constant_gradient_approaches_sign_step():
     params = np.array([0.0])
     grads = np.array([2.5])
-    state = numkit.AdamWState.for_params(params, lr=1e-3, weight_decay=0.0)
+    state = replace(numkit.AdamWState.for_params(params, lr=1e-3), weight_decay=0.0)
     for _ in range(200):
         prev = params.copy()
         numkit.adamw_step(state, params, grads)
@@ -248,7 +250,7 @@ def test_adamw_single_step_matches_formula():
     p = rng.normal(size=6)
     g = rng.normal(size=6)
     lr, wd, b1, b2, eps = 0.01, 0.05, 0.9, 0.999, 1e-8
-    state = numkit.AdamWState.for_params(p, lr=lr, weight_decay=wd)
+    state = replace(numkit.AdamWState.for_params(p, lr=lr), weight_decay=wd)
     out = p.copy()
     numkit.adamw_step(state, out, g)
 
@@ -290,7 +292,7 @@ def test_adamw_vector_bitwise_equals_per_array_loop(case, weight_decay):
     oracle = ListAdamWState.for_params(arrays, lr=lr, weight_decay=weight_decay)
     vector = numkit.flatten(arrays)
     views = numkit.flat_views(vector, shapes)
-    state = numkit.AdamWState.for_params(vector, lr=lr, weight_decay=weight_decay)
+    state = replace(numkit.AdamWState.for_params(vector, lr=lr), weight_decay=weight_decay)
     for step in range(60):
         # some steps zero the gradient exactly, as a frozen clamp would
         grads = [rng.normal(scale=10.0 ** rng.uniform(-6, 2), size=s) * (step % 7 != 3)

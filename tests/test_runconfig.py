@@ -49,15 +49,25 @@ def test_bool_for_number_is_config_error(name, value):
     ("ffn_hidden", 0),
     ("disc_hidden", [0]),
     ("disc_hidden", [64, -1]),
+    ("seeds", []),
+    ("seeds", [0, 0, 0]),
+    ("seeds", [3, 1, 3]),
 ], ids=["r_zero", "seeds_float", "disc_hidden_float", "noise_scales_string",
         "shift_classes_string", "height_nan", "out_dir_number", "tau_nan", "tau_zero",
         "disc_lr_inf", "sigma_nan", "noise_scales_nan", "height_zero", "width_zero",
         "cluster_iters_zero", "num_queries_zero", "model_channels_zero",
         "decoder_layers_zero", "ffn_hidden_zero", "disc_hidden_zero",
-        "disc_hidden_negative"])
+        "disc_hidden_negative", "seeds_empty", "seeds_one_repeated", "seeds_repeat"])
 def test_bad_value_is_config_error(name, value):
     with pytest.raises(ConfigError):
         RunConfig.from_dict({name: value})
+
+
+@pytest.mark.parametrize("doc", [["height"], None, 5, "height"],
+                         ids=["list", "null", "number", "string"])
+def test_non_object_document_is_config_error(doc):
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict(doc)
 
 
 def test_integral_float_reads_as_int():
@@ -69,3 +79,5 @@ def test_integral_float_reads_as_int():
 def test_constructor_applies_the_same_checks():
     with pytest.raises(ConfigError):
         RunConfig(seeds=(1.5,))
+    with pytest.raises(ConfigError):
+        RunConfig(seeds=(0, 0, 0))

@@ -73,7 +73,7 @@ def test_forward_shape_contract():
     params = sm.init_seg_model(16, 8, rng, num_queries=8, channels=16,
                                num_layers=3, ffn_hidden=32)
     fm = FeatureMap.from_grid(rng.normal(size=(32, 32, 16)))
-    pred = sm.forward(params, fm)
+    pred = sm.forward(params, [fm])[0]
     assert pred.class_probs.shape == (8, 9)
     assert pred.mask_probs.shape == (8, 1024)
     assert pred.labels.shape == (32, 32)
@@ -84,8 +84,8 @@ def test_forward_all_ones_tmap_at_p100_equals_vanilla():
     params = small_model(2)
     fm, _ = small_scene(2)
     tmap = TransferabilityMap(np.ones(4), np.ones((4, 4)))
-    gated = sm.forward(params, fm, tmap=tmap, lambda_m=0.5, p_t=100.0)
-    vanilla = sm.forward(params, fm, tmap=None, lambda_m=0.5)
+    gated = sm.forward(params, [fm], [tmap], lambda_m=0.5, p_t=100.0)[0]
+    vanilla = sm.forward(params, [fm], [None], lambda_m=0.5)[0]
     npt.assert_allclose(gated.class_logits, vanilla.class_logits, atol=1e-9)
     npt.assert_allclose(gated.mask_logits, vanilla.mask_logits, atol=1e-9)
     npt.assert_array_equal(gated.labels, vanilla.labels)
@@ -94,8 +94,8 @@ def test_forward_all_ones_tmap_at_p100_equals_vanilla():
 def test_forward_deterministic():
     params = small_model(3)
     fm, _ = small_scene(3)
-    p1 = sm.forward(params, fm)
-    p2 = sm.forward(params, fm)
+    p1 = sm.forward(params, [fm])[0]
+    p2 = sm.forward(params, [fm])[0]
     npt.assert_array_equal(p1.class_logits, p2.class_logits)
     npt.assert_array_equal(p1.mask_logits, p2.mask_logits)
     npt.assert_array_equal(p1.labels, p2.labels)
@@ -105,7 +105,7 @@ def test_forward_rejects_channel_mismatch():
     params = small_model(4)
     fm, _ = small_scene(4, d=5)
     with pytest.raises(ShapeError):
-        sm.forward(params, fm)
+        sm.forward(params, [fm])
 
 
 def test_forward_rejects_wrong_tmap_shape():
@@ -113,7 +113,7 @@ def test_forward_rejects_wrong_tmap_shape():
     fm, _ = small_scene(5)
     bad = TransferabilityMap(np.zeros(1), np.ones((3, 3)))
     with pytest.raises(ShapeError):
-        sm.forward(params, fm, tmap=bad)
+        sm.forward(params, [fm], [bad])
 
 
 def test_init_draws_are_pinned():
@@ -139,7 +139,7 @@ def test_init_rejects_too_few_queries():
 def test_decode_labels_idempotent():
     params = small_model(7)
     fm, _ = small_scene(7)
-    pred = sm.forward(params, fm)
+    pred = sm.forward(params, [fm])[0]
     again = sm.decode_labels(pred.class_probs, pred.mask_probs, 4, 4)
     npt.assert_array_equal(pred.labels, again)
 

@@ -1,9 +1,10 @@
-"""``model_loss_and_grads`` on batches of several images.
+"""``model_loss_and_grads`` and ``forward`` on batches of several images.
 
-An ungated batch must give each item bitwise the loss and gradient row of a
-one-item batch.  A gated batch pads each image's gathered columns to the
-widest image's count, which changes the order of the sums over keys, so it
-is judged against the long-double reference of ``decoder_oracle``.
+An ungated batch must give each item bitwise the loss, gradient row and
+logits of a one-item batch.  A gated batch pads each image's gathered
+columns to the widest image's count, which changes the order of the sums
+over keys, so it is judged against the long-double reference of
+``decoder_oracle``.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from decoder_oracle import oracle_check
 from segxfer import segmodel as sm
 from segxfer import tma
 from segxfer.adaptive_cluster import FeatureMap
-from segxfer.errors import ShapeError
+from segxfer.errors import InputError, ShapeError
 from segxfer.numkit import flat_views
 from segxfer.transferability import TransferabilityMap
 
@@ -45,12 +46,16 @@ def kept_columns(item, p_t):
 
 
 def check_against_oracle(params, items, lambda_m, p_t):
+    """Judge the batch's losses and gradient rows, and one ``forward`` call's
+    logits over the same images, against the oracle, image by image."""
     losses, rows = sm.model_loss_and_grads(params, items, lambda_m=lambda_m, p_t=p_t)
+    preds = sm.forward(params, [it.fm for it in items], [it.tmap for it in items],
+                       lambda_m=lambda_m, p_t=p_t)
     assert losses.shape == (len(items),) and rows.shape[0] == len(items)
+    assert len(preds) == len(items)
     shapes = [a.shape for a in params.param_list()]
     fallbacks = []
-    for item, loss, row in zip(items, losses, rows):
-        pred = sm.forward(params, item.fm, tmap=item.tmap, lambda_m=lambda_m, p_t=p_t)
+    for item, loss, row, pred in zip(items, losses, rows, preds):
         fallbacks.append(oracle_check(
             params, item.fm, item.labels, item.tmap, lambda_m, p_t, item.pixel_weights,
             [loss, *flat_views(row, shapes), pred.class_logits, pred.mask_logits]))
@@ -79,10 +84,15 @@ def test_ungated_batch_is_bitwise_one_item_batches(split, monkeypatch):
     if split:  # two batches, of 2 and 3 images
         monkeypatch.setattr(sm, "_STACK_ELEMENTS", 3 * params.num_queries * H * W)
     losses, rows = sm.model_loss_and_grads(params, batch)
-    for item, loss, row in zip(batch, losses, rows):
+    preds = sm.forward(params, [it.fm for it in batch])
+    for item, loss, row, pred in zip(batch, losses, rows, preds, strict=True):
         one_loss, one_row = sm.model_loss_and_grads(params, [item])
         assert loss == one_loss[0]
         assert np.array_equal(row, one_row[0])
+        one = sm.forward(params, [item.fm])[0]
+        assert np.array_equal(pred.class_logits, one.class_logits)
+        assert np.array_equal(pred.mask_logits, one.mask_logits)
+        assert np.array_equal(pred.labels, one.labels)
     assert np.array_equal(rows[1], rows[2])
 
 
@@ -97,10 +107,13 @@ def test_gated_batch_with_different_column_counts_matches_oracle(seed, mask_widt
     assert mask_widths[:params.num_layers] == [max(kept)] * params.num_layers
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_mixed_gated_and_ungated_batch_matches_oracle(seed):
+@pytest.mark.parametrize("seed, split", [pytest.param(s, False, id=str(s)) for s in range(4)]
+                         + [pytest.param(0, True, id="0-split")])
+def test_mixed_gated_and_ungated_batch_matches_oracle(seed, split, monkeypatch):
     params, items = batch_case(seed)
     items[0].tmap = items[3].tmap = None
+    if split:  # two batches of 2 images, one gated and one not in each
+        monkeypatch.setattr(sm, "_STACK_ELEMENTS", 2 * params.num_queries * H * W)
     check_against_oracle(params, items, lambda_m=0.5, p_t=30.0)
 
 
@@ -125,3 +138,15 @@ def test_mixed_geometry_raises(split, monkeypatch):
         monkeypatch.setattr(sm, "_STACK_ELEMENTS", 1)
     with pytest.raises(ShapeError):
         sm.model_loss_and_grads(params, [*items, other])
+    with pytest.raises(ShapeError):
+        sm.forward(params, [it.fm for it in [*items, other]])
+    # a T-map list of another length, which slicing per batch would not notice
+    fms, tmaps = [it.fm for it in items], [it.tmap for it in items]
+    with pytest.raises(ShapeError):
+        sm.forward(params, fms, tmaps[:-1])
+    with pytest.raises(ShapeError):
+        sm.forward(params, fms[:-1], tmaps)
+    with pytest.raises(InputError):
+        sm.forward(params, [])
+    with pytest.raises(InputError):
+        sm.model_loss_and_grads(params, [])

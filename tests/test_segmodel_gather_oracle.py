@@ -61,7 +61,7 @@ def test_gated_matches_full_width_oracle(p_t, lambda_m, mask_spy):
         params, fm, labels, tmap, pixel_weights = random_case(seed)
         loss, grads = one_item_loss_and_grads(params, sm.TrainItem(fm, labels, tmap, pixel_weights),
                                               lambda_m=lambda_m, p_t=p_t)
-        pred = sm.forward(params, fm, tmap=tmap, lambda_m=lambda_m, p_t=p_t)
+        pred = sm.forward(params, [fm], [tmap], lambda_m=lambda_m, p_t=p_t)[0]
         fallbacks = oracle_check(params, fm, labels, tmap, lambda_m, p_t, pixel_weights,
                                  [loss, *grads, pred.class_logits, pred.mask_logits])
         assert pred.fallback_count == sum(int(f.sum()) for f in fallbacks)
@@ -88,7 +88,7 @@ def test_ungated_matches_full_width_oracle(lambda_m, mask_spy):
         params, fm, labels, _, pixel_weights = random_case(seed)
         loss, grads = one_item_loss_and_grads(params, sm.TrainItem(fm, labels, None, pixel_weights),
                                               lambda_m=lambda_m)
-        pred = sm.forward(params, fm, lambda_m=lambda_m)
+        pred = sm.forward(params, [fm], lambda_m=lambda_m)[0]
         fallbacks = oracle_check(params, fm, labels, None, lambda_m, 30.0, pixel_weights,
                                  [loss, *grads, pred.class_logits, pred.mask_logits])
         assert len(mask_spy) == 2 * params.num_layers
