@@ -15,6 +15,11 @@ pixel's own cell.  Candidates that fall off the grid hold -inf similarity
 and exactly 0 assignment.  In this row order the candidates' region indices
 increase, so an argmax over rows breaks ties toward the lowest region index.
 
+The round functions take and return arrays; ``cluster`` threads the centers
+and the assignment through its loop and returns a ``ClusterState``, which
+holds only the regions: their centers and every pixel's hard label.  The
+soft assignment lives only for the call.
+
 What does not change between rounds is computed once.  ``cluster`` builds
 one ``CellLayout`` per call: the features grouped by cell, their norms, and
 the features with a column of ones.  The layout lives only for that call
@@ -84,23 +89,16 @@ OWN_CELL = OFFSETS.index((0, 0))
 
 @dataclass
 class ClusterState:
-    """Grid stride, centers, soft assignment over the 9 candidates, hard labels."""
+    """One image's regions: their centers and every pixel's hard label."""
 
     height: int
     width: int
-    stride: int
-    tau: float
     centers: np.ndarray      # (N_p, d), region i is grid cell i, row-major
-    assign: np.ndarray       # (9, H*W), column-stochastic, rows as in OFFSETS
     hard_labels: np.ndarray  # (H*W,) region indices
 
     @property
     def num_regions(self) -> int:
         return self.centers.shape[0]
-
-    @property
-    def grid_shape(self) -> tuple[int, int]:
-        return self.height // self.stride, self.width // self.stride
 
 
 def _grid_shape(height: int, width: int, stride: int) -> tuple[int, int]:
@@ -221,41 +219,37 @@ def cell_layout(fm: FeatureMap, stride: int) -> CellLayout:
     )
 
 
-def init_grid(layout: CellLayout, tau: float = 0.07) -> ClusterState:
+def init_grid(layout: CellLayout) -> ClusterState:
     """Seed regions from a regular grid; centers are per-cell feature means."""
-    if not 0.0 < tau < np.inf:
-        raise ConfigError(f"temperature must be finite and positive, got {tau}")
     assign = np.zeros((len(OFFSETS), layout.num_pixels))
     assign[OWN_CELL] = 1.0
     return ClusterState(
         height=layout.height,
         width=layout.width,
-        stride=layout.stride,
-        tau=tau,
         centers=update_centers(assign, layout),
-        assign=assign,
         hard_labels=layout.tables.pixel_cell.copy(),
     )
 
 
-def compute_similarity(state: ClusterState, layout: CellLayout) -> np.ndarray:
-    """(9, H*W) temperature-scaled cosine similarity, -inf off the grid.
+def compute_similarity(centers: np.ndarray, layout: CellLayout, tau: float) -> np.ndarray:
+    """(9, H*W) cosine similarity to ``centers`` over temperature ``tau``,
+    -inf off the grid.
 
     Norms are guarded by +1e-12, so zero vectors never raise.
     """
-    if not 0.0 < state.tau < np.inf:
-        raise ConfigError(f"temperature must be finite and positive, got {state.tau}")
-    grid_h, grid_w = state.grid_shape
-    if ((layout.height, layout.width, layout.stride) != (state.height, state.width, state.stride)
-            or state.centers.shape != (grid_h * grid_w, layout.channels)):
-        raise ShapeError("feature map does not match cluster state geometry")
-    r = state.stride
+    if not 0.0 < tau < np.inf:
+        raise ConfigError(f"temperature must be finite and positive, got {tau}")
+    grid_h, grid_w = layout.grid_shape
+    if centers.shape != (grid_h * grid_w, layout.channels):
+        raise ShapeError(f"centers {centers.shape} are not the {grid_h * grid_w} cells "
+                         f"x {layout.channels} channels of the layout")
+    r = layout.stride
     tables = layout.tables
-    centers = np.vstack([state.centers, np.zeros((1, layout.channels))])
+    centers = np.vstack([centers, np.zeros((1, layout.channels))])
     q_norm = np.linalg.norm(centers, axis=1)[tables.norm_index] + NORM_GUARD  # (cells, 9)
     sims = layout.features @ np.take(centers, tables.center_index)            # (cells, r*r, 9)
     sims /= q_norm[:, None, :] * layout.key_norms
-    sims /= state.tau
+    sims /= tau
     np.copyto(sims, -np.inf, where=tables.off_grid)
     return (sims.reshape(grid_h, grid_w, r, r, len(OFFSETS))
             .transpose(4, 0, 2, 1, 3).reshape(len(OFFSETS), layout.num_pixels))
@@ -300,23 +294,11 @@ def cluster(fm: FeatureMap, stride: int, tau: float = 0.07, iters: int = 6) -> C
     if iters < 1:
         raise ConfigError(f"need at least one iteration, got {iters}")
     layout = cell_layout(fm, stride)
-    state = init_grid(layout, tau)
-    assign = state.assign
-    centers = state.centers
+    centers = init_grid(layout).centers
     for _ in range(iters):
-        state.centers = centers
-        similarity = compute_similarity(state, layout)
+        similarity = compute_similarity(centers, layout, tau)
         assign = soft_assign(similarity)
         centers = update_centers(assign, layout)
     best = np.argmax(assign, axis=0)
     hard = layout.tables.neighbor[layout.tables.pixel_cell, best]
-    return ClusterState(
-        height=state.height,
-        width=state.width,
-        stride=stride,
-        tau=tau,
-        centers=centers,
-        assign=assign,
-        hard_labels=hard,
-    )
-
+    return ClusterState(height=fm.height, width=fm.width, centers=centers, hard_labels=hard)

@@ -217,8 +217,10 @@ def report_csv(report: ExperimentReport, footer: bool = False) -> str:
 
 @dataclass
 class RegionBranch:
-    """One region source's discriminator (with its PAD) and target T-maps."""
+    """One region source's target regions, the discriminator trained on both
+    domains' regions (with its PAD), and the target regions' T-maps."""
 
+    target_states: list[ClusterState]
     disc: DiscriminatorResult
     target_tmaps: list[TransferabilityMap]
 
@@ -226,14 +228,13 @@ class RegionBranch:
 def _regions(config: RunConfig, source: str, img: LabeledImage) -> ClusterState:
     if source == "adaptive":
         return cluster(img.fm, config.r, tau=config.tau, iters=config.cluster_iters)
-    return init_grid(cell_layout(img.fm, config.r), tau=config.tau)
+    return init_grid(cell_layout(img.fm, config.r))
 
 
 def _region_branch(config: RunConfig, seed: int, source: str,
                    source_images: list[LabeledImage], target_images: list[LabeledImage]
-                   ) -> tuple[list[ClusterState], RegionBranch]:
-    """The target images' regions, and the branch trained on both domains'
-    regions."""
+                   ) -> RegionBranch:
+    """The branch of one region source over both domains' images."""
     source_states = [_regions(config, source, img) for img in source_images]
     target_states = [_regions(config, source, img) for img in target_images]
     disc = train_discriminator(
@@ -242,22 +243,22 @@ def _region_branch(config: RunConfig, seed: int, source: str,
         epochs=config.disc_epochs, lr=config.disc_lr,
         seed=seed + _DISC_SEED_STEP[source] * _DISC_SEED_OFFSET,
         hidden=config.disc_hidden, batch_size=config.disc_batch)
-    return target_states, RegionBranch(
-        disc, [build_transferability_map(disc.params, s) for s in target_states])
+    return RegionBranch(
+        target_states, disc, [build_transferability_map(disc.params, s) for s in target_states])
 
 
 @dataclass
 class SeedBundle:
     """Everything one seed's variants share: data, the region branches and
-    the pretrained source model.  The grid branch is built on first use, so
-    a seed that runs no grid variant never trains its discriminator."""
+    the pretrained source model.  Each branch holds its own target regions.
+    The grid branch is built on first use, so a seed that runs no grid
+    variant never trains its discriminator."""
 
     config: RunConfig
     seed: int
     source_images: list[LabeledImage]
     target_images: list[LabeledImage]
     eval_images: list[LabeledImage]
-    target_states: list[ClusterState]  # adaptive only: grid ones are not kept
     adaptive: RegionBranch
     source_params: SegModelParams
     source_losses: list[float] = field(default_factory=list)
@@ -265,10 +266,14 @@ class SeedBundle:
     @functools.cached_property
     def grid(self) -> RegionBranch:
         return _region_branch(self.config, self.seed, "grid",
-                              self.source_images, self.target_images)[1]
+                              self.source_images, self.target_images)
 
     def branch(self, source: str) -> RegionBranch:
         return self.adaptive if source == "adaptive" else self.grid
+
+    @property
+    def target_states(self) -> list[ClusterState]:
+        return self.adaptive.target_states
 
     @property
     def target_tmaps(self) -> list[TransferabilityMap]:
@@ -298,8 +303,7 @@ def prepare_seed(config: RunConfig, seed: int) -> SeedBundle:
     source_images = generate(synth, config.source_count, SOURCE)
     target_images = generate(synth, config.target_count, TARGET)
     eval_images = generate(synth, config.eval_count, TARGET, stream=1)
-    target_states, adaptive = _region_branch(
-        config, seed, "adaptive", source_images, target_images)
+    adaptive = _region_branch(config, seed, "adaptive", source_images, target_images)
 
     init_rng = np.random.default_rng([seed, _MODEL_INIT_STREAM])
     params = init_seg_model(
@@ -319,7 +323,6 @@ def prepare_seed(config: RunConfig, seed: int) -> SeedBundle:
         source_images=source_images,
         target_images=target_images,
         eval_images=eval_images,
-        target_states=target_states,
         adaptive=adaptive,
         source_params=source_params,
         source_losses=source_losses,
@@ -405,6 +408,8 @@ def sweep_pt(config: RunConfig, p_values: tuple[float, ...] = (10, 20, 30, 40, 5
     """Fine-tune the gated model once per percentile value per seed."""
     if not p_values:
         raise InputError("p_values must be non-empty")
+    if not all(0.0 <= p <= 100.0 for p in p_values):
+        raise InputError(f"p_values {p_values} must be percentiles in [0, 100]")
     return _run(config, seeds, [("tmt", float(p)) for p in p_values])
 
 

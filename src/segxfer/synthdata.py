@@ -80,6 +80,8 @@ class SynthConfig:
                 f"need channels >= 2 * num_classes for orthogonal prototypes and "
                 f"shift directions, got {self.channels} < {2 * self.num_classes}"
             )
+        if self.height < 1 or self.width < 1:
+            raise ConfigError(f"image {self.height}x{self.width} must be at least 1x1")
         if self.height % LAYOUT_CELLS or self.width % LAYOUT_CELLS:
             raise ConfigError(f"layout grid {LAYOUT_CELLS} must divide {self.height}x{self.width}")
 

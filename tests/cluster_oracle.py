@@ -3,18 +3,22 @@ an oracle: every round regroups the features by cell, recomputes the pixel
 norms, rebuilds the on-grid mask and the feature-plus-ones matrix, stacks
 each cell's neighbors by padding and slicing, and scatters the center sums
 with one slice per offset.  ``adaptive_cluster`` must match it bitwise.
+
+The spies at the end read what ``adaptive_cluster`` computes but does not
+return: each round's similarity and assignment, and the one-hot assignment
+that seeds the grid centers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from segxfer import adaptive_cluster as ac
 from segxfer.adaptive_cluster import (
     MASS_GUARD,
     NORM_GUARD,
     OFFSETS,
     OWN_CELL,
-    ClusterState,
     FeatureMap,
 )
 from segxfer.numkit import softmax_columns
@@ -51,22 +55,22 @@ def candidate_regions(height, width, stride):
     return pixels.reshape(height * width, len(OFFSETS)).T.copy()
 
 
-def init_grid(fm: FeatureMap, stride: int, tau: float = 0.07) -> ClusterState:
+def init_grid(fm: FeatureMap, stride: int):
+    """The grid's (centers, one-hot assignment, hard labels)."""
     regions = candidate_regions(fm.height, fm.width, stride)
     assign = np.zeros((len(OFFSETS), fm.num_pixels))
     assign[OWN_CELL] = 1.0
-    return ClusterState(height=fm.height, width=fm.width, stride=stride, tau=tau,
-                        centers=update_centers(assign, fm, stride), assign=assign,
-                        hard_labels=regions[OWN_CELL].copy())
+    return update_centers(assign, fm, stride), assign, regions[OWN_CELL].copy()
 
 
-def compute_similarity(state: ClusterState, fm: FeatureMap) -> np.ndarray:
-    grid_h, grid_w = state.grid_shape
-    r = state.stride
+def compute_similarity(centers: np.ndarray, fm: FeatureMap, stride: int,
+                       tau: float) -> np.ndarray:
+    grid_h, grid_w = _grid_shape(fm.height, fm.width, stride)
+    r = stride
     k_norm = np.linalg.norm(fm.features, axis=1) + NORM_GUARD
-    q_norm = _neighbors(np.linalg.norm(state.centers, axis=1), grid_h, grid_w) + NORM_GUARD
-    dots = _by_cell(fm.features, grid_h, grid_w, r) @ _neighbors(state.centers, grid_h, grid_w)
-    sims = dots / (q_norm[:, None, :] * _by_cell(k_norm[:, None], grid_h, grid_w, r)) / state.tau
+    q_norm = _neighbors(np.linalg.norm(centers, axis=1), grid_h, grid_w) + NORM_GUARD
+    dots = _by_cell(fm.features, grid_h, grid_w, r) @ _neighbors(centers, grid_h, grid_w)
+    sims = dots / (q_norm[:, None, :] * _by_cell(k_norm[:, None], grid_h, grid_w, r)) / tau
     on_grid = _neighbors(np.ones(grid_h * grid_w, dtype=bool), grid_h, grid_w)
     sims = np.where(on_grid[:, None, :], sims, -np.inf)
     return (sims.reshape(grid_h, grid_w, r, r, len(OFFSETS))
@@ -89,19 +93,52 @@ def update_centers(assign: np.ndarray, fm: FeatureMap, stride: int) -> np.ndarra
 
 
 def cluster_rounds(fm: FeatureMap, stride: int, tau: float = 0.07, iters: int = 6):
-    """The grouping loop: the final state, plus each round's similarity and
-    assignment."""
-    state = init_grid(fm, stride, tau)
-    assign, centers = state.assign, state.centers
+    """The grouping loop: the final (centers, assignment, hard labels), plus
+    each round's (similarity, assignment)."""
+    centers, assign, _ = init_grid(fm, stride)
     rounds = []
     for _ in range(iters):
-        state.centers = centers
-        similarity = compute_similarity(state, fm)
+        similarity = compute_similarity(centers, fm, stride, tau)
         assign = softmax_columns(similarity)
         centers = update_centers(assign, fm, stride)
         rounds.append((similarity, assign))
     best = np.argmax(assign, axis=0)
     hard = candidate_regions(fm.height, fm.width, stride)[best, np.arange(fm.num_pixels)]
-    final = ClusterState(height=fm.height, width=fm.width, stride=stride, tau=tau,
-                         centers=centers, assign=assign, hard_labels=hard)
-    return final, rounds
+    return (centers, assign, hard), rounds
+
+
+def traced_cluster(monkeypatch, fm, stride, tau=0.07, iters=6):
+    """``ac.cluster`` plus the (similarity, assignment) of each round; the
+    last round's assignment is the one the hard labels are read from."""
+    rounds = []
+    similarity_fn, assign_fn = ac.compute_similarity, ac.soft_assign
+
+    def similarity(*args):
+        rounds.append((similarity_fn(*args),))
+        return rounds[-1][0]
+
+    def assign(sim):
+        rounds[-1] += (assign_fn(sim),)
+        return rounds[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(ac, "compute_similarity", similarity)
+        m.setattr(ac, "soft_assign", assign)
+        state = ac.cluster(fm, stride, tau=tau, iters=iters)
+    return state, rounds
+
+
+def seeded_grid(monkeypatch, layout):
+    """``ac.init_grid(layout)`` plus the assignment its centers are the
+    weighted means of."""
+    seen = []
+    update_fn = ac.update_centers
+
+    def update(assign, layout):
+        seen.append(assign)
+        return update_fn(assign, layout)
+
+    with monkeypatch.context() as m:
+        m.setattr(ac, "update_centers", update)
+        state = ac.init_grid(layout)
+    return state, seen[0]

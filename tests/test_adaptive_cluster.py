@@ -58,7 +58,7 @@ def test_init_grid_neighbor_counts_12x12():
     regions = cluster_oracle.candidate_regions(12, 12, 4)
     assert np.count_nonzero(regions[:, corner] >= 0) == 4
     assert np.count_nonzero(regions[:, center] >= 0) == 9
-    d = ac.compute_similarity(state, layout)
+    d = ac.compute_similarity(state.centers, layout, 0.07)
     assert np.count_nonzero(np.isfinite(d[:, corner])) == 4
     assert np.count_nonzero(np.isfinite(d[:, center])) == 9
 
@@ -70,12 +70,12 @@ def test_init_grid_stride_must_divide():
         ac.init_grid(ac.cell_layout(fm, 3))
 
 
-def test_init_grid_assignment_is_cell_one_hot():
+def test_init_grid_assignment_is_cell_one_hot(monkeypatch):
     rng = np.random.default_rng(3)
     fm = ac.FeatureMap.from_grid(rng.normal(size=(8, 8, 2)))
-    state = ac.init_grid(ac.cell_layout(fm, 4))
-    npt.assert_allclose(state.assign.sum(axis=0), 1.0, atol=1e-12)
-    assert np.all(state.assign[ac.OWN_CELL] == 1.0)
+    state, assign = cluster_oracle.seeded_grid(monkeypatch, ac.cell_layout(fm, 4))
+    npt.assert_allclose(assign.sum(axis=0), 1.0, atol=1e-12)
+    assert np.all(assign[ac.OWN_CELL] == 1.0)
     regions = cluster_oracle.candidate_regions(8, 8, 4)
     npt.assert_array_equal(regions[ac.OWN_CELL], state.hard_labels)
 
@@ -88,7 +88,7 @@ def test_init_grid_assignment_is_cell_one_hot():
 def test_similarity_identical_vectors():
     fm = four_block_map()
     layout = ac.cell_layout(fm, 4)
-    d = ac.compute_similarity(ac.init_grid(layout, tau=1.0), layout)
+    d = ac.compute_similarity(ac.init_grid(layout).centers, layout, 1.0)
     # pixel 0 lives in region 0 whose center equals its feature
     assert d[ac.OWN_CELL, 0] == pytest.approx(1.0, abs=1e-9)
 
@@ -96,7 +96,7 @@ def test_similarity_identical_vectors():
 def test_similarity_orthogonal_vectors():
     fm = four_block_map()
     layout = ac.cell_layout(fm, 4)
-    d = ac.compute_similarity(ac.init_grid(layout, tau=1.0), layout)
+    d = ac.compute_similarity(ac.init_grid(layout).centers, layout, 1.0)
     # region 1, the cell right of pixel 0's, has a prototype orthogonal to it
     assert cluster_oracle.candidate_regions(8, 8, 4)[offset_row(0, 1), 0] == 1
     assert d[offset_row(0, 1), 0] == pytest.approx(0.0, abs=1e-9)
@@ -106,7 +106,7 @@ def test_similarity_non_neighbor_is_minus_inf():
     rng = np.random.default_rng(4)
     fm = ac.FeatureMap.from_grid(rng.normal(size=(12, 12, 2)))
     layout = ac.cell_layout(fm, 4)
-    d = ac.compute_similarity(ac.init_grid(layout), layout)
+    d = ac.compute_similarity(ac.init_grid(layout).centers, layout, 0.07)
     # pixel (0, 0): the far corner region 8 is not a candidate, and the
     # candidates above and left of the grid are -inf
     regions = cluster_oracle.candidate_regions(12, 12, 4)
@@ -118,8 +118,9 @@ def test_similarity_non_neighbor_is_minus_inf():
 def test_similarity_temperature_scales():
     fm = four_block_map()
     layout = ac.cell_layout(fm, 4)
-    s1 = ac.compute_similarity(ac.init_grid(layout, tau=1.0), layout)
-    s2 = ac.compute_similarity(ac.init_grid(layout, tau=0.5), layout)
+    centers = ac.init_grid(layout).centers
+    s1 = ac.compute_similarity(centers, layout, 1.0)
+    s2 = ac.compute_similarity(centers, layout, 0.5)
     finite = np.isfinite(s1)
     npt.assert_allclose(s2[finite], 2.0 * s1[finite], atol=1e-9)
 
@@ -127,7 +128,7 @@ def test_similarity_temperature_scales():
 def test_similarity_zero_norm_never_raises():
     fm = ac.FeatureMap(4, 4, np.zeros((16, 3)))
     layout = ac.cell_layout(fm, 4)
-    d = ac.compute_similarity(ac.init_grid(layout), layout)
+    d = ac.compute_similarity(ac.init_grid(layout).centers, layout, 0.07)
     assert np.all(np.isfinite(d) | (d == -np.inf))
 
 
@@ -136,15 +137,12 @@ def test_similarity_rejects_bad_temperature():
     # one region
     fm = four_block_map()
     layout = ac.cell_layout(fm, 4)
+    centers = ac.init_grid(layout).centers
     for tau in (-0.1, 0.0, np.nan, np.inf):
         with pytest.raises(ConfigError):
-            ac.init_grid(layout, tau=tau)
-        with pytest.raises(ConfigError):
             ac.cluster(fm, 4, tau=tau)
-        state = ac.init_grid(layout)
-        state.tau = tau
         with pytest.raises(ConfigError):
-            ac.compute_similarity(state, layout)
+            ac.compute_similarity(centers, layout, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +249,19 @@ def test_cluster_constant_image_tie_break():
     npt.assert_array_equal(state.hard_labels, expected)
 
 
-def test_cluster_cosine_scale_invariance():
+def final_assign(monkeypatch, fm, stride):
+    """``ac.cluster(fm, stride)`` and the soft assignment of its last round."""
+    state, rounds = cluster_oracle.traced_cluster(monkeypatch, fm, stride)
+    return state, rounds[-1][1]
+
+
+def test_cluster_cosine_scale_invariance(monkeypatch):
     rng = np.random.default_rng(7)
     fm = ac.FeatureMap.from_grid(rng.normal(size=(8, 8, 5)))
     fm3 = ac.FeatureMap(8, 8, 3.0 * fm.features)
-    s1 = ac.cluster(fm, 4, tau=0.07, iters=6)
-    s3 = ac.cluster(fm3, 4, tau=0.07, iters=6)
-    npt.assert_allclose(s1.assign, s3.assign, atol=1e-6)
+    s1, a1 = final_assign(monkeypatch, fm, 4)
+    s3, a3 = final_assign(monkeypatch, fm3, 4)
+    npt.assert_allclose(a1, a3, atol=1e-6)
     npt.assert_array_equal(s1.hard_labels, s3.hard_labels)
 
 
@@ -270,24 +274,21 @@ def test_cluster_column_stochastic_and_local_every_iteration():
     rng = np.random.default_rng(8)
     fm = ac.FeatureMap.from_grid(rng.normal(size=(8, 8, 3)))
     layout = ac.cell_layout(fm, 4)
-    state = ac.init_grid(layout)
     off_grid = cluster_oracle.candidate_regions(8, 8, 4) < 0
-    assign = state.assign
-    centers = state.centers
+    centers = ac.init_grid(layout).centers
     for _ in range(6):
-        state.centers = centers
-        assign = ac.soft_assign(ac.compute_similarity(state, layout))
+        assign = ac.soft_assign(ac.compute_similarity(centers, layout, 0.07))
         centers = ac.update_centers(assign, layout)
         npt.assert_allclose(assign.sum(axis=0), 1.0, atol=1e-6)
         assert np.all(assign[off_grid] == 0.0)
 
 
-def test_cluster_deterministic():
+def test_cluster_deterministic(monkeypatch):
     rng = np.random.default_rng(9)
     fm = ac.FeatureMap.from_grid(rng.normal(size=(8, 8, 3)))
-    s1 = ac.cluster(fm, 4)
-    s2 = ac.cluster(fm, 4)
-    npt.assert_array_equal(s1.assign, s2.assign)
+    s1, a1 = final_assign(monkeypatch, fm, 4)
+    s2, a2 = final_assign(monkeypatch, fm, 4)
+    npt.assert_array_equal(a1, a2)
     npt.assert_array_equal(s1.centers, s2.centers)
     npt.assert_array_equal(s1.hard_labels, s2.hard_labels)
 
@@ -344,15 +345,17 @@ def test_feature_map_validation():
 
 def test_similarity_rejects_mismatched_geometry():
     rng = np.random.default_rng(12)
-    state = ac.init_grid(ac.cell_layout(ac.FeatureMap.from_grid(rng.normal(size=(8, 12, 2))), 4))
-    transposed = ac.FeatureMap.from_grid(rng.normal(size=(12, 8, 2)))
-    with pytest.raises(ShapeError):
-        ac.compute_similarity(state, ac.cell_layout(transposed, 4))
+    layout = ac.cell_layout(ac.FeatureMap.from_grid(rng.normal(size=(8, 12, 2))), 4)
+    for shape in ((4, 2), (9, 2), (6, 3), (6,), (2, 6)):  # the layout's are (6, 2)
+        with pytest.raises(ShapeError):
+            ac.compute_similarity(rng.normal(size=shape), layout, 0.07)
 
 
 def test_update_centers_rejects_bad_layout():
     fm = four_block_map()
     with pytest.raises(ShapeError):
         ac.update_centers(np.full((4, 64), 0.25), ac.cell_layout(fm, 4))  # dense (N_p, H*W) layout
+    one_hot = np.zeros((9, 64))
+    one_hot[ac.OWN_CELL] = 1.0
     with pytest.raises(ConfigError):
-        ac.update_centers(ac.init_grid(ac.cell_layout(fm, 4)).assign, ac.cell_layout(fm, 3))
+        ac.update_centers(one_hot, ac.cell_layout(fm, 3))

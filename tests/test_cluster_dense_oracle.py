@@ -87,20 +87,20 @@ def random_map(height, width, channels, seed):
     return ac.FeatureMap.from_grid(rng.normal(size=(height, width, channels)))
 
 
-def assert_matches_dense(state, fm, stride, tau, iters):
+def assert_matches_dense(monkeypatch, fm, stride, tau, iters):
+    state, rounds = cluster_oracle.traced_cluster(monkeypatch, fm, stride, tau, iters)
     centers, assign, hard = dense_cluster(fm, stride, tau, iters)
     npt.assert_array_equal(state.hard_labels, hard)
     npt.assert_allclose(state.centers, centers, rtol=0, atol=1e-12)
-    npt.assert_allclose(to_dense(state.assign, fm.height, fm.width, stride, 0.0), assign,
+    npt.assert_allclose(to_dense(rounds[-1][1], fm.height, fm.width, stride, 0.0), assign,
                         rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("height,width,stride,channels", GEOMETRIES)
-def test_cluster_matches_dense_oracle(height, width, stride, channels):
+def test_cluster_matches_dense_oracle(monkeypatch, height, width, stride, channels):
     fm = random_map(height, width, channels, seed=height * 100 + width + stride)
     for tau, iters in ((0.07, 6), (0.5, 3)):
-        assert_matches_dense(ac.cluster(fm, stride, tau=tau, iters=iters), fm, stride,
-                             tau, iters)
+        assert_matches_dense(monkeypatch, fm, stride, tau, iters)
 
 
 @pytest.mark.parametrize("height,width,stride,channels", GEOMETRIES)
@@ -116,13 +116,13 @@ def test_cluster_ties_follow_dense_rule(height, width, stride, channels):
 
 
 @pytest.mark.parametrize("height,width,stride,channels", GEOMETRIES)
-def test_init_grid_matches_dense_oracle(height, width, stride, channels):
+def test_init_grid_matches_dense_oracle(monkeypatch, height, width, stride, channels):
     fm = random_map(height, width, channels, seed=7 + height + width)
-    state = ac.init_grid(ac.cell_layout(fm, stride))
+    state, seeded = cluster_oracle.seeded_grid(monkeypatch, ac.cell_layout(fm, stride))
     mask, assign, centers, cell = dense_init_grid(fm, stride)
     npt.assert_array_equal(state.hard_labels, cell)
     npt.assert_allclose(state.centers, centers, rtol=0, atol=1e-12)
-    npt.assert_array_equal(to_dense(state.assign, height, width, stride, 0.0), assign)
+    npt.assert_array_equal(to_dense(seeded, height, width, stride, 0.0), assign)
 
 
 @pytest.mark.parametrize("height,width,stride,channels", GEOMETRIES)
@@ -130,11 +130,10 @@ def test_similarity_and_update_match_dense_oracle(height, width, stride, channel
     rng = np.random.default_rng(height + 3 * width + stride)
     fm = random_map(height, width, channels, seed=11 + height)
     layout = ac.cell_layout(fm, stride)
-    state = ac.init_grid(layout, tau=0.3)
-    state.centers = rng.normal(size=state.centers.shape)
+    centers = rng.normal(size=ac.init_grid(layout).centers.shape)
     mask, _ = dense_neighbor_mask(height, width, stride)
-    sim = ac.compute_similarity(state, layout)
-    expected = dense_similarity(state.centers, fm, mask, 0.3)
+    sim = ac.compute_similarity(centers, layout, 0.3)
+    expected = dense_similarity(centers, fm, mask, 0.3)
     scattered = to_dense(sim, height, width, stride, -np.inf)
     npt.assert_array_equal(np.isfinite(scattered), mask)
     npt.assert_allclose(scattered[mask], expected[mask], rtol=0, atol=1e-12)

@@ -15,31 +15,12 @@ from test_cluster_dense_oracle import GEOMETRIES, random_map
 CLUTTER = dict(sigma=0.5, noise_scales=(1.0, 1.0, 1.0, 4.0), camouflage_classes=(1,))
 
 
-def traced_cluster(monkeypatch, fm, stride, tau, iters):
-    """``ac.cluster`` plus the (similarity, assignment) of each round."""
-    rounds = []
-    similarity_fn, assign_fn = ac.compute_similarity, ac.soft_assign
-
-    def similarity(state, layout):
-        rounds.append((similarity_fn(state, layout),))
-        return rounds[-1][0]
-
-    def assign(sim):
-        rounds[-1] += (assign_fn(sim),)
-        return rounds[-1][1]
-
-    with monkeypatch.context() as m:
-        m.setattr(ac, "compute_similarity", similarity)
-        m.setattr(ac, "soft_assign", assign)
-        state = ac.cluster(fm, stride, tau=tau, iters=iters)
-    return state, rounds
-
-
 def assert_matches_oracle(monkeypatch, fm, stride, tau=0.07, iters=6):
-    state, rounds = traced_cluster(monkeypatch, fm, stride, tau, iters)
+    state, rounds = cluster_oracle.traced_cluster(monkeypatch, fm, stride, tau, iters)
     expected, expected_rounds = cluster_oracle.cluster_rounds(fm, stride, tau, iters)
-    for name in ("centers", "assign", "hard_labels"):
-        assert np.array_equal(getattr(state, name), getattr(expected, name)), name
+    got = (state.centers, rounds[-1][1], state.hard_labels)
+    for name, a, b in zip(("centers", "assign", "hard_labels"), got, expected):
+        assert np.array_equal(a, b), name
     assert len(rounds) == iters
     for i, ((sim, assign), (want_sim, want_assign)) in enumerate(zip(rounds, expected_rounds)):
         assert np.array_equal(sim, want_sim), f"similarity of round {i}"
@@ -61,12 +42,13 @@ def test_constant_image_ties_match_oracle(monkeypatch, height, width, stride, ch
 
 
 @pytest.mark.parametrize("height,width,stride,channels", GEOMETRIES)
-def test_init_grid_and_candidates_match_oracle(height, width, stride, channels):
+def test_init_grid_and_candidates_match_oracle(monkeypatch, height, width, stride, channels):
     fm = random_map(height, width, channels, seed=7 + height + width)
-    state = ac.init_grid(ac.cell_layout(fm, stride))
+    state, assign = cluster_oracle.seeded_grid(monkeypatch, ac.cell_layout(fm, stride))
     expected = cluster_oracle.init_grid(fm, stride)
-    for name in ("centers", "assign", "hard_labels"):
-        assert np.array_equal(getattr(state, name), getattr(expected, name)), name
+    got = (state.centers, assign, state.hard_labels)
+    for name, a, b in zip(("centers", "assign", "hard_labels"), got, expected):
+        assert np.array_equal(a, b), name
 
 
 @pytest.mark.parametrize("config", [RunConfig(**CLUTTER), RunConfig(height=96, width=96)],

@@ -54,9 +54,8 @@ def test_confusion_matrix_rejects_bad_label_maps(truth, pred):
 
 
 def _state_with_labels(hard_labels, height, width, num_regions):
-    return ClusterState(height=height, width=width, stride=1, tau=0.07,
-                        centers=np.zeros((num_regions, 1)),
-                        assign=np.zeros((9, height * width)), hard_labels=hard_labels)
+    return ClusterState(height=height, width=width, centers=np.zeros((num_regions, 1)),
+                        hard_labels=hard_labels)
 
 
 def _image(labels):
@@ -194,6 +193,15 @@ def test_repeated_seed_override_is_rejected_before_any_seed_runs(monkeypatch, ru
         run(RunConfig(**TINY), seeds)
 
 
+@pytest.mark.parametrize("p", [150.0, -5.0, float("nan")])
+def test_sweep_rejects_a_non_percentile_before_any_seed_runs(monkeypatch, p):
+    calls = []
+    monkeypatch.setattr(experiments, "prepare_seed", lambda config, seed: calls.append(seed))
+    with pytest.raises(InputError):
+        experiments.sweep_pt(RunConfig(**TINY), p_values=(30, p))
+    assert calls == []
+
+
 def test_tiny_clutter_sweep_csv_bytes_are_pinned():
     report = experiments.sweep_pt(RunConfig(**TINY, **CLUTTER), p_values=(10, 30, 50))
     assert _sha256(report) == (
@@ -233,6 +241,20 @@ def test_grid_branch_is_built_on_first_use(monkeypatch):
         assert a.tobytes() == b.tobytes()
     for a, b in zip(eager.grid.target_tmaps, bundle.grid.target_tmaps):
         assert a.pixel.tobytes() == b.pixel.tobytes()
+
+    # The grid branch keeps its own target regions, the grid cells, and its
+    # T-maps are its discriminator's maps of them; the bundle's target
+    # states are the adaptive branch's.
+    grid = bundle.grid
+    rows, cols = np.divmod(np.arange(config.height * config.width), config.width)
+    cells = rows // config.r * (config.width // config.r) + cols // config.r
+    assert len(grid.target_states) == config.target_count
+    for state, tmap in zip(grid.target_states, grid.target_tmaps):
+        assert np.array_equal(state.hard_labels, cells)
+        expected = experiments.build_transferability_map(grid.disc.params, state)
+        assert tmap.region_scores.tobytes() == expected.region_scores.tobytes()
+        assert tmap.pixel.tobytes() == expected.pixel.tobytes()
+    assert bundle.target_states is bundle.adaptive.target_states
 
 
 @pytest.fixture(scope="module")

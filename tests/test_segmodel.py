@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from adamw_oracle import ListAdamWState, list_adamw_step
-from decoder_oracle import one_item_loss_and_grads
+from decoder_oracle import one_item_loss, one_item_loss_and_grads
 from gradcheck import gradcheck
 from segxfer import segmodel as sm
 from segxfer.adaptive_cluster import FeatureMap
@@ -275,12 +275,16 @@ def test_model_gradcheck_all_trainable_paths():
             continue
         params, fm, labels, tmap = instance
 
-        def f(flat, params=params, fm=fm, labels=labels, tmap=tmap):
-            cur = params.with_params(flat)
-            return one_item_loss_and_grads(cur, sm.TrainItem(fm, labels, tmap),
+        item = sm.TrainItem(fm, labels, tmap)
+
+        def f(flat, params=params, item=item):
+            return one_item_loss_and_grads(params.with_params(flat), item,
                                            lambda_m=0.5, p_t=60.0)
 
-        errs.append(gradcheck(f, params.param_list()))
+        def loss(flat, params=params, item=item):
+            return one_item_loss(params.with_params(flat), item, lambda_m=0.5, p_t=60.0)
+
+        errs.append(gradcheck(f, params.param_list(), loss=loss))
     assert max(errs) <= 1e-4
 
 
@@ -292,11 +296,15 @@ def test_model_gradcheck_vanilla_mode():
         labels = rng.integers(0, 3, size=(4, 4))
         params = small_model(seed)
 
-        def f(flat, params=params, fm=fm, labels=labels):
-            cur = params.with_params(flat)
-            return one_item_loss_and_grads(cur, sm.TrainItem(fm, labels), lambda_m=1.0)
+        item = sm.TrainItem(fm, labels)
 
-        errs.append(gradcheck(f, params.param_list()))
+        def f(flat, params=params, item=item):
+            return one_item_loss_and_grads(params.with_params(flat), item, lambda_m=1.0)
+
+        def loss(flat, params=params, item=item):
+            return one_item_loss(params.with_params(flat), item, lambda_m=1.0)
+
+        errs.append(gradcheck(f, params.param_list(), loss=loss))
     assert max(errs) <= 1e-4
 
 

@@ -102,6 +102,10 @@ def test_config_validation():
         small_config(channels=6)  # < 2 * num_classes
     with pytest.raises(ConfigError):
         small_config(height=30)   # layout grid must divide
+    for dim in ("height", "width"):
+        for size in (-4, 0):      # both pass the layout grid's divisibility check
+            with pytest.raises(ConfigError):
+                small_config(**{dim: size})
 
 
 def test_generate_validation():
