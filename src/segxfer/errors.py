@@ -22,7 +22,3 @@ class InputError(SegxferError):
 class DegenerateColumnError(SegxferError):
     """A softmax column contained no finite entry.  Callers that mask with
     -inf must apply their fallback before normalizing."""
-
-
-class EvaluationError(SegxferError):
-    """A checked function produced a non-finite value."""

@@ -197,8 +197,7 @@ class VariantResult:
 @dataclass
 class ExperimentReport:
     rows: list[VariantResult]
-    config: dict
-    default_p_t: float
+    config: dict  # the run's ``RunConfig.to_dict()``
 
 
 def report_csv(report: ExperimentReport, footer: bool = False) -> str:
@@ -211,7 +210,7 @@ def report_csv(report: ExperimentReport, footer: bool = False) -> str:
         writer.writerow([r.variant, r.seed, repr(float(r.p_t)), repr(r.miou),
                          repr(r.macc), repr(r.pad), repr(r.fallback_rate)])
     if footer:
-        buf.write(f"# default p_T: {report.default_p_t:g}\n")
+        buf.write(f"# default p_T: {report.config['p_t']:g}\n")
     return buf.getvalue()
 
 
@@ -329,6 +328,16 @@ def prepare_seed(config: RunConfig, seed: int) -> SeedBundle:
     )
 
 
+def _p_t(config: RunConfig, p_t: float | None) -> float:
+    """The percentile a run gates at: ``config.p_t`` for None.  Raises
+    InputError outside [0, 100] or for NaN, for every variant, so no row
+    records a p_T that a gate would reject."""
+    p = config.p_t if p_t is None else float(p_t)
+    if not 0.0 <= p <= 100.0:
+        raise InputError(f"p_T {p_t} must be a percentile in [0, 100]")
+    return p
+
+
 def _variant(name: str) -> Variant:
     if name not in VARIANT_TABLE:
         raise InputError(f"unknown variant {name!r}")
@@ -349,6 +358,7 @@ def evaluate_variant(params: SegModelParams, bundle: SeedBundle, config: RunConf
     """Confusion matrix over all held-out pixels, the mean fallback rate and
     the predictions of one ``forward`` call over every held-out image, gated
     for a gate row by its discriminator's T-map of its regions of each."""
+    p_t = _p_t(config, p_t)
     row = _variant(variant)
     images = bundle.eval_images
     tmaps = None
@@ -370,7 +380,7 @@ def finetune_variant(bundle: SeedBundle, config: RunConfig, variant: str,
     All variants draw identical batch indices (same fine-tune seed), so they
     differ only in the mechanism being ablated.
     """
-    effective_p = config.p_t if p_t is None else p_t
+    effective_p = _p_t(config, p_t)
     row = _variant(variant)
     branch = bundle.branch(row.regions)
     items = [TrainItem(img.fm, img.labels, **_t_inputs(row, tmap))
@@ -408,19 +418,21 @@ def sweep_pt(config: RunConfig, p_values: tuple[float, ...] = (10, 20, 30, 40, 5
     """Fine-tune the gated model once per percentile value per seed."""
     if not p_values:
         raise InputError("p_values must be non-empty")
-    if not all(0.0 <= p <= 100.0 for p in p_values):
-        raise InputError(f"p_values {p_values} must be percentiles in [0, 100]")
-    return _run(config, seeds, [("tmt", float(p)) for p in p_values])
+    return _run(config, seeds, [("tmt", p) for p in p_values])
 
 
 def _run(config: RunConfig, seeds: tuple[int, ...] | None,
          runs: list[tuple[str, float | None]]) -> ExperimentReport:
-    """One ``prepare_seed`` per seed, then one ``finetune_variant`` per (variant, p_T)."""
+    """One ``prepare_seed`` per seed, then one ``finetune_variant`` per (variant, p_T).
+    Every seed and p_T is checked before the first seed runs."""
     seeds = tuple(config.seeds if seeds is None else seeds)
+    if not seeds:
+        raise InputError("seeds must be non-empty")
     if len(set(seeds)) != len(seeds):
         raise InputError(f"seeds {seeds} repeat a seed")
+    runs = [(variant, _p_t(config, p_t)) for variant, p_t in runs]
     rows = []
     for seed in seeds:
         bundle = prepare_seed(config, seed)
         rows += [finetune_variant(bundle, config, variant, p_t) for variant, p_t in runs]
-    return ExperimentReport(rows=rows, config=config.to_dict(), default_p_t=config.p_t)
+    return ExperimentReport(rows=rows, config=config.to_dict())

@@ -29,7 +29,9 @@ to the backward pass, while the final mask and class logits carry gradients.
 The decoder runs a batch of same-geometry images: queries, weights and
 logits carry a leading batch axis, (B, C, N), (B, N, keys), (B, N, H*W).
 ``forward`` and ``model_loss_and_grads`` take any number of such images and
-split them into consecutive batches by one rule, ``_batches``.
+split them into consecutive batches by one rule, ``_batches``, and run each
+through one ``_forward``.  Only ``model_loss_and_grads`` keeps each layer's
+arrays for its backward; a decode frees them layer by layer.
 
 The transferability condition selects key columns: a pixel whose T is
 above its image's lambda_t can only be attended by a query that falls
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +60,6 @@ from .numkit import (LOSS_EPS, AdamWState, adamw_step, flat_views, flatten, mt, 
                      sigmoid, softmax_columns)
 from .serialize import load_arrays, save_arrays
 from .tma import (
-    AttentionMaskTensor,
     MaskInputs,
     attention_backward_from_weights,
     build_mask,
@@ -224,6 +225,8 @@ def prediction_from_logits(class_logits: np.ndarray, mask_logits: np.ndarray,
 
 @dataclass
 class _LayerCache:
+    """One decoder layer's arrays that the backward reads."""
+
     q_in: np.ndarray          # queries entering the layer (B, C, N); (C, N) in layer 0
     feats: np.ndarray         # raw features of the columns attended over (B, d_in, keys)
     weights: np.ndarray       # cross-attention weights (B, N, keys)
@@ -233,19 +236,7 @@ class _LayerCache:
     self_weights: np.ndarray  # query self-attention weights (B, N, N)
     mix: np.ndarray           # self-attention value mix (B, C, N)
     v: np.ndarray             # post-self-attention residual (B, C, N)
-    z: np.ndarray             # FFN pre-activation (B, F, N)
-    h: np.ndarray             # FFN hidden activation (B, F, N)
-
-
-@dataclass
-class _ForwardCache:
-    x: np.ndarray                     # (B, d_in, H*W)
-    layers: list[_LayerCache] = field(default_factory=list)
-    q_final: np.ndarray | None = None       # (B, C, N)
-    memb: np.ndarray | None = None          # (B, C, N)
-    class_logits: np.ndarray | None = None  # (B, num_classes + 1, N)
-    mask_logits: np.ndarray | None = None   # (B, N, H*W)
-    fallback_count: np.ndarray | None = None  # (B,) fallback rows over all layers
+    h: np.ndarray             # FFN hidden activation relu(z) (B, F, N)
 
 
 def _mask_logits(params: SegModelParams, memb: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -253,21 +244,6 @@ def _mask_logits(params: SegModelParams, memb: np.ndarray, feats: np.ndarray) ->
     logits = mt(params.embed_w.T @ memb) @ feats
     logits += (params.embed_b @ memb)[..., None]
     return logits
-
-
-def _layer_mask(params: SegModelParams, q: np.ndarray, x: np.ndarray,
-                cols: np.ndarray | None, feats: np.ndarray, tkeys: np.ndarray,
-                lambda_m: float, lambda_t: np.ndarray
-                ) -> tuple[AttentionMaskTensor, np.ndarray]:
-    """The layer's attention mask over each image's pixel columns ``cols``
-    (all of them if None, with raw features ``feats`` and transferability
-    ``tkeys``), returned with the features of the columns it covers: all of
-    them once a query of any image falls back."""
-    memb = params.mask_w @ q + params.mask_b[:, None]
-    amask = build_mask(MaskInputs(_mask_logits(params, memb, feats), tkeys, lambda_m, lambda_t))
-    if cols is not None and amask.fallback.any():
-        return widen_mask(amask, cols, x.shape[-1]), x
-    return amask, feats
 
 
 # Images are decoded in as few batches as keep each batch's (B, N, H*W)
@@ -299,9 +275,16 @@ def _batches(params: SegModelParams, fms: list[FeatureMap]) -> list[slice]:
 
 
 def _forward(params: SegModelParams, fms: list[FeatureMap],
-             tmaps: list[TransferabilityMap | None], lambda_m: float,
-             p_t: float) -> _ForwardCache:
-    """The decoder over one batch of ``_batches``."""
+             tmaps: list[TransferabilityMap | None], lambda_m: float, p_t: float,
+             layers: list[_LayerCache] | None = None) -> tuple[np.ndarray, ...]:
+    """The decoder over one batch of ``_batches``: the features x
+    (B, d_in, H*W), the final queries and their mask embedding (B, C, N),
+    the class logits (B, num_classes + 1, N), the mask logits (B, N, H*W)
+    and each image's fallback rows over all layers (B,).
+
+    Each layer's ``_LayerCache`` is appended to ``layers``, the backward's
+    list.  A decode passes none, so a layer's arrays are freed as the next
+    layer computes its own."""
     first = fms[0]
 
     # Vanilla mode (no map): the transferability condition holds for every key.
@@ -330,13 +313,17 @@ def _forward(params: SegModelParams, fms: list[FeatureMap],
         rows = np.arange(len(fms))[:, None]
         gathered, tkeys = mt(xs[rows, cols]), tvec[rows, cols]
 
-    cache = _ForwardCache(x=x)
     q = params.queries  # shared by every image: (C, N) until the first residual
     fallback_count = np.zeros(len(fms), dtype=int)
     scale = math.sqrt(params.channels)
     for self_w, ffn_w1, ffn_b1, ffn_w2, ffn_b2 in zip(
             params.self_w, params.ffn_w1, params.ffn_b1, params.ffn_w2, params.ffn_b2):
-        amask, feats = _layer_mask(params, q, x, cols, gathered, tkeys, lambda_m, lambda_t)
+        memb = params.mask_w @ q + params.mask_b[:, None]
+        amask = build_mask(MaskInputs(_mask_logits(params, memb, gathered), tkeys,
+                                      lambda_m, lambda_t))
+        feats = gathered
+        if cols is not None and amask.fallback.any():
+            amask, feats = widen_mask(amask, cols, x.shape[-1]), x
         fallback_count += amask.fallback.sum(axis=-1)
         weights = masked_attention_weights(q, params.embed_w, feats, amask)
         # weights @ (W_e X + b)^T, taken against the raw features
@@ -346,20 +333,17 @@ def _forward(params: SegModelParams, fms: list[FeatureMap],
         self_weights = softmax_columns((mt(u) @ u) / scale)
         mix = u @ self_weights
         v = u + self_w @ mix
-        z = ffn_w1 @ v + ffn_b1[:, None]
-        h = relu(z)
+        h = relu(ffn_w1 @ v + ffn_b1[:, None])
         q_next = v + ffn_w2 @ h + ffn_b2[:, None]
-        cache.layers.append(_LayerCache(q_in=q, feats=feats, weights=weights,
-                                        weight_sums=weight_sums, mixed=mixed, u=u,
-                                        self_weights=self_weights, mix=mix, v=v, z=z, h=h))
+        if layers is not None:
+            layers.append(_LayerCache(q_in=q, feats=feats, weights=weights,
+                                      weight_sums=weight_sums, mixed=mixed, u=u,
+                                      self_weights=self_weights, mix=mix, v=v, h=h))
         q = q_next
 
-    cache.q_final = q
-    cache.class_logits = params.class_w @ q + params.class_b[:, None]
-    cache.memb = params.mask_w @ q + params.mask_b[:, None]
-    cache.mask_logits = _mask_logits(params, cache.memb, x)
-    cache.fallback_count = fallback_count
-    return cache
+    memb = params.mask_w @ q + params.mask_b[:, None]
+    class_logits = params.class_w @ q + params.class_b[:, None]
+    return x, q, memb, class_logits, _mask_logits(params, memb, x), fallback_count
 
 
 def forward(params: SegModelParams, fms: list[FeatureMap],
@@ -376,10 +360,11 @@ def forward(params: SegModelParams, fms: list[FeatureMap],
         raise ShapeError(f"{len(tmaps)} transferability maps for {len(fms)} images")
     preds = []
     for batch in _batches(params, fms):
-        cache = _forward(params, fms[batch], tmaps[batch], lambda_m, p_t)
+        *_, class_logits, mask_logits, fallback_count = _forward(
+            params, fms[batch], tmaps[batch], lambda_m, p_t)
         preds += [prediction_from_logits(c, m, fms[0].height, fms[0].width, int(f),
                                          params.num_layers * params.num_queries)
-                  for c, m, f in zip(cache.class_logits, cache.mask_logits, cache.fallback_count)]
+                  for c, m, f in zip(class_logits, mask_logits, fallback_count)]
     return preds
 
 
@@ -489,20 +474,19 @@ def model_loss_and_grads(
 def _batch_loss_and_grads(params: SegModelParams, items: list[TrainItem], lambda_m: float,
                           p_t: float) -> tuple[np.ndarray, np.ndarray]:
     """``model_loss_and_grads`` of one batch."""
-    cache = _forward(params, [it.fm for it in items], [it.tmap for it in items], lambda_m, p_t)
-    x = cache.x
+    layers: list[_LayerCache] = []
+    x, q_final, memb, class_logits, mask_logits, _ = _forward(
+        params, [it.fm for it in items], [it.tmap for it in items], lambda_m, p_t, layers)
     num_pixels = x.shape[-1]
     pixel_weights = None
     if any(it.pixel_weights is not None for it in items):
         pixel_weights = _pixel_rows(
             [np.ones(num_pixels) if it.pixel_weights is None else it.pixel_weights
              for it in items], num_pixels, "pixel weights")
-    pred = prediction_from_logits(cache.class_logits, cache.mask_logits,
-                                  items[0].fm.height, items[0].fm.width)
+    pred = prediction_from_logits(class_logits, mask_logits, items[0].fm.height, items[0].fm.width)
     loss, d_class, d_mask_logits = seg_loss(
         pred, _pixel_rows([it.labels for it in items], num_pixels, "labels"), pixel_weights)
 
-    q_final = cache.q_final
     embed_w, embed_b = params.embed_w, params.embed_b
 
     dq = params.class_w.T @ d_class
@@ -513,8 +497,8 @@ def _batch_loss_and_grads(params: SegModelParams, items: list[TrainItem], lambda
     d_mask_x = d_mask_logits @ mt(x)               # (B, N, d_in)
     d_mask_sum = d_mask_logits.sum(axis=-1)        # (B, N)
     d_memb = embed_w @ mt(d_mask_x) + embed_b[:, None] * d_mask_sum[:, None, :]  # (B, C, N)
-    g_embed_w = cache.memb @ d_mask_x
-    g_embed_b = (cache.memb @ d_mask_sum[..., None])[..., 0]
+    g_embed_w = memb @ d_mask_x
+    g_embed_b = (memb @ d_mask_sum[..., None])[..., 0]
     g_mask_w = d_memb @ mt(q_final)
     g_mask_b = d_memb.sum(axis=-1)
     dq = dq + params.mask_w.T @ d_memb
@@ -522,12 +506,11 @@ def _batch_loss_and_grads(params: SegModelParams, items: list[TrainItem], lambda
     g_self_w, g_w1, g_b1, g_w2, g_b2 = (np.empty((len(items), *a.shape)) for a in (
         params.self_w, params.ffn_w1, params.ffn_b1, params.ffn_w2, params.ffn_b2))
     scale = math.sqrt(params.channels)
-    for i in reversed(range(params.num_layers)):
-        lc = cache.layers[i]
+    for i, lc in reversed(list(enumerate(layers))):
         g_w2[:, i] = dq @ mt(lc.h)
         g_b2[:, i] = dq.sum(axis=-1)
         dh = params.ffn_w2[i].T @ dq
-        dz = dh * (lc.z > 0)
+        dz = dh * (lc.h > 0)  # h = relu(z): h > 0 exactly where z > 0
         g_w1[:, i] = dz @ mt(lc.v)
         g_b1[:, i] = dz.sum(axis=-1)
         dv_res = dq + params.ffn_w1[i].T @ dz   # gradient at v

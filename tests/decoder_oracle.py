@@ -182,7 +182,7 @@ def one_item_loss_and_grads(params, item, **kwargs):
 def one_item_loss(params, item, lambda_m=0.5, p_t=30.0):
     """The loss of ``one_item_loss_and_grads``, bitwise, without the
     backward pass: the same one-image decode and ``seg_loss`` call."""
-    cache = sm._forward(params, [item.fm], [item.tmap], lambda_m, p_t)
-    pred = sm.prediction_from_logits(cache.class_logits, cache.mask_logits,
-                                     item.fm.height, item.fm.width)
+    *_, class_logits, mask_logits, _ = sm._forward(params, [item.fm], [item.tmap],
+                                                   lambda_m, p_t)
+    pred = sm.prediction_from_logits(class_logits, mask_logits, item.fm.height, item.fm.width)
     return sm.seg_loss(pred, np.asarray(item.labels).reshape(1, -1))[0][0]

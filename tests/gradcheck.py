@@ -2,7 +2,11 @@
 
 import numpy as np
 
-from segxfer.errors import EvaluationError, ShapeError
+from segxfer.errors import ShapeError
+
+
+class EvaluationError(Exception):
+    """A checked function produced a non-finite value."""
 
 
 def gradcheck(f, params: list[np.ndarray], h: float = 1e-5, loss=None) -> float:

@@ -178,13 +178,24 @@ def test_tiny_clutter_report_csv_bytes_are_pinned():
         "3364aa8cb1f91cb90983b3a2d978f4e0177fb72e907779469b0e58cc79c29f1b")
 
 
-@pytest.mark.parametrize("seeds", [(0, 0, 0), (0, 1, 0)], ids=["one_seed", "one_repeat"])
-@pytest.mark.parametrize("run", [
-    lambda config, seeds: experiments.run_ablation(config, seeds),
-    lambda config, seeds: experiments.sweep_pt(config, (30,), seeds),
-], ids=["ablation", "sweep"])
+def _ablation(config, seeds):
+    return experiments.run_ablation(config, seeds)
+
+
+def _sweep(config, seeds):
+    return experiments.sweep_pt(config, (30,), seeds)
+
+
+@pytest.mark.parametrize("run, seeds", [
+    pytest.param(_ablation, (0, 0, 0), id="ablation-one_seed"),
+    pytest.param(_ablation, (0, 1, 0), id="ablation-one_repeat"),
+    pytest.param(_sweep, (0, 0, 0), id="sweep-one_seed"),
+    pytest.param(_sweep, (0, 1, 0), id="sweep-one_repeat"),
+    pytest.param(_sweep, (), id="sweep-no_seed"),
+])
 def test_repeated_seed_override_is_rejected_before_any_seed_runs(monkeypatch, run, seeds):
-    # (0, 0, 0) would pass the ablation's "at least 3 seeds" with one seed
+    # (0, 0, 0) would pass the ablation's "at least 3 seeds" with one seed;
+    # () would give the sweep a report with no rows
     def prepare_seed(config, seed):
         raise AssertionError(f"seed {seed} ran")
 
@@ -310,6 +321,19 @@ def test_each_table_row_routes_its_transferability_map(monkeypatch, tiny_bundle,
             branch.disc.params, experiments._regions(config, row.regions, img))
         assert tmap.region_scores.tobytes() == expected.region_scores.tobytes()
         assert tmap.pixel.tobytes() == expected.pixel.tobytes()
+
+
+@pytest.mark.parametrize("p", [150.0, -5.0, float("nan")])
+@pytest.mark.parametrize("name", ["vanilla", "no_tma", "tmt"])
+def test_variant_rejects_a_non_percentile_before_training(monkeypatch, tiny_bundle, name, p):
+    calls = []
+    monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: calls.append(args))
+    config = tiny_bundle.config
+    with pytest.raises(InputError):
+        experiments.finetune_variant(tiny_bundle, config, name, p)
+    assert calls == []
+    with pytest.raises(InputError):
+        experiments.evaluate_variant(tiny_bundle.source_params, tiny_bundle, config, name, p)
 
 
 def test_unknown_variant_is_rejected(tiny_bundle):

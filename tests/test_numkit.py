@@ -5,14 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from adamw_oracle import ListAdamWState, list_adamw_step
-from gradcheck import gradcheck
+from gradcheck import EvaluationError, gradcheck
 from segxfer import numkit
-from segxfer.errors import (
-    DegenerateColumnError,
-    EvaluationError,
-    InputError,
-    ShapeError,
-)
+from segxfer.errors import DegenerateColumnError, InputError, ShapeError
 
 
 # ---------------------------------------------------------------------------

@@ -31,17 +31,19 @@ def small_scene(seed=0, h=4, w=4, d=4, num_classes=3, scale=0.25):
     return fm, labels
 
 
-def seam_margins(params, fm, cache, lambda_m):
+def seam_margins(params, fm, layers, lambda_m):
     """Distance of the closest layer mask probability to lambda_m and of the
-    closest FFN pre-activation to 0.  The loss is only piecewise smooth;
-    gradient checks need these margins to stay away from the seams."""
+    closest FFN pre-activation to 0, over the ``_LayerCache`` list
+    ``layers``.  The loss is only piecewise smooth; gradient checks need
+    these margins to stay away from the seams."""
     embed = params.embed_w @ fm.features.T + params.embed_b[:, None]
     mask_margin = relu_margin = np.inf
-    for lc in cache.layers:
+    for i, lc in enumerate(layers):
         memb = params.mask_w @ lc.q_in + params.mask_b[:, None]
         probs = sm.sigmoid(memb.swapaxes(-1, -2) @ embed)
         mask_margin = min(mask_margin, float(np.min(np.abs(probs - lambda_m))))
-        relu_margin = min(relu_margin, float(np.min(np.abs(lc.z))))
+        z = params.ffn_w1[i] @ lc.v + params.ffn_b1[i][:, None]
+        relu_margin = min(relu_margin, float(np.min(np.abs(z))))
     return mask_margin, relu_margin
 
 
@@ -56,8 +58,9 @@ def gradcheck_instance(seed, perturb):
     params = small_model(seed)
     params.self_w += 0.05 * perturb.normal(size=params.self_w.shape)
     tmap = TransferabilityMap(np.zeros(1), rng.random((4, 4)))
-    cache = sm._forward(params, [fm], [tmap], 0.5, 60.0)
-    mask_margin, relu_margin = seam_margins(params, fm, cache, 0.5)
+    layers = []
+    sm._forward(params, [fm], [tmap], 0.5, 60.0, layers)
+    mask_margin, relu_margin = seam_margins(params, fm, layers, 0.5)
     if mask_margin < 5e-3 or relu_margin < 1e-2:
         return None
     return params, fm, labels, tmap
@@ -323,6 +326,23 @@ def test_ungated_step_forms_no_channels_by_pixels_array():
     finally:
         tracemalloc.stop()
     assert peak < 7e6
+
+
+def test_forward_keeps_no_layer_arrays():
+    # A decode keeps its mask logits and probabilities, 1.2 MB here, but no
+    # layer's backward arrays: each layer's (N, H*W) weights are freed as the
+    # next layer runs.  With every layer's arrays kept the peak is above 4 MB.
+    rng = np.random.default_rng(15)
+    params = sm.init_seg_model(16, 5, rng)  # C 16, N 8, 3 layers, FFN 32
+    fm = FeatureMap.from_grid(rng.normal(size=(96, 96, 16)))
+    sm.forward(params, [fm])  # first-call caches
+    tracemalloc.start()
+    try:
+        sm.forward(params, [fm])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 # ---------------------------------------------------------------------------
