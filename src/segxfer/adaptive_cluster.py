@@ -29,12 +29,20 @@ each cell's neighbors and neighbor rows (an appended zero row stands for
 every off-grid neighbor), the off-grid mask, the scatter of the center sums
 onto their cells written as a gather, and each pixel's cell, from which the
 hard labels are read.  A round is then a few whole-array operations.
+
+An image's regions depend only on its features and on (stride, tau, iters),
+so ``cluster`` remembers its result on the ``FeatureMap``: a second call
+with equal arguments returns the same ``ClusterState`` and runs no round.
+The memo cannot go stale or be changed through a shared reference, because
+a ``FeatureMap`` keeps its own read-only copy of the features and a
+remembered state's ``centers`` and ``hard_labels`` are read-only.  The memo
+lives as long as the map.  ``init_grid`` states are not remembered.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,16 +55,22 @@ MASS_GUARD = 1e-12
 
 @dataclass
 class FeatureMap:
-    """Per-pixel feature vectors on an H x W grid, flattened row-major."""
+    """Per-pixel feature vectors on an H x W grid, flattened row-major.
+
+    The map holds a read-only copy of the features it is given.
+    """
 
     height: int
     width: int
     features: np.ndarray  # (H*W, d)
+    # (stride, tau, iters) -> the ClusterState ``cluster`` computed for them
+    _clusters: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.height < 1 or self.width < 1:
             raise InputError(f"degenerate image {self.height}x{self.width}")
-        self.features = np.asarray(self.features, dtype=float)
+        self.features = np.array(self.features, dtype=float)
+        self.features.flags.writeable = False
         if self.features.ndim != 2 or self.features.shape[0] != self.height * self.width:
             raise ShapeError(
                 f"features {self.features.shape} do not cover a "
@@ -290,9 +304,16 @@ def cluster(fm: FeatureMap, stride: int, tau: float = 0.07, iters: int = 6) -> C
     Each round recomputes similarity from the current centers, softmax-assigns
     every pixel over its nearby centers, and re-estimates the centers.  Ties
     in the final argmax go to the lowest region index.
+
+    The result is remembered on ``fm`` under (stride, tau, iters): a repeated
+    call returns the same state, whose ``centers`` and ``hard_labels`` are
+    read-only.  Invalid arguments raise before anything is remembered.
     """
     if iters < 1:
         raise ConfigError(f"need at least one iteration, got {iters}")
+    key = (stride, tau, iters)
+    if key in fm._clusters:
+        return fm._clusters[key]
     layout = cell_layout(fm, stride)
     centers = init_grid(layout).centers
     for _ in range(iters):
@@ -301,4 +322,8 @@ def cluster(fm: FeatureMap, stride: int, tau: float = 0.07, iters: int = 6) -> C
         centers = update_centers(assign, layout)
     best = np.argmax(assign, axis=0)
     hard = layout.tables.neighbor[layout.tables.pixel_cell, best]
-    return ClusterState(height=fm.height, width=fm.width, centers=centers, hard_labels=hard)
+    centers.flags.writeable = False
+    hard.flags.writeable = False
+    state = fm._clusters[key] = ClusterState(height=fm.height, width=fm.width,
+                                             centers=centers, hard_labels=hard)
+    return state

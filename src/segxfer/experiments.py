@@ -424,13 +424,16 @@ def sweep_pt(config: RunConfig, p_values: tuple[float, ...] = (10, 20, 30, 40, 5
 def _run(config: RunConfig, seeds: tuple[int, ...] | None,
          runs: list[tuple[str, float | None]]) -> ExperimentReport:
     """One ``prepare_seed`` per seed, then one ``finetune_variant`` per (variant, p_T).
-    Every seed and p_T is checked before the first seed runs."""
+    Every seed and p_T is checked, and a repeated one rejected, before the
+    first seed runs."""
     seeds = tuple(config.seeds if seeds is None else seeds)
     if not seeds:
         raise InputError("seeds must be non-empty")
     if len(set(seeds)) != len(seeds):
         raise InputError(f"seeds {seeds} repeat a seed")
     runs = [(variant, _p_t(config, p_t)) for variant, p_t in runs]
+    if len(set(runs)) != len(runs):
+        raise InputError(f"runs {runs} repeat a (variant, p_T) pair")
     rows = []
     for seed in seeds:
         bundle = prepare_seed(config, seed)

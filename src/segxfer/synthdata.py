@@ -39,9 +39,11 @@ class SynthConfig:
     shift_classes: tuple[int, ...] = (2, 3)
     delta: float = 1.0
     sigma: float = 0.2
-    # Per-class texture multiplier on sigma (None = all ones).  Classes with a
-    # large multiplier act as domain-stable clutter: identically distributed
-    # in both domains, but loud enough to distract unrestricted attention.
+    # Per-class texture multiplier on sigma (None = all ones).  A class with a
+    # large multiplier is loud enough to distract unrestricted attention.  It
+    # is domain-stable clutter, identically distributed in both domains, only
+    # if it is outside shift_classes; a loud shifted class (noise_scales
+    # (1, 1, 1, 4) with the default shift_classes) is both loud and shifted.
     noise_scales: tuple[float, ...] | None = None
     # Classes whose texture noise lies in the span of the class prototypes
     # instead of isotropic space: domain-stable camouflage that resembles

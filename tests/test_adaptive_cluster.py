@@ -284,13 +284,73 @@ def test_cluster_column_stochastic_and_local_every_iteration():
 
 
 def test_cluster_deterministic(monkeypatch):
-    rng = np.random.default_rng(9)
-    fm = ac.FeatureMap.from_grid(rng.normal(size=(8, 8, 3)))
-    s1, a1 = final_assign(monkeypatch, fm, 4)
-    s2, a2 = final_assign(monkeypatch, fm, 4)
+    # two maps of one array, so the second call cannot return the first's memo
+    grid = np.random.default_rng(9).normal(size=(8, 8, 3))
+    s1, a1 = final_assign(monkeypatch, ac.FeatureMap.from_grid(grid), 4)
+    s2, a2 = final_assign(monkeypatch, ac.FeatureMap.from_grid(grid), 4)
+    assert s1 is not s2
     npt.assert_array_equal(a1, a2)
     npt.assert_array_equal(s1.centers, s2.centers)
     npt.assert_array_equal(s1.hard_labels, s2.hard_labels)
+
+
+ROUND_FUNCTIONS = ("init_grid", "compute_similarity", "soft_assign", "update_centers")
+
+
+def test_cluster_repeat_returns_memo_without_rounds(monkeypatch):
+    fm = ac.FeatureMap.from_grid(np.random.default_rng(13).normal(size=(8, 8, 3)))
+    first = ac.cluster(fm, 4, tau=0.1, iters=3)
+    calls = []
+    for name in ROUND_FUNCTIONS:
+        def spy(*args, _name=name, _fn=getattr(ac, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(ac, name, spy)
+    assert ac.cluster(fm, 4, tau=0.1, iters=3) is first
+    assert ac.cluster(fm, 4, 0.1, 3) is first
+    assert calls == []
+    ac.cluster(ac.FeatureMap(8, 8, fm.features), 4, tau=0.1, iters=3)  # the spies see a miss
+    assert calls.count("soft_assign") == 3
+
+
+@pytest.mark.parametrize("stride, tau, iters", [(2, 0.07, 6), (4, 0.2, 6), (4, 0.07, 2)])
+def test_cluster_other_arguments_recompute(stride, tau, iters):
+    grid = np.random.default_rng(14).normal(size=(8, 8, 3))
+    fm = ac.FeatureMap.from_grid(grid)
+    base = ac.cluster(fm, 4)
+    state = ac.cluster(fm, stride, tau=tau, iters=iters)
+    fresh = ac.cluster(ac.FeatureMap.from_grid(grid), stride, tau=tau, iters=iters)
+    assert state is not base
+    assert np.array_equal(state.centers, fresh.centers)
+    assert np.array_equal(state.hard_labels, fresh.hard_labels)
+    assert ac.cluster(fm, 4) is base
+
+
+def test_cluster_invalid_arguments_are_not_remembered():
+    fm = four_block_map()
+    for stride, tau in ((3, 0.07), (4, 0.0), (4, float("nan"))):
+        with pytest.raises(ConfigError):
+            ac.cluster(fm, stride, tau=tau)
+    assert fm._clusters == {}
+
+
+def test_feature_map_and_remembered_state_are_read_only():
+    fm = ac.FeatureMap.from_grid(np.random.default_rng(15).normal(size=(8, 8, 3)))
+    state = ac.cluster(fm, 4)
+    with pytest.raises(ValueError):
+        fm.features[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        state.centers[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        state.hard_labels[0] = 0
+
+
+def test_feature_map_keeps_its_own_copy():
+    features = np.random.default_rng(16).normal(size=(64, 3))
+    fm = ac.FeatureMap(8, 8, features)
+    before = fm.features.copy()
+    features += 1.0
+    npt.assert_array_equal(fm.features, before)
 
 
 def test_cluster_hard_label_is_a_neighbor():

@@ -1,9 +1,10 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from segxfer import experiments
+from segxfer import adaptive_cluster, experiments
 from segxfer.adaptive_cluster import ClusterState, FeatureMap
 from segxfer.errors import InputError, ShapeError
 from segxfer.experiments import ConfusionMatrix
@@ -213,6 +214,16 @@ def test_sweep_rejects_a_non_percentile_before_any_seed_runs(monkeypatch, p):
     assert calls == []
 
 
+@pytest.mark.parametrize("p_values", [(30, 30.0), (10, 30, 10)])
+def test_sweep_rejects_a_repeated_percentile_before_any_seed_runs(monkeypatch, p_values):
+    calls = []
+    monkeypatch.setattr(experiments, "prepare_seed", lambda config, seed: calls.append(seed))
+    monkeypatch.setattr(experiments, "finetune_variant", lambda *args: calls.append(args))
+    with pytest.raises(InputError):
+        experiments.sweep_pt(RunConfig(**TINY), p_values=p_values, seeds=(0,))
+    assert calls == []
+
+
 def test_tiny_clutter_sweep_csv_bytes_are_pinned():
     report = experiments.sweep_pt(RunConfig(**TINY, **CLUTTER), p_values=(10, 30, 50))
     assert _sha256(report) == (
@@ -321,6 +332,36 @@ def test_each_table_row_routes_its_transferability_map(monkeypatch, tiny_bundle,
             branch.disc.params, experiments._regions(config, row.regions, img))
         assert tmap.region_scores.tobytes() == expected.region_scores.tobytes()
         assert tmap.pixel.tobytes() == expected.pixel.tobytes()
+
+
+def _with_fresh_eval_maps(bundle):
+    """``bundle`` with held-out feature maps that have clustered nothing."""
+    images = [dataclasses.replace(img, fm=FeatureMap(img.fm.height, img.fm.width, img.fm.features))
+              for img in bundle.eval_images]
+    return dataclasses.replace(bundle, eval_images=images)
+
+
+def test_gated_eval_clusters_each_held_out_image_once(monkeypatch, tiny_bundle):
+    config = tiny_bundle.config
+    p_values = (10, 50)
+    # each reference call gets maps of its own, so it clusters every image from scratch
+    expected = [experiments.evaluate_variant(tiny_bundle.source_params,
+                                             _with_fresh_eval_maps(tiny_bundle), config, "tmt", p)[0]
+                for p in p_values]
+    bundle = _with_fresh_eval_maps(tiny_bundle)
+    calls = []
+    soft_assign = adaptive_cluster.soft_assign
+
+    def counted_soft_assign(similarity):
+        calls.append(similarity.shape)
+        return soft_assign(similarity)
+
+    monkeypatch.setattr(adaptive_cluster, "soft_assign", counted_soft_assign)
+    got = [experiments.evaluate_variant(tiny_bundle.source_params, bundle, config, "tmt", p)[0]
+           for p in p_values]
+    assert len(calls) == config.eval_count * config.cluster_iters
+    for cm, ref in zip(got, expected):
+        assert np.array_equal(cm.counts, ref.counts)
 
 
 @pytest.mark.parametrize("p", [150.0, -5.0, float("nan")])
