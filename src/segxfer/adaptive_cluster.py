@@ -108,7 +108,7 @@ class ClusterState:
     height: int
     width: int
     centers: np.ndarray      # (N_p, d), region i is grid cell i, row-major
-    hard_labels: np.ndarray  # (H*W,) region indices
+    hard_labels: np.ndarray  # (H*W,) int32 region indices
 
     @property
     def num_regions(self) -> int:
@@ -130,19 +130,19 @@ def _by_cell(pixels: np.ndarray, grid_h: int, grid_w: int, stride: int) -> np.nd
 
 
 def _cells_at(grid_h: int, grid_w: int, sign: int) -> np.ndarray:
-    """(cells, 9) index of the cell at ``sign * OFFSETS[j]`` from each cell,
-    -1 off the grid."""
+    """(cells, 9) int32 index of the cell at ``sign * OFFSETS[j]`` from each
+    cell, -1 off the grid."""
     cy, cx = np.divmod(np.arange(grid_h * grid_w), grid_w)
     dy, dx = np.array(OFFSETS).T
     y, x = cy[:, None] + sign * dy, cx[:, None] + sign * dx
     inside = (y >= 0) & (y < grid_h) & (x >= 0) & (x < grid_w)
-    return np.where(inside, y * grid_w + x, -1)
+    return np.where(inside, y * grid_w + x, -1).astype(np.int32)
 
 
 def _pixel_cells(height: int, width: int, stride: int) -> np.ndarray:
-    """(H*W,) grid cell of every pixel."""
+    """(H*W,) int32 grid cell of every pixel."""
     grid_h, grid_w = _grid_shape(height, width, stride)
-    cells = np.arange(grid_h * grid_w).reshape(grid_h, 1, grid_w, 1)
+    cells = np.arange(grid_h * grid_w, dtype=np.int32).reshape(grid_h, 1, grid_w, 1)
     return np.broadcast_to(cells, (grid_h, stride, grid_w, stride)).reshape(-1)
 
 

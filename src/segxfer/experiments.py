@@ -79,65 +79,47 @@ _DISC_SEED_STEP = {"adaptive": 1, "grid": 2}
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConfusionMatrix:
-    """Rows are ground truth, columns are predictions."""
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
-            raise InputError(f"confusion matrix must be square, got {self.counts.shape}")
-        if np.any(self.counts < 0):
-            raise InputError("confusion matrix counts must be non-negative")
-
-    @classmethod
-    def empty(cls, num_classes: int) -> "ConfusionMatrix":
-        return cls(np.zeros((num_classes, num_classes), dtype=np.int64))
-
-    def add(self, truth: np.ndarray, pred: np.ndarray) -> None:
-        truth = np.asarray(truth).reshape(-1)
-        pred = np.asarray(pred).reshape(-1)
-        k = self.counts.shape[0]
-        if truth.shape != pred.shape:
-            raise InputError("label maps differ in size")
-        if truth.size == 0:
-            raise InputError("label maps are empty")
-        if truth.min() < 0 or truth.max() >= k or pred.min() < 0 or pred.max() >= k:
-            raise InputError(f"labels outside [0, {k})")
-        pairs = truth.astype(np.intp) * k + pred
-        self.counts += np.bincount(pairs, minlength=k * k).reshape(k, k)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+def confusion_matrix(truth: np.ndarray, pred: np.ndarray, num_classes: int) -> np.ndarray:
+    """(k, k) pixel counts of two label maps of any one shape: rows are
+    ground truth, columns are predictions."""
+    truth = np.asarray(truth).reshape(-1)
+    pred = np.asarray(pred).reshape(-1)
+    k = num_classes
+    if truth.shape != pred.shape:
+        raise InputError("label maps differ in size")
+    if truth.size == 0:
+        raise InputError("label maps are empty")
+    if truth.min() < 0 or truth.max() >= k or pred.min() < 0 or pred.max() >= k:
+        raise InputError(f"labels outside [0, {k})")
+    pairs = truth.astype(np.intp) * k + pred
+    return np.bincount(pairs, minlength=k * k).reshape(k, k)
 
 
-def per_class_iou(cm: ConfusionMatrix) -> np.ndarray:
-    """IoU per class; NaN where the class is absent from truth and prediction."""
-    if cm.total == 0:
+def per_class_iou(cm: np.ndarray) -> np.ndarray:
+    """IoU per class of a ``confusion_matrix``; NaN where the class is absent
+    from truth and prediction."""
+    if cm.sum() == 0:
         raise InputError("empty confusion matrix")
-    tp = np.diag(cm.counts).astype(float)
-    fn = cm.counts.sum(axis=1) - tp
-    fp = cm.counts.sum(axis=0) - tp
+    tp = np.diag(cm).astype(float)
+    fn = cm.sum(axis=1) - tp
+    fp = cm.sum(axis=0) - tp
     denom = tp + fp + fn
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(denom > 0, tp / denom, np.nan)
 
 
-def miou(cm: ConfusionMatrix) -> float:
+def miou(cm: np.ndarray) -> float:
     """Mean IoU over classes present in truth or prediction."""
     ious = per_class_iou(cm)
     return float(np.nanmean(ious))
 
 
-def macc(cm: ConfusionMatrix) -> float:
+def macc(cm: np.ndarray) -> float:
     """Mean per-class recall over classes present in the ground truth."""
-    if cm.total == 0:
+    if cm.sum() == 0:
         raise InputError("empty confusion matrix")
-    tp = np.diag(cm.counts).astype(float)
-    support = cm.counts.sum(axis=1)
+    tp = np.diag(cm).astype(float)
+    support = cm.sum(axis=1)
     present = support > 0
     return float(np.mean(tp[present] / support[present]))
 
@@ -354,7 +336,7 @@ def _t_inputs(variant: Variant, tmap: TransferabilityMap) -> dict:
 
 
 def evaluate_variant(params: SegModelParams, bundle: SeedBundle, config: RunConfig,
-                     variant: str, p_t: float) -> tuple[ConfusionMatrix, float, list[SegPrediction]]:
+                     variant: str, p_t: float) -> tuple[np.ndarray, float, list[SegPrediction]]:
     """Confusion matrix over all held-out pixels, the mean fallback rate and
     the predictions of one ``forward`` call over every held-out image, gated
     for a gate row by its discriminator's T-map of its regions of each."""
@@ -368,8 +350,8 @@ def evaluate_variant(params: SegModelParams, bundle: SeedBundle, config: RunConf
                  for img in images]
     predictions = forward(params, [img.fm for img in images], tmaps,
                           lambda_m=config.lambda_m, p_t=p_t)
-    cm = ConfusionMatrix.empty(config.num_classes)
-    cm.add(np.stack([img.labels for img in images]), np.stack([p.labels for p in predictions]))
+    cm = confusion_matrix(np.stack([img.labels for img in images]),
+                          np.stack([p.labels for p in predictions]), config.num_classes)
     return cm, float(np.mean([p.fallback_rate for p in predictions])), predictions
 
 

@@ -81,6 +81,8 @@ class RunConfig:
                      "disc_epochs", "disc_batch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.num_queries < self.num_classes:
+            raise ConfigError(f"num_queries {self.num_queries} < num_classes {self.num_classes}")
         if any(size < 1 for size in self.disc_hidden):
             raise ConfigError(f"disc_hidden sizes must be >= 1, got {self.disc_hidden}")
         # delegate data-geometry validation (divisibility, shift set, ...)

@@ -31,7 +31,9 @@ logits carry a leading batch axis, (B, C, N), (B, N, keys), (B, N, H*W).
 ``forward`` and ``model_loss_and_grads`` take any number of such images and
 split them into consecutive batches by one rule, ``_batches``, and run each
 through one ``_forward``.  Only ``model_loss_and_grads`` keeps each layer's
-arrays for its backward; a decode frees them layer by layer.
+arrays for its backward; a decode frees them layer by layer.  ``seg_loss``
+and ``decode_labels`` take the final logits and form the probabilities they
+need, so a decode keeps logits and labels but no probabilities.
 
 The transferability condition selects key columns: a pixel whose T is
 above its image's lambda_t can only be attended by a query that falls
@@ -47,7 +49,6 @@ whole batch, each image's condition masking its own.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -60,7 +61,6 @@ from .numkit import (LOSS_EPS, AdamWState, adamw_step, flat_views, flatten, mt, 
                      sigmoid, softmax_columns)
 from .serialize import load_arrays, save_arrays
 from .tma import (
-    MaskInputs,
     attention_backward_from_weights,
     build_mask,
     masked_attention_weights,
@@ -166,61 +166,35 @@ def init_seg_model(
 
 @dataclass
 class SegPrediction:
-    """Per-query class and mask predictions; the pixel labels are decoded
-    on first access, so a training step, whose arrays carry a leading batch
-    axis (one entry per image), never decodes them."""
+    """One image's decode: its per-query logits, its decoded labels and how
+    many of its layer rows fell back.  Only ``forward`` builds one."""
 
-    class_logits: np.ndarray  # (..., num_classes + 1, N)
-    mask_logits: np.ndarray   # (..., N, H*W)
-    class_probs: np.ndarray   # (..., N, num_classes + 1)
-    mask_probs: np.ndarray    # (..., N, H*W)
-    height: int
-    width: int
+    class_logits: np.ndarray  # (num_classes + 1, N)
+    mask_logits: np.ndarray   # (N, H*W)
+    labels: np.ndarray        # (H, W), see ``decode_labels``
     fallback_count: int
     fallback_slots: int
-
-    @functools.cached_property
-    def labels(self) -> np.ndarray:
-        """(H, W) decoded labels; see ``decode_labels``."""
-        return decode_labels(self.class_probs, self.mask_probs, self.height, self.width)
-
-    @property
-    def num_classes(self) -> int:
-        return self.class_logits.shape[-2] - 1
 
     @property
     def fallback_rate(self) -> float:
         return self.fallback_count / self.fallback_slots if self.fallback_slots else 0.0
 
 
-def decode_labels(class_probs: np.ndarray, mask_probs: np.ndarray,
+def decode_labels(class_logits: np.ndarray, mask_logits: np.ndarray,
                   height: int, width: int) -> np.ndarray:
     """Pixel label = class of the highest-scoring query at that pixel.
 
     A query's score at a pixel is its mask probability times its best real
     (non-no-object) class probability; ties go to the lowest query index.
+    Takes (..., num_classes + 1, N) class logits and (..., N, H*W) mask
+    logits and returns (..., H, W) labels, one map per leading index.
     """
-    real = class_probs[:, :-1]
-    query_class = np.argmax(real, axis=1)
-    confidence = real[np.arange(real.shape[0]), query_class]
-    scores = mask_probs * confidence[:, None]
-    winner = np.argmax(scores, axis=0)
-    return query_class[winner].reshape(height, width)
-
-
-def prediction_from_logits(class_logits: np.ndarray, mask_logits: np.ndarray,
-                           height: int, width: int, fallback_count: int = 0,
-                           fallback_slots: int = 0) -> SegPrediction:
-    return SegPrediction(
-        class_logits=class_logits,
-        mask_logits=mask_logits,
-        class_probs=mt(softmax_columns(class_logits)),
-        mask_probs=sigmoid(mask_logits),
-        height=height,
-        width=width,
-        fallback_count=fallback_count,
-        fallback_slots=fallback_slots,
-    )
+    real = softmax_columns(class_logits)[..., :-1, :]
+    query_class = np.argmax(real, axis=-2)                        # (..., N)
+    scores = sigmoid(mask_logits) * real.max(axis=-2)[..., None]
+    winner = np.argmax(scores, axis=-2)                           # (..., H*W)
+    labels = np.take_along_axis(query_class, winner, axis=-1)
+    return labels.reshape(*labels.shape[:-1], height, width)
 
 
 @dataclass
@@ -319,8 +293,7 @@ def _forward(params: SegModelParams, fms: list[FeatureMap],
     for self_w, ffn_w1, ffn_b1, ffn_w2, ffn_b2 in zip(
             params.self_w, params.ffn_w1, params.ffn_b1, params.ffn_w2, params.ffn_b2):
         memb = params.mask_w @ q + params.mask_b[:, None]
-        amask = build_mask(MaskInputs(_mask_logits(params, memb, gathered), tkeys,
-                                      lambda_m, lambda_t))
+        amask = build_mask(_mask_logits(params, memb, gathered), tkeys, lambda_m, lambda_t)
         feats = gathered
         if cols is not None and amask.fallback.any():
             amask, feats = widen_mask(amask, cols, x.shape[-1]), x
@@ -359,30 +332,32 @@ def forward(params: SegModelParams, fms: list[FeatureMap],
     if len(tmaps) != len(fms):
         raise ShapeError(f"{len(tmaps)} transferability maps for {len(fms)} images")
     preds = []
+    slots = params.num_layers * params.num_queries
     for batch in _batches(params, fms):
         *_, class_logits, mask_logits, fallback_count = _forward(
             params, fms[batch], tmaps[batch], lambda_m, p_t)
-        preds += [prediction_from_logits(c, m, fms[0].height, fms[0].width, int(f),
-                                         params.num_layers * params.num_queries)
-                  for c, m, f in zip(class_logits, mask_logits, fallback_count)]
+        labels = decode_labels(class_logits, mask_logits, fms[0].height, fms[0].width)
+        preds += [SegPrediction(c, m, lab, int(f), slots)
+                  for c, m, lab, f in zip(class_logits, mask_logits, labels, fallback_count)]
     return preds
 
 
-def seg_loss(pred: SegPrediction, labels: np.ndarray,
+def seg_loss(class_logits: np.ndarray, mask_logits: np.ndarray, labels: np.ndarray,
              pixel_weights: np.ndarray | None = None
              ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-assignment segmentation loss with gradients at the logits.
+    """Fixed-assignment segmentation loss of (..., num_classes + 1, N) class
+    logits and (..., N, H*W) mask logits, with gradients at the logits.
 
     Query n is responsible for class n (queries beyond the class count target
     no-object and an empty mask).  The loss is mean per-query class
     cross-entropy plus mean per-pixel binary mask loss; optional pixel
     weights rescale the mask term per pixel.  Returns (loss,
-    d_class_logits, d_mask_logits).  A prediction with a batch axis takes
-    labels and pixel weights with that axis and gives one loss per image.
+    d_class_logits, d_mask_logits).  Logits with a batch axis take labels
+    and pixel weights with that axis and give one loss per image.
     """
     labels = np.asarray(labels)
-    num_classes = pred.num_classes
-    *batch, n_queries, num_pixels = pred.mask_logits.shape
+    num_classes = class_logits.shape[-2] - 1
+    *batch, n_queries, num_pixels = mask_logits.shape
     if labels.size != math.prod(batch) * num_pixels:
         raise ShapeError(f"labels {labels.shape} do not cover {num_pixels} pixels "
                          f"of batch {tuple(batch)}")
@@ -399,13 +374,12 @@ def seg_loss(pred: SegPrediction, labels: np.ndarray,
         pixel_weights = pixel_weights.reshape(*batch, 1, num_pixels)
 
     # Class term: stable log-softmax cross-entropy against the fixed targets.
-    cls = pred.class_logits
     queries = np.arange(n_queries)
     targets = np.minimum(queries, num_classes)
-    col_max = cls.max(axis=-2)
-    lse = col_max + np.log(np.exp(cls - col_max[..., None, :]).sum(axis=-2))
-    class_loss = (lse - cls[..., targets, queries]).mean(axis=-1)
-    d_class = mt(pred.class_probs).copy()  # softmax_columns(cls), already taken
+    col_max = class_logits.max(axis=-2)
+    lse = col_max + np.log(np.exp(class_logits - col_max[..., None, :]).sum(axis=-2))
+    class_loss = (lse - class_logits[..., targets, queries]).mean(axis=-1)
+    d_class = softmax_columns(class_logits)
     d_class[..., targets, queries] -= 1.0
     d_class /= n_queries
 
@@ -414,7 +388,7 @@ def seg_loss(pred: SegPrediction, labels: np.ndarray,
     # probability given to the target is the usual two-log formula exactly.
     # Query n's target mask is class n's pixels, empty past the class count.
     # The (N, H*W) arrays are built once and updated in place.
-    probs = pred.mask_probs
+    probs = sigmoid(mask_logits)
     y = flat[..., None, :] == queries[:, None]
     bce = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS)
     np.subtract(1.0, bce, out=bce, where=~y)
@@ -483,9 +457,9 @@ def _batch_loss_and_grads(params: SegModelParams, items: list[TrainItem], lambda
         pixel_weights = _pixel_rows(
             [np.ones(num_pixels) if it.pixel_weights is None else it.pixel_weights
              for it in items], num_pixels, "pixel weights")
-    pred = prediction_from_logits(class_logits, mask_logits, items[0].fm.height, items[0].fm.width)
     loss, d_class, d_mask_logits = seg_loss(
-        pred, _pixel_rows([it.labels for it in items], num_pixels, "labels"), pixel_weights)
+        class_logits, mask_logits, _pixel_rows([it.labels for it in items], num_pixels, "labels"),
+        pixel_weights)
 
     embed_w, embed_b = params.embed_w, params.embed_b
 
@@ -548,7 +522,8 @@ def train(
     items: list[TrainItem],
     steps: int,
     batch_size: int = 8,
-    lr: float = 1e-4,
+    *,
+    lr: float,
     seed: int = 0,
     lambda_m: float = 0.5,
     p_t: float = 30.0,

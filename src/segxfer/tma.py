@@ -8,7 +8,8 @@ holds exactly when x <= logit_threshold(lambda_m), so no probability is
 computed to build a mask.  A query that admits no key falls back to
 attending everywhere, and the fallback is flagged so callers can count how
 often it fires.  Mask entries are constants: no gradient flows through the
-threshold comparisons.
+threshold comparisons.  ``build_mask`` takes its inputs as plain arrays and
+checks them itself.
 
 A key whose transferability is above lambda_t is never admitted except by a
 fallback row, so callers may build the mask over the columns that pass the
@@ -97,43 +98,6 @@ def logit_threshold(lam: float) -> float:
 
 
 @dataclass
-class MaskInputs:
-    """Predicted mask logits, per-key transferability, and thresholds; with
-    batch axes, one lambda_t per image or one for all."""
-
-    mask_logits: np.ndarray      # (..., N, keys), any value but NaN
-    transferability: np.ndarray  # (..., keys) in [0, 1]
-    lambda_m: float
-    lambda_t: float | np.ndarray  # () or (...)
-
-    def __post_init__(self) -> None:
-        self.mask_logits = np.asarray(self.mask_logits, dtype=float)
-        self.transferability = np.asarray(self.transferability, dtype=float)
-        if self.mask_logits.ndim < 2:
-            raise ShapeError(f"mask logits must be (..., N, keys), got {self.mask_logits.shape}")
-        batch, keys = self.mask_logits.shape[:-2], self.mask_logits.shape[-1]
-        if self.transferability.shape != (*batch, keys):
-            raise ShapeError(
-                f"transferability {self.transferability.shape} does not match "
-                f"{keys} key locations of batch {batch}"
-            )
-        self.lambda_t = np.asarray(self.lambda_t, dtype=float)
-        if self.lambda_t.shape not in ((), batch):
-            raise ShapeError(f"lambda_t {self.lambda_t.shape} does not match batch {batch}")
-        # the minimum is NaN iff some entry is
-        if self.mask_logits.size and np.isnan(self.mask_logits.min()):
-            raise InputError("mask logits must not be NaN")
-        t = self.transferability
-        # a NaN fails both comparisons, so it is rejected too
-        if t.size and not (t.min() >= 0 and t.max() <= 1):
-            raise InputError("transferability must lie in [0, 1]")
-        if not 0.0 <= self.lambda_m <= 1.0:
-            raise InputError(f"lambda_m must lie in [0, 1], got {self.lambda_m}")
-        if not (self.lambda_t.min() >= 0.0 and self.lambda_t.max() <= 1.0):
-            raise InputError(f"lambda_t must lie in [0, 1], got {self.lambda_t}")
-
-
-@dataclass
 class AttentionMaskTensor:
     """Admitted (query, key) pairs plus per-query fallback flags."""
 
@@ -149,8 +113,11 @@ class AttentionMaskTensor:
         return out
 
 
-def build_mask(mi: MaskInputs) -> AttentionMaskTensor:
-    """Dual-thresholded mask.
+def build_mask(mask_logits: np.ndarray, transferability: np.ndarray, lambda_m: float,
+               lambda_t: float | np.ndarray) -> AttentionMaskTensor:
+    """Dual-thresholded mask of (..., N, keys) mask logits, any value but
+    NaN, and (..., keys) transferability in [0, 1], with one lambda_t per
+    image, (...), or one for all.
 
     Pair (i, j) is admitted iff sigmoid(mask_logits[i, j]) <= lambda_m,
     tested as mask_logits[i, j] <= logit_threshold(lambda_m), and the key's
@@ -158,8 +125,30 @@ def build_mask(mi: MaskInputs) -> AttentionMaskTensor:
     broadcast across queries).  Queries left with no admissible key admit
     every key and get their fallback flag set.
     """
-    allowed = mi.mask_logits <= logit_threshold(mi.lambda_m)
-    allowed &= (mi.transferability <= mi.lambda_t[..., None])[..., None, :]
+    mask_logits = np.asarray(mask_logits, dtype=float)
+    t = np.asarray(transferability, dtype=float)
+    if mask_logits.ndim < 2:
+        raise ShapeError(f"mask logits must be (..., N, keys), got {mask_logits.shape}")
+    batch, keys = mask_logits.shape[:-2], mask_logits.shape[-1]
+    if t.shape != (*batch, keys):
+        raise ShapeError(f"transferability {t.shape} does not match "
+                         f"{keys} key locations of batch {batch}")
+    lambda_t = np.asarray(lambda_t, dtype=float)
+    if lambda_t.shape not in ((), batch):
+        raise ShapeError(f"lambda_t {lambda_t.shape} does not match batch {batch}")
+    # the minimum is NaN iff some entry is
+    if mask_logits.size and np.isnan(mask_logits.min()):
+        raise InputError("mask logits must not be NaN")
+    # a NaN fails both comparisons, so it is rejected too
+    if t.size and not (t.min() >= 0 and t.max() <= 1):
+        raise InputError("transferability must lie in [0, 1]")
+    if not 0.0 <= lambda_m <= 1.0:
+        raise InputError(f"lambda_m must lie in [0, 1], got {lambda_m}")
+    if not (lambda_t.min() >= 0.0 and lambda_t.max() <= 1.0):
+        raise InputError(f"lambda_t must lie in [0, 1], got {lambda_t}")
+
+    allowed = mask_logits <= logit_threshold(lambda_m)
+    allowed &= (t <= lambda_t[..., None])[..., None, :]
     fallback = ~allowed.any(axis=-1)
     allowed[fallback] = True
     return AttentionMaskTensor(allowed=allowed, fallback=fallback)

@@ -184,5 +184,4 @@ def one_item_loss(params, item, lambda_m=0.5, p_t=30.0):
     backward pass: the same one-image decode and ``seg_loss`` call."""
     *_, class_logits, mask_logits, _ = sm._forward(params, [item.fm], [item.tmap],
                                                    lambda_m, p_t)
-    pred = sm.prediction_from_logits(class_logits, mask_logits, item.fm.height, item.fm.width)
-    return sm.seg_loss(pred, np.asarray(item.labels).reshape(1, -1))[0][0]
+    return sm.seg_loss(class_logits, mask_logits, np.asarray(item.labels).reshape(1, -1))[0][0]

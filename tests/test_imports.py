@@ -1,5 +1,7 @@
 """The package is numpy-only: every module under ``src/segxfer`` imports
-nothing but numpy, the standard library and ``segxfer`` itself."""
+nothing but numpy, the standard library and ``segxfer`` itself.  And it
+imports nothing it does not use, so a fold that removes the last use of a
+name removes its import too."""
 
 import ast
 import sys
@@ -27,3 +29,19 @@ def test_module_imports_only_numpy_and_stdlib(path):
 
 def test_the_checked_directory_is_the_package():
     assert (PACKAGE / "__init__.py").is_file()
+
+
+def imported_names(tree):
+    """The names the module's imports bind, but ``from __future__``'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert set(imported_names(tree)) - used == set()

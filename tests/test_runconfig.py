@@ -44,6 +44,7 @@ def test_bool_for_number_is_config_error(name, value):
     ("width", 0),
     ("cluster_iters", 0),
     ("num_queries", 0),
+    ("num_queries", 3),
     ("model_channels", 0),
     ("decoder_layers", 0),
     ("ffn_hidden", 0),
@@ -55,7 +56,8 @@ def test_bool_for_number_is_config_error(name, value):
 ], ids=["r_zero", "seeds_float", "disc_hidden_float", "noise_scales_string",
         "shift_classes_string", "height_nan", "out_dir_number", "tau_nan", "tau_zero",
         "disc_lr_inf", "sigma_nan", "noise_scales_nan", "height_zero", "width_zero",
-        "cluster_iters_zero", "num_queries_zero", "model_channels_zero",
+        "cluster_iters_zero", "num_queries_zero", "num_queries_below_classes",
+        "model_channels_zero",
         "decoder_layers_zero", "ffn_hidden_zero", "disc_hidden_zero",
         "disc_hidden_negative", "seeds_empty", "seeds_one_repeated", "seeds_repeat"])
 def test_bad_value_is_config_error(name, value):

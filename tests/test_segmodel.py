@@ -77,8 +77,8 @@ def test_forward_shape_contract():
                                num_layers=3, ffn_hidden=32)
     fm = FeatureMap.from_grid(rng.normal(size=(32, 32, 16)))
     pred = sm.forward(params, [fm])[0]
-    assert pred.class_probs.shape == (8, 9)
-    assert pred.mask_probs.shape == (8, 1024)
+    assert pred.class_logits.shape == (9, 8)
+    assert pred.mask_logits.shape == (8, 1024)
     assert pred.labels.shape == (32, 32)
     assert pred.fallback_slots == 3 * 8
 
@@ -143,7 +143,7 @@ def test_decode_labels_idempotent():
     params = small_model(7)
     fm, _ = small_scene(7)
     pred = sm.forward(params, [fm])[0]
-    again = sm.decode_labels(pred.class_probs, pred.mask_probs, 4, 4)
+    again = sm.decode_labels(pred.class_logits, pred.mask_logits, 4, 4)
     npt.assert_array_equal(pred.labels, again)
 
 
@@ -152,7 +152,8 @@ def test_decode_labels_idempotent():
 # ---------------------------------------------------------------------------
 
 
-def saturated_prediction(labels, num_classes, num_queries, logit=30.0):
+def saturated_logits(labels, num_classes, num_queries, logit=30.0):
+    """(class logits, mask logits) that predict ``labels`` with confidence."""
     h, w = labels.shape
     flat = labels.reshape(-1)
     class_logits = np.full((num_classes + 1, num_queries), -logit)
@@ -162,13 +163,12 @@ def saturated_prediction(labels, num_classes, num_queries, logit=30.0):
     mask_logits = np.full((num_queries, h * w), -logit)
     for n in range(num_classes):
         mask_logits[n, flat == n] = logit
-    return sm.prediction_from_logits(class_logits, mask_logits, h, w)
+    return class_logits, mask_logits
 
 
 def test_seg_loss_perfect_prediction_is_tiny():
     _, labels = small_scene(8)
-    pred = saturated_prediction(labels, 3, 4)
-    loss, _, _ = sm.seg_loss(pred, labels)
+    loss, _, _ = sm.seg_loss(*saturated_logits(labels, 3, 4), labels)
     assert loss < 0.01
 
 
@@ -179,8 +179,7 @@ def test_seg_loss_gradcheck_at_logits():
 
     def f(flat):
         cls, mlog = flat
-        pred = sm.prediction_from_logits(cls, mlog, 8, 8)
-        loss, d_cls, d_mlog = sm.seg_loss(pred, labels)
+        loss, d_cls, d_mlog = sm.seg_loss(cls, mlog, labels)
         return loss, [d_cls, d_mlog]
 
     cls0 = rng.normal(size=(4, 4))
@@ -193,8 +192,7 @@ def test_seg_loss_class_permutation_symmetry():
     labels = rng.integers(0, 3, size=(4, 4))
     cls = rng.normal(size=(4, 4))
     mlog = rng.normal(size=(4, 16))
-    pred = sm.prediction_from_logits(cls, mlog, 4, 4)
-    loss, _, _ = sm.seg_loss(pred, labels)
+    loss, _, _ = sm.seg_loss(cls, mlog, labels)
 
     # swap classes 0 and 1 in the labels, the class rows, the query columns
     # and the mask rows: the fixed assignment means the loss cannot change
@@ -203,18 +201,17 @@ def test_seg_loss_class_permutation_symmetry():
     perm_labels[labels == 1] = 0
     cls_p = cls[:, [1, 0, 2, 3]][[1, 0, 2, 3], :]
     mlog_p = mlog[[1, 0, 2, 3], :]
-    pred_p = sm.prediction_from_logits(cls_p, mlog_p, 4, 4)
-    loss_p, _, _ = sm.seg_loss(pred_p, perm_labels)
+    loss_p, _, _ = sm.seg_loss(cls_p, mlog_p, perm_labels)
     assert loss_p == pytest.approx(loss, abs=1e-12)
 
 
 def test_seg_loss_rejects_out_of_range_labels():
     _, labels = small_scene(11)
-    pred = saturated_prediction(labels, 3, 4)
+    logits = saturated_logits(labels, 3, 4)
     bad = labels.copy()
     bad[0, 0] = 3
     with pytest.raises(InputError):
-        sm.seg_loss(pred, bad)
+        sm.seg_loss(*logits, bad)
 
 
 def test_seg_loss_pixel_weights_scale_mask_term():
@@ -222,12 +219,9 @@ def test_seg_loss_pixel_weights_scale_mask_term():
     labels = rng.integers(0, 3, size=(4, 4))
     cls = rng.normal(size=(4, 4))
     mlog = rng.normal(size=(4, 16))
-    pred = sm.prediction_from_logits(cls, mlog, 4, 4)
-    base, _, _ = sm.seg_loss(pred, labels)
-    doubled, _, _ = sm.seg_loss(pred, labels, pixel_weights=np.full(16, 2.0))
-    class_part, _, _ = sm.seg_loss(
-        sm.prediction_from_logits(cls, np.zeros((4, 16)), 4, 4), labels,
-        pixel_weights=np.zeros(16))
+    base, _, _ = sm.seg_loss(cls, mlog, labels)
+    doubled, _, _ = sm.seg_loss(cls, mlog, labels, pixel_weights=np.full(16, 2.0))
+    class_part, _, _ = sm.seg_loss(cls, np.zeros((4, 16)), labels, pixel_weights=np.zeros(16))
     mask_part = base - class_part
     assert doubled == pytest.approx(class_part + 2.0 * mask_part, rel=1e-9)
 
@@ -241,12 +235,12 @@ def test_seg_loss_mask_term_is_bitwise_the_where_formula(weighted):
     labels = rng.integers(0, num_classes, size=(h, w))
     mlog = rng.normal(scale=8.0, size=(num_queries, h * w))
     mlog[:, :50] = rng.choice([-40.0, 40.0, 16.1, -16.1], size=(num_queries, 50))
-    pred = sm.prediction_from_logits(rng.normal(size=(num_classes + 1, num_queries)), mlog, h, w)
+    cls = rng.normal(size=(num_classes + 1, num_queries))
     weights = rng.uniform(0.5, 2.0, size=h * w) if weighted else None
-    loss, _, d_mask = sm.seg_loss(pred, labels, pixel_weights=weights)
-    class_loss, _, _ = sm.seg_loss(pred, labels, pixel_weights=np.zeros(h * w))
+    loss, _, d_mask = sm.seg_loss(cls, mlog, labels, pixel_weights=weights)
+    class_loss, _, _ = sm.seg_loss(cls, mlog, labels, pixel_weights=np.zeros(h * w))
 
-    probs = pred.mask_probs
+    probs = sm.sigmoid(mlog)
     y = np.stack([labels.reshape(-1) == n for n in range(num_queries)])
     clamped = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS)
     bce = -np.log(np.where(y, clamped, 1.0 - clamped))
@@ -329,7 +323,8 @@ def test_ungated_step_forms_no_channels_by_pixels_array():
 
 
 def test_forward_keeps_no_layer_arrays():
-    # A decode keeps its mask logits and probabilities, 1.2 MB here, but no
+    # A decode keeps its mask logits, 0.59 MB here, its class logits and its
+    # labels, but no probabilities, which would add another 0.59 MB, and no
     # layer's backward arrays: each layer's (N, H*W) weights are freed as the
     # next layer runs.  With every layer's arrays kept the peak is above 4 MB.
     rng = np.random.default_rng(15)
@@ -338,10 +333,12 @@ def test_forward_keeps_no_layer_arrays():
     sm.forward(params, [fm])  # first-call caches
     tracemalloc.start()
     try:
-        sm.forward(params, [fm])
-        peak = tracemalloc.get_traced_memory()[1]
+        preds = sm.forward(params, [fm])
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert preds[0].labels.shape == (96, 96)
+    assert kept < 0.9e6
     assert peak < 3e6
 
 
@@ -477,7 +474,7 @@ def test_train_returns_params_that_own_their_arrays():
 
 def test_train_rejects_empty_dataset():
     with pytest.raises(InputError):
-        sm.train(small_model(4), [], steps=1)
+        sm.train(small_model(4), [], steps=1, lr=1e-2)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ def kept_columns(item, p_t):
 
 def check_against_oracle(params, items, lambda_m, p_t):
     """Judge the batch's losses and gradient rows, and one ``forward`` call's
-    logits over the same images, against the oracle, image by image."""
+    logits over the same images, against the oracle, image by image.  The
+    labels, decoded once per batch, must be bitwise each image's own decode."""
     losses, rows = sm.model_loss_and_grads(params, items, lambda_m=lambda_m, p_t=p_t)
     preds = sm.forward(params, [it.fm for it in items], [it.tmap for it in items],
                        lambda_m=lambda_m, p_t=p_t)
@@ -56,6 +57,8 @@ def check_against_oracle(params, items, lambda_m, p_t):
     shapes = [a.shape for a in params.param_list()]
     fallbacks = []
     for item, loss, row, pred in zip(items, losses, rows, preds):
+        assert np.array_equal(pred.labels, sm.decode_labels(pred.class_logits,
+                                                            pred.mask_logits, H, W))
         fallbacks.append(oracle_check(
             params, item.fm, item.labels, item.tmap, lambda_m, p_t, item.pixel_weights,
             [loss, *flat_views(row, shapes), pred.class_logits, pred.mask_logits]))
@@ -68,9 +71,9 @@ def mask_widths(monkeypatch):
     widths = []
     build = sm.build_mask
 
-    def spy(mi):
-        widths.append(mi.mask_logits.shape[-1])
-        return build(mi)
+    def spy(mask_logits, *args):
+        widths.append(mask_logits.shape[-1])
+        return build(mask_logits, *args)
 
     monkeypatch.setattr(sm, "build_mask", spy)
     return widths

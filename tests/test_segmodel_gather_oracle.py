@@ -39,8 +39,8 @@ def mask_spy(monkeypatch):
     calls = []
     build = sm.build_mask
 
-    def spy(mi):
-        out = build(mi)
+    def spy(*args):
+        out = build(*args)
         calls.append((out.allowed.shape[-1], out.fallback.copy()))
         return out
 

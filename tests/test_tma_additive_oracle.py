@@ -56,7 +56,7 @@ def random_case(seed, lambda_t=None):
     probs[rng.integers(0, n)] = 0.95  # this row admits no key: it falls back
     lam_t = rng.uniform(0.2, 1.0) if lambda_t is None else lambda_t
     logits = np.log(probs) - np.log1p(-probs)
-    mask = tma.build_mask(tma.MaskInputs(logits, rng.random(keys), 0.6, lam_t))
+    mask = tma.build_mask(logits, rng.random(keys), 0.6, lam_t)
     return inputs, mask, rng.normal(size=(n, c))
 
 
