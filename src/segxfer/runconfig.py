@@ -73,8 +73,9 @@ class RunConfig:
             raise ConfigError(f"p_t must be a percentile in [0, 100], got {self.p_t}")
         if not 0.0 <= self.lambda_m <= 1.0:
             raise ConfigError(f"lambda_m must lie in [0, 1], got {self.lambda_m}")
-        if not self.tau > 0.0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
+        for name in ("tau", "disc_lr", "model_lr"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         for name in ("height", "width", "source_count", "target_count", "eval_count", "r",
                      "cluster_iters", "num_queries", "model_channels", "decoder_layers",
                      "ffn_hidden", "source_steps", "finetune_steps", "batch_size",

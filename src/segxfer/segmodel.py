@@ -221,8 +221,10 @@ def _mask_logits(params: SegModelParams, memb: np.ndarray, feats: np.ndarray) ->
 
 
 # Images are decoded in as few batches as keep each batch's (B, N, H*W)
-# arrays within this many elements (256 KB).  At 32x32, one batch of 8 images
-# was no faster than two of 4, and page-faulted about 140 times per step.
+# arrays within this many elements (256 KB).  At 32x32, with the allocator
+# settings made on import, one batch of 8 images runs a forward or a training
+# step 7-16% faster than two of 4, and neither page-faults.  The cap stays:
+# regrouping a batch changes the padding of gated rows, and so the results.
 _STACK_ELEMENTS = 1 << 15
 
 

@@ -38,6 +38,8 @@ def test_bool_for_number_is_config_error(name, value):
     ("tau", float("nan")),
     ("tau", 0),
     ("disc_lr", float("inf")),
+    ("disc_lr", 0.0),
+    ("model_lr", -1.0),
     ("sigma", float("nan")),
     ("noise_scales", [1, 1, 1, float("nan")]),
     ("height", 0),
@@ -55,7 +57,8 @@ def test_bool_for_number_is_config_error(name, value):
     ("seeds", [3, 1, 3]),
 ], ids=["r_zero", "seeds_float", "disc_hidden_float", "noise_scales_string",
         "shift_classes_string", "height_nan", "out_dir_number", "tau_nan", "tau_zero",
-        "disc_lr_inf", "sigma_nan", "noise_scales_nan", "height_zero", "width_zero",
+        "disc_lr_inf", "disc_lr_zero", "model_lr_negative", "sigma_nan", "noise_scales_nan",
+        "height_zero", "width_zero",
         "cluster_iters_zero", "num_queries_zero", "num_queries_below_classes",
         "model_channels_zero",
         "decoder_layers_zero", "ffn_hidden_zero", "disc_hidden_zero",

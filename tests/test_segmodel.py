@@ -342,6 +342,29 @@ def test_forward_keeps_no_layer_arrays():
     assert peak < 3e6
 
 
+def test_warm_96x96_calls_do_not_fault_freed_memory_back_in():
+    # Each call frees MBs of temporaries.  With glibc's default dynamic
+    # thresholds the heap top was trimmed after every call and faulted back
+    # in by the next: 544 minor faults per forward, 1,120 per step.
+    resource = pytest.importorskip("resource")
+    import segxfer
+    if segxfer._mallopt is None:
+        pytest.skip("the C library has no mallopt")
+    rng = np.random.default_rng(16)
+    params = sm.init_seg_model(16, 5, rng)  # C 16, N 8, 3 layers
+    fm = FeatureMap.from_grid(rng.normal(size=(96, 96, 16)))
+    item = sm.TrainItem(fm, rng.integers(0, 5, size=(96, 96)))
+    calls = {"forward": lambda: sm.forward(params, [fm]),
+             "model_loss_and_grads": lambda: sm.model_loss_and_grads(params, [item])}
+    for call in 2 * list(calls.values()):
+        call()
+    for name, call in calls.items():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        call()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 64, name
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
