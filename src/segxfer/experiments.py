@@ -409,10 +409,8 @@ def _run(config: RunConfig, seeds: tuple[int, ...] | None,
     Every seed and p_T is checked, and a repeated one rejected, before the
     first seed runs."""
     seeds = tuple(config.seeds if seeds is None else seeds)
-    if not seeds:
-        raise InputError("seeds must be non-empty")
-    if len(set(seeds)) != len(seeds):
-        raise InputError(f"seeds {seeds} repeat a seed")
+    if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
+        raise InputError(f"need at least one seed, none negative and no repeats, got {seeds}")
     runs = [(variant, _p_t(config, p_t)) for variant, p_t in runs]
     if len(set(runs)) != len(runs):
         raise InputError(f"runs {runs} repeat a (variant, p_T) pair")

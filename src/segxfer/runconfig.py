@@ -67,8 +67,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         for name, hint in _HINTS.items():
             setattr(self, name, _typed(name, hint, getattr(self, name)))
-        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"need at least one seed and no repeats, got {self.seeds}")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
+            raise ConfigError(f"need at least one seed, none negative, no repeats: {self.seeds}")
         if not 0.0 <= self.p_t <= 100.0:
             raise ConfigError(f"p_t must be a percentile in [0, 100], got {self.p_t}")
         if not 0.0 <= self.lambda_m <= 1.0:

@@ -33,7 +33,8 @@ split them into consecutive batches by one rule, ``_batches``, and run each
 through one ``_forward``.  Only ``model_loss_and_grads`` keeps each layer's
 arrays for its backward; a decode frees them layer by layer.  ``seg_loss``
 and ``decode_labels`` take the final logits and form the probabilities they
-need, so a decode keeps logits and labels but no probabilities.
+need.  A decode keeps only each image's labels and fallback count: a batch's
+logits are freed once its labels are decoded, before the next batch runs.
 
 The transferability condition selects key columns: a pixel whose T is
 above its image's lambda_t can only be attended by a query that falls
@@ -166,11 +167,9 @@ def init_seg_model(
 
 @dataclass
 class SegPrediction:
-    """One image's decode: its per-query logits, its decoded labels and how
-    many of its layer rows fell back.  Only ``forward`` builds one."""
+    """One image's decode: its decoded labels and how many of its layer rows
+    fell back.  Only ``forward`` builds one."""
 
-    class_logits: np.ndarray  # (num_classes + 1, N)
-    mask_logits: np.ndarray   # (N, H*W)
     labels: np.ndarray        # (H, W), see ``decode_labels``
     fallback_count: int
     fallback_slots: int
@@ -339,8 +338,8 @@ def forward(params: SegModelParams, fms: list[FeatureMap],
         *_, class_logits, mask_logits, fallback_count = _forward(
             params, fms[batch], tmaps[batch], lambda_m, p_t)
         labels = decode_labels(class_logits, mask_logits, fms[0].height, fms[0].width)
-        preds += [SegPrediction(c, m, lab, int(f), slots)
-                  for c, m, lab, f in zip(class_logits, mask_logits, labels, fallback_count)]
+        del _, class_logits, mask_logits  # freed before the next batch runs
+        preds += [SegPrediction(lab, int(f), slots) for lab, f in zip(labels, fallback_count)]
     return preds
 
 

@@ -42,13 +42,14 @@ def load_arrays(bin_path: str | Path, json_path: str | Path) -> tuple[dict[str, 
     """Read arrays written by save_arrays.
 
     The manifest must tile the binary exactly: every array starts where the
-    one before it ended and nothing follows the last one.  A malformed
-    manifest, a missing key or any other layout raises InputError.
+    one before it ended and nothing follows the last one.  A file that is
+    missing or cannot be read, a malformed manifest, a missing key or any
+    other layout raises InputError.
     """
     try:
         with open(json_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    except (OSError, ValueError) as exc:  # missing or not a file, bad JSON or bad UTF-8
         raise InputError(f"unreadable manifest {json_path}: {exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("arrays"), list):
         raise InputError("manifest must be an object with an 'arrays' list")
@@ -57,7 +58,10 @@ def load_arrays(bin_path: str | Path, json_path: str | Path) -> tuple[dict[str, 
     meta = manifest.get("meta", {})
     if not isinstance(meta, dict):
         raise InputError("manifest 'meta' must be an object")
-    data = Path(bin_path).read_bytes()
+    try:
+        data = Path(bin_path).read_bytes()
+    except OSError as exc:  # missing or not a file
+        raise InputError(f"unreadable binary {bin_path}: {exc}") from exc
     if len(data) % 8:
         raise InputError(f"binary holds {len(data)} bytes, not a whole number of float64 values")
     raw = np.frombuffer(data, dtype="<f8")

@@ -13,7 +13,7 @@ layouts where any class covers less than 5% of pixels are resampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,6 +86,8 @@ class SynthConfig:
             raise ConfigError(f"image {self.height}x{self.width} must be at least 1x1")
         if self.height % LAYOUT_CELLS or self.width % LAYOUT_CELLS:
             raise ConfigError(f"layout grid {LAYOUT_CELLS} must divide {self.height}x{self.width}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def class_noise(self) -> np.ndarray:
         if self.noise_scales is None:
@@ -95,24 +97,19 @@ class SynthConfig:
 
 @dataclass
 class LabeledImage:
-    """Feature map, class labels, domain tag and per-pixel transfer bits."""
+    """Feature map, class labels and per-pixel transfer bits."""
 
     fm: FeatureMap
-    labels: np.ndarray        # (H, W) int
-    domain: str
-    transfer_bits: np.ndarray = field(init=False)  # (H, W) uint8, 1 = unshifted class
-    shift_classes: tuple[int, ...] = ()
+    labels: np.ndarray         # (H, W) int
+    transfer_bits: np.ndarray  # (H, W) uint8, 1 = unshifted class
 
     def __post_init__(self) -> None:
-        if self.domain not in _DOMAIN_CODE:
-            raise InputError(f"unknown domain {self.domain!r}")
         self.labels = np.asarray(self.labels, dtype=int)
-        if self.labels.shape != (self.fm.height, self.fm.width):
-            raise InputError(
-                f"labels {self.labels.shape} do not match image "
-                f"{self.fm.height}x{self.fm.width}"
-            )
-        self.transfer_bits = (~np.isin(self.labels, list(self.shift_classes))).astype(np.uint8)
+        self.transfer_bits = np.asarray(self.transfer_bits, dtype=np.uint8)
+        if not self.labels.shape == self.transfer_bits.shape == (self.fm.height, self.fm.width):
+            raise InputError(f"labels {self.labels.shape} and transfer bits "
+                             f"{self.transfer_bits.shape} do not match image "
+                             f"{self.fm.height}x{self.fm.width}")
 
 
 def class_prototypes(config: SynthConfig, domain: str) -> np.ndarray:
@@ -202,6 +199,6 @@ def generate(config: SynthConfig, count: int, domain: str, stream: int = 0) -> l
             noise[np.ix_(camo, np.arange(config.num_classes, config.channels))] = 0.0
         features = protos[flat] + noise
         fm = FeatureMap(config.height, config.width, features)
-        images.append(LabeledImage(fm=fm, labels=labels, domain=domain,
-                                   shift_classes=config.shift_classes))
+        bits = (~np.isin(labels, list(config.shift_classes))).astype(np.uint8)
+        images.append(LabeledImage(fm=fm, labels=labels, transfer_bits=bits))
     return images

@@ -185,3 +185,16 @@ def one_item_loss(params, item, lambda_m=0.5, p_t=30.0):
     *_, class_logits, mask_logits, _ = sm._forward(params, [item.fm], [item.tmap],
                                                    lambda_m, p_t)
     return sm.seg_loss(class_logits, mask_logits, np.asarray(item.labels).reshape(1, -1))[0][0]
+
+
+def decode_logits(params, fms, tmaps=None, lambda_m=0.5, p_t=30.0):
+    """Each image's (class logits, mask logits, fallback count), from the
+    batches and ``_forward`` calls of ``forward``, which keeps only the
+    labels and fallback counts."""
+    tmaps = [None] * len(fms) if tmaps is None else tmaps
+    out = []
+    for batch in sm._batches(params, fms):
+        *_, class_logits, mask_logits, fallback = sm._forward(params, fms[batch], tmaps[batch],
+                                                              lambda_m, p_t)
+        out += zip(class_logits, mask_logits, fallback.tolist())
+    return out

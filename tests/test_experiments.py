@@ -8,7 +8,7 @@ from segxfer import adaptive_cluster, experiments
 from segxfer.adaptive_cluster import ClusterState, FeatureMap
 from segxfer.errors import InputError, ShapeError
 from segxfer.experiments import confusion_matrix
-from segxfer.synthdata import TARGET, LabeledImage
+from segxfer.synthdata import LabeledImage
 from segxfer.runconfig import RunConfig
 
 
@@ -55,7 +55,8 @@ def _state_with_labels(hard_labels, height, width, num_regions):
 def _image(labels):
     labels = np.asarray(labels)
     fm = FeatureMap(labels.shape[0], labels.shape[1], np.zeros((labels.size, 1)))
-    return LabeledImage(fm=fm, labels=labels, domain=TARGET, shift_classes=(2, 3))
+    return LabeledImage(fm=fm, labels=labels,
+                        transfer_bits=(~np.isin(labels, [2, 3])).astype(np.uint8))
 
 
 def _truth_bits_loop(state, image):
@@ -186,10 +187,13 @@ def _sweep(config, seeds):
     pytest.param(_sweep, (0, 0, 0), id="sweep-one_seed"),
     pytest.param(_sweep, (0, 1, 0), id="sweep-one_repeat"),
     pytest.param(_sweep, (), id="sweep-no_seed"),
+    pytest.param(_ablation, (0, 1, -1), id="ablation-negative"),
+    pytest.param(_sweep, (-3,), id="sweep-negative"),
 ])
 def test_repeated_seed_override_is_rejected_before_any_seed_runs(monkeypatch, run, seeds):
     # (0, 0, 0) would pass the ablation's "at least 3 seeds" with one seed;
-    # () would give the sweep a report with no rows
+    # () would give the sweep a report with no rows; a negative seed would
+    # fail inside the data generator, after the seeds before it ran
     def prepare_seed(config, seed):
         raise AssertionError(f"seed {seed} ran")
 

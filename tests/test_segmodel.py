@@ -1,13 +1,14 @@
 import hashlib
 import json
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from adamw_oracle import ListAdamWState, list_adamw_step
-from decoder_oracle import one_item_loss, one_item_loss_and_grads
+from decoder_oracle import decode_logits, one_item_loss, one_item_loss_and_grads
 from gradcheck import gradcheck
 from segxfer import segmodel as sm
 from segxfer.adaptive_cluster import FeatureMap
@@ -77,10 +78,13 @@ def test_forward_shape_contract():
                                num_layers=3, ffn_hidden=32)
     fm = FeatureMap.from_grid(rng.normal(size=(32, 32, 16)))
     pred = sm.forward(params, [fm])[0]
-    assert pred.class_logits.shape == (9, 8)
-    assert pred.mask_logits.shape == (8, 1024)
+    (class_logits, mask_logits, _), = decode_logits(params, [fm])
+    assert class_logits.shape == (9, 8)
+    assert mask_logits.shape == (8, 1024)
     assert pred.labels.shape == (32, 32)
     assert pred.fallback_slots == 3 * 8
+    # a prediction keeps no logits
+    assert [f.name for f in fields(pred)] == ["labels", "fallback_count", "fallback_slots"]
 
 
 def test_forward_all_ones_tmap_at_p100_equals_vanilla():
@@ -89,8 +93,11 @@ def test_forward_all_ones_tmap_at_p100_equals_vanilla():
     tmap = TransferabilityMap(np.ones(4), np.ones((4, 4)))
     gated = sm.forward(params, [fm], [tmap], lambda_m=0.5, p_t=100.0)[0]
     vanilla = sm.forward(params, [fm], [None], lambda_m=0.5)[0]
-    npt.assert_allclose(gated.class_logits, vanilla.class_logits, atol=1e-9)
-    npt.assert_allclose(gated.mask_logits, vanilla.mask_logits, atol=1e-9)
+    (gated_class, gated_mask, _), = decode_logits(params, [fm], [tmap], lambda_m=0.5,
+                                                  p_t=100.0)
+    (vanilla_class, vanilla_mask, _), = decode_logits(params, [fm], [None], lambda_m=0.5)
+    npt.assert_allclose(gated_class, vanilla_class, atol=1e-9)
+    npt.assert_allclose(gated_mask, vanilla_mask, atol=1e-9)
     npt.assert_array_equal(gated.labels, vanilla.labels)
 
 
@@ -99,8 +106,10 @@ def test_forward_deterministic():
     fm, _ = small_scene(3)
     p1 = sm.forward(params, [fm])[0]
     p2 = sm.forward(params, [fm])[0]
-    npt.assert_array_equal(p1.class_logits, p2.class_logits)
-    npt.assert_array_equal(p1.mask_logits, p2.mask_logits)
+    (c1, m1, _), = decode_logits(params, [fm])
+    (c2, m2, _), = decode_logits(params, [fm])
+    npt.assert_array_equal(c1, c2)
+    npt.assert_array_equal(m1, m2)
     npt.assert_array_equal(p1.labels, p2.labels)
 
 
@@ -143,7 +152,8 @@ def test_decode_labels_idempotent():
     params = small_model(7)
     fm, _ = small_scene(7)
     pred = sm.forward(params, [fm])[0]
-    again = sm.decode_labels(pred.class_logits, pred.mask_logits, 4, 4)
+    (class_logits, mask_logits, _), = decode_logits(params, [fm])
+    again = sm.decode_labels(class_logits, mask_logits, 4, 4)
     npt.assert_array_equal(pred.labels, again)
 
 
@@ -323,23 +333,27 @@ def test_ungated_step_forms_no_channels_by_pixels_array():
 
 
 def test_forward_keeps_no_layer_arrays():
-    # A decode keeps its mask logits, 0.59 MB here, its class logits and its
-    # labels, but no probabilities, which would add another 0.59 MB, and no
-    # layer's backward arrays: each layer's (N, H*W) weights are freed as the
+    # A decode keeps labels only: each batch's logits, 0.59 MB per 96x96
+    # image, are freed once its labels are decoded, and no layer's backward
+    # arrays are kept, since each layer's (N, H*W) weights are freed as the
     # next layer runs.  With every layer's arrays kept the peak is above 4 MB.
+    # A batch's logits are freed before the next batch runs: kept until the
+    # next batch's replace them, the twelve images peak at 2.3 MB.
     rng = np.random.default_rng(15)
     params = sm.init_seg_model(16, 5, rng)  # C 16, N 8, 3 layers, FFN 32
-    fm = FeatureMap.from_grid(rng.normal(size=(96, 96, 16)))
-    sm.forward(params, [fm])  # first-call caches
-    tracemalloc.start()
-    try:
-        preds = sm.forward(params, [fm])
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert preds[0].labels.shape == (96, 96)
-    assert kept < 0.9e6
-    assert peak < 3e6
+    for count, size, batches, peak_bound in [(1, 96, 1, 3e6), (12, 32, 3, 2e6)]:
+        fms = [FeatureMap.from_grid(rng.normal(size=(size, size, 16))) for _ in range(count)]
+        assert len(sm._batches(params, fms)) == batches
+        sm.forward(params, fms)  # first-call caches
+        tracemalloc.start()
+        try:
+            preds = sm.forward(params, fms)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [p.labels.shape for p in preds] == [(size, size)] * count
+        assert kept < 0.2e6
+        assert peak < peak_bound
 
 
 def test_warm_96x96_calls_do_not_fault_freed_memory_back_in():

@@ -10,7 +10,7 @@ over keys, so it is judged against the long-double reference of
 import numpy as np
 import pytest
 
-from decoder_oracle import oracle_check
+from decoder_oracle import decode_logits, oracle_check
 from segxfer import segmodel as sm
 from segxfer import tma
 from segxfer.adaptive_cluster import FeatureMap
@@ -46,22 +46,25 @@ def kept_columns(item, p_t):
 
 
 def check_against_oracle(params, items, lambda_m, p_t):
-    """Judge the batch's losses and gradient rows, and one ``forward`` call's
-    logits over the same images, against the oracle, image by image.  The
-    labels, decoded once per batch, must be bitwise each image's own decode."""
+    """Judge the batch's losses and gradient rows, and the logits of
+    ``forward``'s batches over the same images, against the oracle, image by
+    image.  The labels of one ``forward`` call, decoded once per batch, must
+    be bitwise each image's own decode of its logits."""
     losses, rows = sm.model_loss_and_grads(params, items, lambda_m=lambda_m, p_t=p_t)
-    preds = sm.forward(params, [it.fm for it in items], [it.tmap for it in items],
-                       lambda_m=lambda_m, p_t=p_t)
+    fms, tmaps = [it.fm for it in items], [it.tmap for it in items]
+    preds = sm.forward(params, fms, tmaps, lambda_m=lambda_m, p_t=p_t)
+    logits = decode_logits(params, fms, tmaps, lambda_m=lambda_m, p_t=p_t)
     assert losses.shape == (len(items),) and rows.shape[0] == len(items)
-    assert len(preds) == len(items)
+    assert len(preds) == len(logits) == len(items)
     shapes = [a.shape for a in params.param_list()]
     fallbacks = []
-    for item, loss, row, pred in zip(items, losses, rows, preds):
-        assert np.array_equal(pred.labels, sm.decode_labels(pred.class_logits,
-                                                            pred.mask_logits, H, W))
+    for item, loss, row, pred, (class_logits, mask_logits, fallback) in zip(
+            items, losses, rows, preds, logits):
+        assert np.array_equal(pred.labels, sm.decode_labels(class_logits, mask_logits, H, W))
+        assert pred.fallback_count == fallback
         fallbacks.append(oracle_check(
             params, item.fm, item.labels, item.tmap, lambda_m, p_t, item.pixel_weights,
-            [loss, *flat_views(row, shapes), pred.class_logits, pred.mask_logits]))
+            [loss, *flat_views(row, shapes), class_logits, mask_logits]))
     return fallbacks
 
 
@@ -88,14 +91,16 @@ def test_ungated_batch_is_bitwise_one_item_batches(split, monkeypatch):
         monkeypatch.setattr(sm, "_STACK_ELEMENTS", 3 * params.num_queries * H * W)
     losses, rows = sm.model_loss_and_grads(params, batch)
     preds = sm.forward(params, [it.fm for it in batch])
-    for item, loss, row, pred in zip(batch, losses, rows, preds, strict=True):
+    logits = decode_logits(params, [it.fm for it in batch])
+    for item, loss, row, pred, (class_logits, mask_logits, _) in zip(
+            batch, losses, rows, preds, logits, strict=True):
         one_loss, one_row = sm.model_loss_and_grads(params, [item])
         assert loss == one_loss[0]
         assert np.array_equal(row, one_row[0])
-        one = sm.forward(params, [item.fm])[0]
-        assert np.array_equal(pred.class_logits, one.class_logits)
-        assert np.array_equal(pred.mask_logits, one.mask_logits)
-        assert np.array_equal(pred.labels, one.labels)
+        (one_class, one_mask, _), = decode_logits(params, [item.fm])
+        assert np.array_equal(class_logits, one_class)
+        assert np.array_equal(mask_logits, one_mask)
+        assert np.array_equal(pred.labels, sm.decode_labels(one_class, one_mask, H, W))
     assert np.array_equal(rows[1], rows[2])
 
 

@@ -5,7 +5,7 @@ widths compare exactly."""
 import numpy as np
 import pytest
 
-from decoder_oracle import one_item_loss_and_grads, oracle_check
+from decoder_oracle import decode_logits, one_item_loss_and_grads, oracle_check
 from segxfer import segmodel as sm
 from segxfer import tma
 from segxfer.adaptive_cluster import FeatureMap
@@ -61,10 +61,11 @@ def test_gated_matches_full_width_oracle(p_t, lambda_m, mask_spy):
         params, fm, labels, tmap, pixel_weights = random_case(seed)
         loss, grads = one_item_loss_and_grads(params, sm.TrainItem(fm, labels, tmap, pixel_weights),
                                               lambda_m=lambda_m, p_t=p_t)
-        pred = sm.forward(params, [fm], [tmap], lambda_m=lambda_m, p_t=p_t)[0]
+        (class_logits, mask_logits, fallback_count), = decode_logits(
+            params, [fm], [tmap], lambda_m=lambda_m, p_t=p_t)
         fallbacks = oracle_check(params, fm, labels, tmap, lambda_m, p_t, pixel_weights,
-                                 [loss, *grads, pred.class_logits, pred.mask_logits])
-        assert pred.fallback_count == sum(int(f.sum()) for f in fallbacks)
+                                 [loss, *grads, class_logits, mask_logits])
+        assert fallback_count == sum(int(f.sum()) for f in fallbacks)
 
         # one build_mask call per layer and pass, over the gathered columns,
         # with the oracle's fallback rows
@@ -88,9 +89,9 @@ def test_ungated_matches_full_width_oracle(lambda_m, mask_spy):
         params, fm, labels, _, pixel_weights = random_case(seed)
         loss, grads = one_item_loss_and_grads(params, sm.TrainItem(fm, labels, None, pixel_weights),
                                               lambda_m=lambda_m)
-        pred = sm.forward(params, [fm], lambda_m=lambda_m)[0]
+        (class_logits, mask_logits, _), = decode_logits(params, [fm], lambda_m=lambda_m)
         fallbacks = oracle_check(params, fm, labels, None, lambda_m, 30.0, pixel_weights,
-                                 [loss, *grads, pred.class_logits, pred.mask_logits])
+                                 [loss, *grads, class_logits, mask_logits])
         assert len(mask_spy) == 2 * params.num_layers
         for (width, (fallback,)), ref in zip(mask_spy, fallbacks * 2):
             assert width == fm.num_pixels

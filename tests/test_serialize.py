@@ -82,3 +82,15 @@ def test_malformed_manifest_is_input_error(saved):
     json_path.write_text("{not json")
     with pytest.raises(InputError):
         load_arrays(bin_path, json_path)
+
+
+@pytest.mark.parametrize("case", ["manifest_missing", "binary_missing", "binary_is_directory"])
+def test_unreadable_file_is_input_error(saved, case):
+    bin_path, json_path, _ = saved
+    bad = json_path if case == "manifest_missing" else bin_path
+    bad.unlink()
+    if case == "binary_is_directory":
+        bad.mkdir()
+    with pytest.raises(InputError, match=bad.name) as info:
+        load_arrays(bin_path, json_path)
+    assert isinstance(info.value.__cause__, OSError)

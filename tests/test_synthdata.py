@@ -106,6 +106,8 @@ def test_config_validation():
         for size in (-4, 0):      # both pass the layout grid's divisibility check
             with pytest.raises(ConfigError):
                 small_config(**{dim: size})
+    with pytest.raises(ConfigError):
+        small_config(seed=-1)     # not a generator seed
 
 
 def test_generate_validation():
@@ -114,3 +116,9 @@ def test_generate_validation():
         sd.generate(cfg, 0, sd.SOURCE)
     with pytest.raises(InputError):
         sd.generate(cfg, 1, "weird")
+
+
+def test_labeled_image_rejects_bits_of_another_shape():
+    img = sd.generate(small_config(), 1, sd.TARGET)[0]
+    with pytest.raises(InputError):
+        sd.LabeledImage(img.fm, img.labels, img.transfer_bits[:, :-1])
