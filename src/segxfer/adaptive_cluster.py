@@ -36,7 +36,8 @@ with equal arguments returns the same ``ClusterState`` and runs no round.
 The memo cannot go stale or be changed through a shared reference, because
 a ``FeatureMap`` keeps its own read-only copy of the features and a
 remembered state's ``centers`` and ``hard_labels`` are read-only.  The memo
-lives as long as the map.  ``init_grid`` states are not remembered.
+lives as long as the map.  ``init_grid`` states are not remembered; their
+hard labels are the cached, read-only cell map.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def init_grid(layout: CellLayout) -> ClusterState:
         height=layout.height,
         width=layout.width,
         centers=update_centers(assign, layout),
-        hard_labels=layout.tables.pixel_cell.copy(),
+        hard_labels=layout.tables.pixel_cell,
     )
 
 

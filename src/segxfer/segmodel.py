@@ -36,16 +36,17 @@ and ``decode_labels`` take the final logits and form the probabilities they
 need.  A decode keeps only each image's labels and fallback count: a batch's
 logits are freed once its labels are decoded, before the next batch runs.
 
-The transferability condition selects key columns: a pixel whose T is
-above its image's lambda_t can only be attended by a query that falls
-back, so each forward gathers the features of the pixels that pass it once,
-and every layer computes mask logits, scores, weights and their gradients
-over those columns only.  Each image's columns are padded to the batch's
-widest with more of its own pixels, ones that fail the condition, so the
-condition is the padding's validity mask.  A layer in which any query of
-any image falls back widens the whole batch to all H*W columns.  An image
-without a transferability map keeps every column, and so then does the
-whole batch, each image's condition masking its own.
+Each forward decides the transferability condition once per image, as its
+T-map enters: the map's values must lie in [0, 1], and the image's key mask
+is its pixels whose T is at most the map's p_t percentile.  Only a query
+that falls back attends outside the key mask, so the key-mask pixels'
+features are gathered once, and every layer computes mask logits, scores,
+weights and their gradients over those columns only.  Each image's columns
+are padded to the batch's widest with more of its own pixels, ones outside
+its key mask; every layer's ``build_mask`` takes the gathered key mask, so
+only a fallback row admits padding.  A layer in which any query of any image
+falls back widens the whole batch to all H*W columns.  An image without a
+map has every pixel in its key mask, so its batch keeps every column.
 """
 
 from __future__ import annotations
@@ -186,10 +187,11 @@ def decode_labels(class_logits: np.ndarray, mask_logits: np.ndarray,
     A query's score at a pixel is its mask probability times its best real
     (non-no-object) class probability; ties go to the lowest query index.
     Takes (..., num_classes + 1, N) class logits and (..., N, H*W) mask
-    logits and returns (..., H, W) labels, one map per leading index.
+    logits and returns (..., H, W) labels, one map per leading index, of the
+    narrowest unsigned type that holds num_classes - 1.
     """
     real = softmax_columns(class_logits)[..., :-1, :]
-    query_class = np.argmax(real, axis=-2)                        # (..., N)
+    query_class = np.argmax(real, axis=-2).astype(np.min_scalar_type(real.shape[-2] - 1))
     scores = sigmoid(mask_logits) * real.max(axis=-2)[..., None]
     winner = np.argmax(scores, axis=-2)                           # (..., H*W)
     labels = np.take_along_axis(query_class, winner, axis=-1)
@@ -262,9 +264,8 @@ def _forward(params: SegModelParams, fms: list[FeatureMap],
     layer computes its own."""
     first = fms[0]
 
-    # Vanilla mode (no map): the transferability condition holds for every key.
-    tvec = np.zeros((len(fms), first.num_pixels))
-    lambda_t = np.ones(len(fms))
+    # an image without a map admits every key
+    key_mask = np.ones((len(fms), first.num_pixels), dtype=bool)
     for b, tmap in enumerate(tmaps):
         if tmap is not None:
             if tmap.pixel.shape != (first.height, first.width):
@@ -272,21 +273,23 @@ def _forward(params: SegModelParams, fms: list[FeatureMap],
                     f"transferability map {tmap.pixel.shape} does not match "
                     f"image {first.height}x{first.width}"
                 )
-            tvec[b] = tmap.pixel.reshape(-1)
-            lambda_t[b] = percentile_threshold(tvec[b], p_t)
-    keep = tvec <= lambda_t[:, None]
-    keys = int(keep.sum(axis=1).max())
+            t = tmap.pixel.reshape(-1)
+            # a NaN fails both comparisons, so it is rejected too
+            if not (t.min() >= 0 and t.max() <= 1):
+                raise InputError("transferability must lie in [0, 1]")
+            key_mask[b] = t <= percentile_threshold(t, p_t)
+    keys = int(key_mask.sum(axis=1).max())
     # one image's features are used in place, not copied
     xs = first.features[None] if len(fms) == 1 else np.stack([fm.features for fm in fms])
     x = mt(xs)
     if keys == first.num_pixels:
-        cols, gathered, tkeys = None, x, tvec
+        cols, gathered = None, x
     else:
-        # each image's admitted columns in pixel order, padded to the batch's
-        # widest with its next columns, which fail the transferability test
-        cols = np.argsort(~keep, axis=1, kind="stable")[:, :keys]
+        # each image's key-mask columns in pixel order, padded to the
+        # batch's widest with its next columns, which its key mask leaves out
+        cols = np.argsort(~key_mask, axis=1, kind="stable")[:, :keys]
         rows = np.arange(len(fms))[:, None]
-        gathered, tkeys = mt(xs[rows, cols]), tvec[rows, cols]
+        gathered, key_mask = mt(xs[rows, cols]), key_mask[rows, cols]
 
     q = params.queries  # shared by every image: (C, N) until the first residual
     fallback_count = np.zeros(len(fms), dtype=int)
@@ -294,7 +297,7 @@ def _forward(params: SegModelParams, fms: list[FeatureMap],
     for self_w, ffn_w1, ffn_b1, ffn_w2, ffn_b2 in zip(
             params.self_w, params.ffn_w1, params.ffn_b1, params.ffn_w2, params.ffn_b2):
         memb = params.mask_w @ q + params.mask_b[:, None]
-        amask = build_mask(_mask_logits(params, memb, gathered), tkeys, lambda_m, lambda_t)
+        amask = build_mask(_mask_logits(params, memb, gathered), key_mask, lambda_m)
         feats = gathered
         if cols is not None and amask.fallback.any():
             amask, feats = widen_mask(amask, cols, x.shape[-1]), x

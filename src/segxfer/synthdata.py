@@ -100,16 +100,19 @@ class LabeledImage:
     """Feature map, class labels and per-pixel transfer bits."""
 
     fm: FeatureMap
-    labels: np.ndarray         # (H, W) int
+    labels: np.ndarray         # (H, W) non-negative integers
     transfer_bits: np.ndarray  # (H, W) uint8, 1 = unshifted class
 
     def __post_init__(self) -> None:
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.labels = np.asarray(self.labels)
         self.transfer_bits = np.asarray(self.transfer_bits, dtype=np.uint8)
         if not self.labels.shape == self.transfer_bits.shape == (self.fm.height, self.fm.width):
             raise InputError(f"labels {self.labels.shape} and transfer bits "
                              f"{self.transfer_bits.shape} do not match image "
                              f"{self.fm.height}x{self.fm.width}")
+        if self.labels.dtype.kind not in "ui" or self.labels.min() < 0:
+            raise InputError(f"labels must be non-negative integers, got {self.labels.dtype} "
+                             f"in [{self.labels.min()}, {self.labels.max()}]")
 
 
 def class_prototypes(config: SynthConfig, domain: str) -> np.ndarray:
@@ -179,7 +182,8 @@ def generate(config: SynthConfig, count: int, domain: str, stream: int = 0) -> l
 
     Streams are independent seeded substreams (use a different stream for
     held-out evaluation data); identical (config, count, domain, stream)
-    always reproduces identical images.
+    always reproduces identical images.  Labels are stored in the narrowest
+    unsigned type that holds num_classes - 1.
     """
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
@@ -200,5 +204,6 @@ def generate(config: SynthConfig, count: int, domain: str, stream: int = 0) -> l
         features = protos[flat] + noise
         fm = FeatureMap(config.height, config.width, features)
         bits = (~np.isin(labels, list(config.shift_classes))).astype(np.uint8)
+        labels = labels.astype(np.min_scalar_type(config.num_classes - 1))
         images.append(LabeledImage(fm=fm, labels=labels, transfer_bits=bits))
     return images

@@ -2,27 +2,26 @@
 
 The mask is a boolean (queries x keys) set of admitted pairs: a key is
 admitted for a query only where the predicted mask probability and the
-key's transferability both fall at or below their thresholds.  The
-probability condition is evaluated on the mask logits: sigmoid(x) <= lambda_m
-holds exactly when x <= logit_threshold(lambda_m), so no probability is
-computed to build a mask.  A query that admits no key falls back to
-attending everywhere, and the fallback is flagged so callers can count how
-often it fires.  Mask entries are constants: no gradient flows through the
-threshold comparisons.  ``build_mask`` takes its inputs as plain arrays and
-checks them itself.
+key's transferability both fall at or below their thresholds.  The caller
+decides the transferability condition once per image and passes it as a
+boolean key mask, which ``build_mask`` ANDs across the queries.  The
+probability condition is evaluated on the mask logits: sigmoid(x) <=
+lambda_m holds exactly when x <= logit_threshold(lambda_m), so no
+probability is computed to build a mask.  A query that admits no key falls
+back to attending everywhere, and the fallback is flagged so callers can
+count how often it fires.  Mask entries are constants: no gradient flows
+through the threshold comparisons.
 
-A key whose transferability is above lambda_t is never admitted except by a
-fallback row, so callers may build the mask over the columns that pass the
-transferability condition only, and ``widen_mask`` spreads it over every
-column when a row falls back.
+A key outside the key mask is never admitted except by a fallback row, so
+callers may build the mask over the columns the key mask admits only, and
+``widen_mask`` spreads it over every column when a row falls back.
 
 Every array may carry leading batch axes, one entry per image: mask logits
-(B, N, keys), transferability (B, keys) with one lambda_t per image, features
-(B, d, keys), weights (B, N, keys).  Images of a batch share the key count,
-so a caller that gathers a different number of columns per image pads each
-image with columns that fail its transferability condition: the condition
-is the padding's validity mask, and only a fallback row admits a padding
-column.  Without batch axes the arrays are one image's.
+(B, N, keys), key mask (B, keys), features (B, d, keys), weights (B, N,
+keys).  Images of a batch share the key count, so a caller that gathers a
+different number of columns per image pads each image with columns its key
+mask leaves out: only a fallback row admits a padding column.  Without
+batch axes the arrays are one image's.
 
 Attention weights are stored query-major, (queries x keys), so every
 softmax reduction runs over contiguous memory.  Keys and values are a linear
@@ -113,42 +112,30 @@ class AttentionMaskTensor:
         return out
 
 
-def build_mask(mask_logits: np.ndarray, transferability: np.ndarray, lambda_m: float,
-               lambda_t: float | np.ndarray) -> AttentionMaskTensor:
+def build_mask(mask_logits: np.ndarray, key_mask: np.ndarray,
+               lambda_m: float) -> AttentionMaskTensor:
     """Dual-thresholded mask of (..., N, keys) mask logits, any value but
-    NaN, and (..., keys) transferability in [0, 1], with one lambda_t per
-    image, (...), or one for all.
+    NaN, and a (..., keys) boolean key mask.
 
     Pair (i, j) is admitted iff sigmoid(mask_logits[i, j]) <= lambda_m,
-    tested as mask_logits[i, j] <= logit_threshold(lambda_m), and the key's
-    transferability is <= lambda_t (transferability is per key location,
-    broadcast across queries).  Queries left with no admissible key admit
-    every key and get their fallback flag set.
+    tested as mask_logits[i, j] <= logit_threshold(lambda_m), and key j is
+    in the key mask.  Queries left with no admissible key admit every key
+    and get their fallback flag set.
     """
     mask_logits = np.asarray(mask_logits, dtype=float)
-    t = np.asarray(transferability, dtype=float)
+    key_mask = np.asarray(key_mask)
     if mask_logits.ndim < 2:
         raise ShapeError(f"mask logits must be (..., N, keys), got {mask_logits.shape}")
     batch, keys = mask_logits.shape[:-2], mask_logits.shape[-1]
-    if t.shape != (*batch, keys):
-        raise ShapeError(f"transferability {t.shape} does not match "
+    if key_mask.shape != (*batch, keys):
+        raise ShapeError(f"key mask {key_mask.shape} does not match "
                          f"{keys} key locations of batch {batch}")
-    lambda_t = np.asarray(lambda_t, dtype=float)
-    if lambda_t.shape not in ((), batch):
-        raise ShapeError(f"lambda_t {lambda_t.shape} does not match batch {batch}")
     # the minimum is NaN iff some entry is
     if mask_logits.size and np.isnan(mask_logits.min()):
         raise InputError("mask logits must not be NaN")
-    # a NaN fails both comparisons, so it is rejected too
-    if t.size and not (t.min() >= 0 and t.max() <= 1):
-        raise InputError("transferability must lie in [0, 1]")
-    if not 0.0 <= lambda_m <= 1.0:
-        raise InputError(f"lambda_m must lie in [0, 1], got {lambda_m}")
-    if not (lambda_t.min() >= 0.0 and lambda_t.max() <= 1.0):
-        raise InputError(f"lambda_t must lie in [0, 1], got {lambda_t}")
 
     allowed = mask_logits <= logit_threshold(lambda_m)
-    allowed &= (t <= lambda_t[..., None])[..., None, :]
+    allowed &= key_mask[..., None, :]
     fallback = ~allowed.any(axis=-1)
     allowed[fallback] = True
     return AttentionMaskTensor(allowed=allowed, fallback=fallback)
@@ -159,8 +146,8 @@ def widen_mask(mask: AttentionMaskTensor, cols: np.ndarray,
     """A mask built over the key columns ``cols``, (..., keys) distinct
     indices per image, spread over all ``num_keys`` columns.
 
-    Every column left out must fail the transferability condition, so the
-    mask admits it only in fallback rows, which admit every key.
+    Every column left out must be outside the key mask, so the mask admits
+    it only in fallback rows, which admit every key.
     """
     allowed = np.zeros((*mask.allowed.shape[:-1], num_keys), dtype=bool)
     np.put_along_axis(allowed, np.expand_dims(cols, -2), mask.allowed, axis=-1)

@@ -63,6 +63,15 @@ def test_init_grid_neighbor_counts_12x12():
     assert np.count_nonzero(np.isfinite(d[:, center])) == 9
 
 
+def test_init_grid_labels_are_the_read_only_cell_map():
+    fm = ac.FeatureMap.from_grid(np.random.default_rng(4).normal(size=(8, 12, 2)))
+    state = ac.init_grid(ac.cell_layout(fm, 4))
+    y, x = np.divmod(np.arange(8 * 12), 12)
+    npt.assert_array_equal(state.hard_labels, (y // 4) * 3 + x // 4)
+    with pytest.raises(ValueError):
+        state.hard_labels[0] = 1
+
+
 def test_init_grid_stride_must_divide():
     rng = np.random.default_rng(2)
     fm = ac.FeatureMap.from_grid(rng.normal(size=(8, 8, 2)))

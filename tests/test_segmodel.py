@@ -128,6 +128,22 @@ def test_forward_rejects_wrong_tmap_shape():
         sm.forward(params, [fm], [bad])
 
 
+@pytest.mark.parametrize("bad", [1.4, -0.1, np.nan])
+def test_forward_and_loss_reject_tmap_outside_unit_range(bad):
+    # the second image of the batch carries the bad map
+    params = small_model(5)
+    fm, labels = small_scene(5)
+    good = TransferabilityMap(np.zeros(1), np.full((4, 4), 0.5))
+    pixel = np.full((4, 4), 0.5)
+    pixel[1, 2] = bad
+    bad_map = TransferabilityMap(np.zeros(1), pixel)
+    with pytest.raises(InputError, match=r"\[0, 1\]"):
+        sm.forward(params, [fm, fm], [good, bad_map])
+    with pytest.raises(InputError, match=r"\[0, 1\]"):
+        sm.model_loss_and_grads(params, [sm.TrainItem(fm, labels, good),
+                                         sm.TrainItem(fm, labels, bad_map)])
+
+
 def test_init_draws_are_pinned():
     # Each layer's ffn_w1 and then its ffn_w2 are drawn, layer by layer,
     # before the embedding, the queries and the heads; the digest is of the
@@ -155,6 +171,24 @@ def test_decode_labels_idempotent():
     (class_logits, mask_logits, _), = decode_logits(params, [fm])
     again = sm.decode_labels(class_logits, mask_logits, 4, 4)
     npt.assert_array_equal(pred.labels, again)
+    assert pred.labels.dtype == again.dtype == np.uint8  # 3 classes
+
+
+def test_decode_labels_of_300_classes_are_exact_uint16():
+    rng = np.random.default_rng(8)
+    class_logits = rng.normal(size=(2, 301, 310))
+    mask_logits = rng.normal(size=(2, 310, 12))
+    labels = sm.decode_labels(class_logits, mask_logits, 3, 4)
+    assert labels.dtype == np.uint16
+    real = sm.softmax_columns(class_logits)[:, :-1]
+    expected = np.empty((2, 12), dtype=np.int64)
+    for b in range(2):
+        for pixel in range(12):
+            scores = [sm.sigmoid(mask_logits[b, n, pixel]) * real[b, :, n].max()
+                      for n in range(310)]
+            expected[b, pixel] = np.argmax(real[b, :, int(np.argmax(scores))])
+    assert expected.max() > 255
+    npt.assert_array_equal(labels.reshape(2, 12), expected)
 
 
 # ---------------------------------------------------------------------------

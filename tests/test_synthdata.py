@@ -122,3 +122,17 @@ def test_labeled_image_rejects_bits_of_another_shape():
     img = sd.generate(small_config(), 1, sd.TARGET)[0]
     with pytest.raises(InputError):
         sd.LabeledImage(img.fm, img.labels, img.transfer_bits[:, :-1])
+
+
+def test_generate_stores_labels_in_the_narrowest_unsigned_type():
+    img = sd.generate(small_config(), 1, sd.SOURCE)[0]
+    assert img.labels.dtype == np.uint8
+
+
+@pytest.mark.parametrize("bad", [1.7, -1])
+def test_labeled_image_rejects_labels_that_are_not_non_negative_integers(bad):
+    img = sd.generate(small_config(), 1, sd.TARGET)[0]
+    labels = img.labels.astype(type(bad))
+    labels[3, 5] = bad
+    with pytest.raises(InputError):
+        sd.LabeledImage(img.fm, labels, img.transfer_bits)

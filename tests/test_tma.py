@@ -102,8 +102,9 @@ def test_logit_threshold_values_and_errors():
 
 
 def quadrant_mask(m, t, lam_m=0.5, lam_t=0.3):
-    """Mask of one query and one key with mask probability m, given as its logit."""
-    return tma.build_mask(logit([[m]]), np.array([t]), lam_m, lam_t)
+    """Mask of one query and one key with mask probability m, given as its
+    logit, and transferability t."""
+    return tma.build_mask(logit([[m]]), np.array([t <= lam_t]), lam_m)
 
 
 def test_mask_truth_table():
@@ -116,7 +117,7 @@ def test_mask_truth_table():
 
 
 def test_mask_confident_region_suppressed():
-    out = tma.build_mask(logit([[0.9, 0.1]]), np.array([0.2, 0.2]), 0.5, 0.3)
+    out = tma.build_mask(logit([[0.9, 0.1]]), np.array([True, True]), 0.5)
     assert not out.allowed[0, 0]
     assert out.allowed[0, 1]
     assert not out.fallback[0]
@@ -126,7 +127,7 @@ def test_mask_boundary_values_admit():
     # A third key keeps the row alive, so no fallback hides a rejected key.
     t = tma.logit_threshold(0.5)
     out = tma.build_mask(np.array([[t, np.nextafter(t, np.inf), logit(0.2)]]),
-                         np.array([0.3, 0.3, 0.3]), 0.5, 0.3)
+                         np.ones(3, dtype=bool), 0.5)
     npt.assert_array_equal(out.allowed[0], [True, False, True])
     assert not out.fallback[0]
 
@@ -135,7 +136,7 @@ def test_mask_all_above_lambda_t_fallback():
     rng = np.random.default_rng(1)
     logits = logit(rng.random((3, 5)) * 0.4)  # all below lambda_m
     t = 0.5 + 0.5 * rng.random(5)             # all above lambda_t
-    out = tma.build_mask(logits, t, 0.5, 0.3)
+    out = tma.build_mask(logits, t <= 0.3, 0.5)
     assert np.all(out.fallback)
     assert np.all(out.allowed)
 
@@ -146,7 +147,7 @@ def test_mask_monotone_in_lambda_t():
     t = rng.random(12)
     previous = None
     for lam_t in np.linspace(0.0, 1.0, 9):
-        out = tma.build_mask(logits, t, 0.6, lam_t)
+        out = tma.build_mask(logits, t <= lam_t, 0.6)
         admitted = out.allowed & ~out.fallback[:, None]
         if previous is not None:
             assert np.all(admitted | ~previous)  # admitted set only grows
@@ -154,55 +155,60 @@ def test_mask_monotone_in_lambda_t():
 
 
 def test_mask_additive_is_read_only_and_follows_allowed():
-    out = tma.build_mask(logit([[0.9, 0.1], [0.9, 0.9]]), np.array([0.2, 0.2]), 0.5, 0.3)
+    out = tma.build_mask(logit([[0.9, 0.1], [0.9, 0.9]]), np.array([True, True]), 0.5)
     npt.assert_array_equal(out.additive, [[-np.inf, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         out.additive[0, 0] = 0.0
 
 
 def test_mask_inputs_validation():
+    # transferability values are checked where segmodel takes a T-map
+    # (test_segmodel.py::test_forward_and_loss_reject_tmap_outside_unit_range)
+    for lam_m in (-0.1, 1.5, np.nan):
+        with pytest.raises(InputError):
+            tma.build_mask(np.array([[0.4]]), np.array([True]), lam_m)
     with pytest.raises(InputError):
-        tma.build_mask(np.array([[0.4]]), np.array([1.4]), 0.5, 0.5)
-    with pytest.raises(InputError):
-        tma.build_mask(np.array([[0.4]]), np.array([0.5]), 1.5, 0.5)
-    with pytest.raises(ShapeError):
-        tma.build_mask(np.array([[0.4, 0.2]]), np.array([0.5]), 0.5, 0.5)
-    with pytest.raises(InputError):
-        tma.build_mask(np.array([[np.nan, 0.2]]), np.array([0.5, 0.5]), 0.5, 0.5)
-    with pytest.raises(InputError):
-        tma.build_mask(np.array([[0.4, 0.2]]), np.array([0.5, np.nan]), 0.5, 0.5)
+        tma.build_mask(np.array([[np.nan, 0.2]]), np.array([True, True]), 0.5)
     # logits have no range: saturated ones are valid
-    tma.build_mask(np.array([[-np.inf, np.inf, 1e300]]), np.array([0.5, 0.5, 0.5]), 0.5, 0.5)
+    tma.build_mask(np.array([[-np.inf, np.inf, 1e300]]), np.ones(3, dtype=bool), 0.5)
+
+
+@pytest.mark.parametrize("logits_shape, key_shape", [
+    ((1, 2), (1,)),        # too few keys
+    ((1, 2), (3,)),        # too many keys
+    ((1, 2), (1, 2)),      # a batch axis the logits lack
+    ((3, 4, 6), (6,)),     # no batch axis for batched logits
+    ((3, 4, 6), (2, 6)),   # too few images
+])
+def test_mask_rejects_key_mask_of_other_shape(logits_shape, key_shape):
+    with pytest.raises(ShapeError):
+        tma.build_mask(np.zeros(logits_shape), np.ones(key_shape, dtype=bool), 0.5)
 
 
 def test_widen_mask_spreads_columns_and_fallback_rows():
     logits = logit([[0.9, 0.1], [0.9, 0.9]])  # row 1 admits neither gathered key
     cols = np.array([1, 3])
-    out = tma.widen_mask(tma.build_mask(logits, np.array([0.2, 0.2]), 0.5, 0.3), cols, 5)
+    out = tma.widen_mask(tma.build_mask(logits, np.array([True, True]), 0.5), cols, 5)
     npt.assert_array_equal(out.allowed, [[False, False, False, True, False],
                                          [True, True, True, True, True]])
     npt.assert_array_equal(out.fallback, [False, True])
 
 
 def test_batched_mask_matches_per_image_masks():
-    # one lambda_t per image; widen_mask takes each image's own columns
+    # one key mask per image; widen_mask takes each image's own columns
     rng = np.random.default_rng(10)
     logits, t = logit(rng.random((3, 4, 6))), rng.random((3, 6))
-    lam_t = np.array([0.2, 0.5, 1.0])
+    keep = t <= np.array([0.2, 0.5, 1.0])[:, None]
     logits[0, 1] = logit(0.9)  # a fallback row
-    batched = tma.build_mask(logits, t, 0.6, lam_t)
+    batched = tma.build_mask(logits, keep, 0.6)
     cols = np.array([rng.permutation(9)[:6] for _ in range(3)])
     wide = tma.widen_mask(batched, cols, 9)
     for b in range(3):
-        one = tma.build_mask(logits[b], t[b], 0.6, lam_t[b])
+        one = tma.build_mask(logits[b], keep[b], 0.6)
         npt.assert_array_equal(batched.allowed[b], one.allowed)
         npt.assert_array_equal(batched.fallback[b], one.fallback)
         npt.assert_array_equal(wide.allowed[b], tma.widen_mask(one, cols[b], 9).allowed)
     assert batched.fallback[0, 1]
-    with pytest.raises(ShapeError):
-        tma.build_mask(logits, t, 0.6, lam_t[:2])
-    with pytest.raises(InputError):
-        tma.build_mask(logits, t, 0.6, np.array([0.2, np.nan, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +293,7 @@ def test_attention_gating_off_equals_plain_attention():
     q, proj, feats = (rng.normal(size=(c, n)), rng.normal(size=(c, d)),
                       rng.normal(size=(d, keys)))
     out = attend(q, proj, feats,
-                 tma.build_mask(logit(rng.random((n, keys))), rng.random(keys), 1.0, 1.0))
+                 tma.build_mask(logit(rng.random((n, keys))), rng.random(keys) <= 1.0, 1.0))
     k = proj @ feats
     plain = numkit.softmax_columns(k.T @ q / np.sqrt(c)).T @ k.T
     npt.assert_allclose(out, plain, atol=1e-10)
@@ -298,7 +304,7 @@ def test_attention_fallback_output_is_finite():
     c, d, n, keys = 4, 3, 2, 6
     q, proj, feats = (rng.normal(size=(c, n)), rng.normal(size=(c, d)),
                       rng.normal(size=(d, keys)))
-    mask = tma.build_mask(logit(np.ones((n, keys)) * 0.9), rng.random(keys), 0.5, 0.3)
+    mask = tma.build_mask(logit(np.ones((n, keys)) * 0.9), rng.random(keys) <= 0.3, 0.5)
     assert np.all(mask.fallback)
     assert np.all(np.isfinite(attend(q, proj, feats, mask)))
 
@@ -320,8 +326,8 @@ def test_batched_attention_is_bitwise_per_image_attention():
     c, d, n, keys = 4, 3, 2, 6
     q, proj = rng.normal(size=(3, c, n)), rng.normal(size=(c, d))
     feats, upstream = rng.normal(size=(3, d, keys)), rng.normal(size=(3, n, c))
-    mask = tma.build_mask(logit(rng.random((3, n, keys))), rng.random((3, keys)),
-                          0.6, np.array([0.3, 0.6, 1.0]))
+    mask = tma.build_mask(logit(rng.random((3, n, keys))),
+                          rng.random((3, keys)) <= np.array([0.3, 0.6, 1.0])[:, None], 0.6)
     weights = tma.masked_attention_weights(q, proj, feats, mask)
     grads = tma.attention_backward_from_weights(proj, feats, weights, upstream)
     for b in range(3):

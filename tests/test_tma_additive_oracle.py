@@ -14,7 +14,7 @@ import pytest
 
 from segxfer import tma
 from segxfer.errors import DegenerateColumnError
-from segxfer.numkit import softmax_columns
+from segxfer.numkit import sigmoid, softmax_columns
 
 RTOL = 1e-12
 
@@ -56,7 +56,13 @@ def random_case(seed, lambda_t=None):
     probs[rng.integers(0, n)] = 0.95  # this row admits no key: it falls back
     lam_t = rng.uniform(0.2, 1.0) if lambda_t is None else lambda_t
     logits = np.log(probs) - np.log1p(-probs)
-    mask = tma.build_mask(logits, rng.random(keys), 0.6, lam_t)
+    t = rng.random(keys)
+    mask = tma.build_mask(logits, t <= lam_t, 0.6)
+    # the paper's dual threshold: sigmoid(logit) <= lambda_m and T <= lambda_t,
+    # every key admitted in a row that admits none
+    expected = (sigmoid(logits) <= 0.6) & (t <= lam_t)
+    expected[~expected.any(axis=1)] = True
+    np.testing.assert_array_equal(mask.allowed, expected)
     return inputs, mask, rng.normal(size=(n, c))
 
 
