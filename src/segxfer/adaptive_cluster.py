@@ -21,9 +21,12 @@ holds only the regions: their centers and every pixel's hard label.  The
 soft assignment lives only for the call.
 
 What does not change between rounds is computed once.  ``cluster`` builds
-one ``CellLayout`` per call: the features grouped by cell, their norms, and
-the features with a column of ones.  The layout lives only for that call
-(it is about the size of the image, so it is not kept on the state).  The
+one ``CellLayout`` per call: the features with a column of ones, grouped by
+cell, and their norms.  The layout holds that one array, written in cell
+order as it is built; its ``features`` are a view of the array's first d
+columns.  The layout lives only for that call (it is about the size of the
+image, so it is not kept on the state), and no round's similarity or
+assignment outlives the round that reads it.  The
 index tables of a geometry are cached per (H, W, stride, d) and read-only:
 each cell's neighbors and neighbor rows (an appended zero row stands for
 every off-grid neighbor), the off-grid mask, the scatter of the center sums
@@ -122,14 +125,6 @@ def _grid_shape(height: int, width: int, stride: int) -> tuple[int, int]:
     return height // stride, width // stride
 
 
-def _by_cell(pixels: np.ndarray, grid_h: int, grid_w: int, stride: int) -> np.ndarray:
-    """(H*W, k) pixel rows -> (cells, stride**2, k), grouped by grid cell."""
-    k = pixels.shape[1]
-    return (pixels.reshape(grid_h, stride, grid_w, stride, k)
-            .transpose(0, 2, 1, 3, 4)
-            .reshape(grid_h * grid_w, stride * stride, k))
-
-
 def _cells_at(grid_h: int, grid_w: int, sign: int) -> np.ndarray:
     """(cells, 9) int32 index of the cell at ``sign * OFFSETS[j]`` from each
     cell, -1 off the grid."""
@@ -197,9 +192,10 @@ class CellLayout:
     height: int
     width: int
     stride: int
-    features: np.ndarray   # (cells, r*r, d)
+    features: np.ndarray   # (cells, r*r, d) view: the first d columns of keys
     key_norms: np.ndarray  # (cells, r*r, 1) pixel feature norms + NORM_GUARD
-    keys: np.ndarray       # (cells, r*r, d + 1) features with a column of ones
+    keys: np.ndarray       # (cells, r*r, d + 1) features with a column of ones;
+                           # the layout's one feature-sized array
     tables: _GridTables
 
     @property
@@ -218,19 +214,24 @@ class CellLayout:
 def cell_layout(fm: FeatureMap, stride: int) -> CellLayout:
     """Group ``fm`` by the cells of a stride-``stride`` grid."""
     grid_h, grid_w = _grid_shape(fm.height, fm.width, stride)
-    k_norm = np.linalg.norm(fm.features, axis=1) + NORM_GUARD
+    d = fm.channels
+    keys = np.empty((grid_h * grid_w, stride * stride, d + 1))
+    # filled in cell order through a view of it with the pixel grid's axes
+    grid = keys.reshape(grid_h, grid_w, stride, stride, d + 1).transpose(0, 2, 1, 3, 4)
+    grid[..., :d] = fm.features.reshape(grid_h, stride, grid_w, stride, d)
     # a last column of ones turns its weighted sum into the assignment mass;
     # sums and mass then round alike, so an all-ones image keeps centers of
     # exactly 1 and its similarity ties stay exact
-    keys = np.hstack([fm.features, np.ones((fm.num_pixels, 1))])
+    grid[..., d] = 1.0
+    features = keys[..., :d]
     return CellLayout(
         height=fm.height,
         width=fm.width,
         stride=stride,
-        features=_by_cell(fm.features, grid_h, grid_w, stride),
-        key_norms=_by_cell(k_norm[:, None], grid_h, grid_w, stride),
-        keys=_by_cell(keys, grid_h, grid_w, stride),
-        tables=_grid_tables(fm.height, fm.width, stride, fm.channels),
+        features=features,
+        key_norms=np.linalg.norm(features, axis=2, keepdims=True) + NORM_GUARD,
+        keys=keys,
+        tables=_grid_tables(fm.height, fm.width, stride, d),
     )
 
 
@@ -317,10 +318,11 @@ def cluster(fm: FeatureMap, stride: int, tau: float = 0.07, iters: int = 6) -> C
         return fm._clusters[key]
     layout = cell_layout(fm, stride)
     centers = init_grid(layout).centers
-    for _ in range(iters):
-        similarity = compute_similarity(centers, layout, tau)
-        assign = soft_assign(similarity)
+    for i in range(iters):
+        assign = soft_assign(compute_similarity(centers, layout, tau))
         centers = update_centers(assign, layout)
+        if i + 1 < iters:
+            del assign  # the next round reads only the centers
     best = np.argmax(assign, axis=0)
     hard = layout.tables.neighbor[layout.tables.pixel_cell, best]
     centers.flags.writeable = False

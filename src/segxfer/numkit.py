@@ -42,7 +42,8 @@ def softmax_columns(m: np.ndarray) -> np.ndarray:
         raise DegenerateColumnError(
             f"columns {bad.tolist()} have no finite entry; apply the caller's fallback first"
         )
-    z = np.exp(m - col_max)  # exp(-inf) == 0.0 exactly
+    z = np.subtract(m, col_max)
+    np.exp(z, out=z)  # exp(-inf) == 0.0 exactly
     z /= z.sum(axis=-2, keepdims=True)
     return z
 
@@ -52,11 +53,18 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
     With e = exp(-|x|), which never overflows, this is 1 / (1 + e) for
     x >= 0 and e / (1 + e) below; the numerator max(e, x >= 0) is 1 or e,
-    as e lies in [0, 1].
+    as e lies in [0, 1].  Every step writes into e or into the result, the
+    only two float arrays formed; exp(-abs(x)) would allocate two more.
     """
     x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    e = np.empty_like(x)  # an array even for a 0-d x, whose abs is a scalar
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -145,16 +153,27 @@ def mlp_params_from_list(flat: list[np.ndarray]) -> MlpParams:
     return MlpParams(list(flat[0::2]), list(flat[1::2]))
 
 
-def _forward_cached(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Batch forward returning probabilities (B,) and post-activation cache."""
-    acts = [x]
+def _forward_cached(p: MlpParams, x: np.ndarray,
+                    acts: list[np.ndarray] | None = None) -> np.ndarray:
+    """Batch forward returning probabilities (B,).
+
+    The input and every layer's post-activation are appended to ``acts``
+    when it is given, the backward's list of ``mlp_loss_and_grads``.  A
+    forward-only call passes none and keeps no activations: bias and ReLU
+    are applied in place, and each layer's output is freed as the next
+    layer computes its own."""
+    if acts is not None:
+        acts.append(x)
     h = x
     last = len(p.weights) - 1
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        z = h @ w.T + b
-        h = z if i == last else relu(z)
-        acts.append(h)
-    return sigmoid(h[:, 0]), acts
+        h = h @ w.T
+        h += b
+        if i != last:
+            np.maximum(h, 0.0, out=h)
+        if acts is not None:
+            acts.append(h)
+    return sigmoid(h[:, 0])
 
 
 def mlp_forward_batch(p: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -164,8 +183,7 @@ def mlp_forward_batch(p: MlpParams, x: np.ndarray) -> np.ndarray:
         raise ShapeError(f"input {x.shape} does not match first layer ({p.in_dim})")
     if not np.all(np.isfinite(x)):
         raise InputError("non-finite input to mlp_forward")
-    probs, _ = _forward_cached(p, x)
-    return probs
+    return _forward_cached(p, x)
 
 
 def mlp_loss_and_grads(
@@ -189,7 +207,8 @@ def mlp_loss_and_grads(
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise InputError("labels must be 0 or 1")
 
-    probs, acts = _forward_cached(p, x)
+    acts: list[np.ndarray] = []
+    probs = _forward_cached(p, x, acts)
     clamped = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS)
     per_sample = -(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))
     scale = 1.0 / x.shape[0]

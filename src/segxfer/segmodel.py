@@ -391,15 +391,17 @@ def seg_loss(class_logits: np.ndarray, mask_logits: np.ndarray, labels: np.ndarr
     # loss stays finite at saturation.  With 0/1 targets, -log of the
     # probability given to the target is the usual two-log formula exactly.
     # Query n's target mask is class n's pixels, empty past the class count.
-    # The (N, H*W) arrays are built once and updated in place.
+    # Two (N, H*W) float arrays serve the term, each updated in place: the
+    # gradient d_mask is taken from the probabilities first, and then the
+    # probabilities are clipped in place and become the loss buffer bce.
     probs = sigmoid(mask_logits)
     y = flat[..., None, :] == queries[:, None]
-    bce = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS)
+    d_mask = np.subtract(probs, y)
+    np.copyto(d_mask, 0.0, where=(probs <= LOSS_EPS) | (probs >= 1.0 - LOSS_EPS))
+    bce = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS, out=probs)
     np.subtract(1.0, bce, out=bce, where=~y)
     np.log(bce, out=bce)
     np.negative(bce, out=bce)
-    d_mask = np.subtract(probs, y)
-    np.copyto(d_mask, 0.0, where=(probs <= LOSS_EPS) | (probs >= 1.0 - LOSS_EPS))
     if pixel_weights is not None:
         bce *= pixel_weights
         d_mask *= pixel_weights
@@ -464,6 +466,7 @@ def _batch_loss_and_grads(params: SegModelParams, items: list[TrainItem], lambda
     loss, d_class, d_mask_logits = seg_loss(
         class_logits, mask_logits, _pixel_rows([it.labels for it in items], num_pixels, "labels"),
         pixel_weights)
+    del mask_logits  # (B, N, H*W); the backward reads only its gradient
 
     embed_w, embed_b = params.embed_w, params.embed_b
 
@@ -474,6 +477,7 @@ def _batch_loss_and_grads(params: SegModelParams, items: list[TrainItem], lambda
     # mask logits memb^T (W_e x + b): d_mask_logits is taken against x once
     d_mask_x = d_mask_logits @ mt(x)               # (B, N, d_in)
     d_mask_sum = d_mask_logits.sum(axis=-1)        # (B, N)
+    del d_mask_logits  # (B, N, H*W); the two lines above are its only readers
     d_memb = embed_w @ mt(d_mask_x) + embed_b[:, None] * d_mask_sum[:, None, :]  # (B, C, N)
     g_embed_w = memb @ d_mask_x
     g_embed_b = (memb @ d_mask_sum[..., None])[..., 0]
@@ -510,6 +514,7 @@ def _batch_loss_and_grads(params: SegModelParams, items: list[TrainItem], lambda
         g_embed_w += lc.q_in @ d_att_x + du @ lc.mixed
         g_embed_b += (lc.q_in @ d_att.sum(axis=-1)[..., None]
                       + du @ lc.weight_sums[..., None])[..., 0]
+        del d_att  # (B, N, keys), not kept into the next layer's backward
         dq = du + dqa
 
     # Gradients take the parameters' own structure, so they come out in

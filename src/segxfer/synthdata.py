@@ -196,13 +196,18 @@ def generate(config: SynthConfig, count: int, domain: str, stream: int = 0) -> l
     for _ in range(count):
         labels = _sample_layout(config, rng)
         flat = labels.reshape(-1)
-        noise = noise_by_class[flat, None] * rng.standard_normal(
-            (config.height * config.width, config.channels))
+        # The normals become the features in place: scaled by the class
+        # noise, masked, then offset by the prototypes.  IEEE + and * commute,
+        # so this equals protos[flat] + noise_by_class[flat, None] * normals
+        # bit for bit.
+        features = rng.standard_normal((config.height * config.width, config.channels))
+        features *= noise_by_class[flat, None]
         if config.camouflage_classes:
             camo = np.isin(flat, config.camouflage_classes)
-            noise[np.ix_(camo, np.arange(config.num_classes, config.channels))] = 0.0
-        features = protos[flat] + noise
+            features[np.ix_(camo, np.arange(config.num_classes, config.channels))] = 0.0
+        features += protos[flat]
         fm = FeatureMap(config.height, config.width, features)
+        del features  # the map holds its own copy; dropped before the next image
         bits = (~np.isin(labels, list(config.shift_classes))).astype(np.uint8)
         labels = labels.astype(np.min_scalar_type(config.num_classes - 1))
         images.append(LabeledImage(fm=fm, labels=labels, transfer_bits=bits))

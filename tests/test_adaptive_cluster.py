@@ -5,6 +5,7 @@ import pytest
 import cluster_oracle
 from segxfer import adaptive_cluster as ac
 from segxfer.errors import ConfigError, ShapeError
+from tracepeak import traced_memory
 
 
 def block_image(block_features, block_size):
@@ -360,6 +361,28 @@ def test_feature_map_keeps_its_own_copy():
     before = fm.features.copy()
     features += 1.0
     npt.assert_array_equal(fm.features, before)
+
+
+def test_cell_layout_holds_one_array_that_its_features_view():
+    fm = ac.FeatureMap.from_grid(np.random.default_rng(17).normal(size=(12, 8, 3)))
+    layout = ac.cell_layout(fm, 4)
+    assert np.shares_memory(layout.features, layout.keys)
+    npt.assert_array_equal(layout.features, cluster_oracle._by_cell(fm.features, 3, 2, 4))
+    npt.assert_array_equal(layout.keys[..., 3], 1.0)
+
+
+def test_96x96_cluster_peak():
+    # The layout holds one feature-sized array, no round's similarity or
+    # assignment survives into the next round, and the softmax fills one
+    # buffer: a 96x96, 16-channel image at stride 4 peaks at 4.22 MB.  With
+    # a second grouped copy of the features, those arrays kept into the next
+    # round and a shifted copy under the softmax, it peaked at 6.06 MB.
+    grid = np.random.default_rng(18).normal(size=(96, 96, 16))
+    ac.cluster(ac.FeatureMap.from_grid(grid), 4)  # first-call caches
+    fm = ac.FeatureMap.from_grid(grid)
+    state, _, peak = traced_memory(lambda: ac.cluster(fm, 4))
+    assert state.num_regions == 576
+    assert peak < 5.1e6
 
 
 def test_cluster_hard_label_is_a_neighbor():

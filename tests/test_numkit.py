@@ -159,6 +159,22 @@ def test_mlp_forward_in_open_interval():
         assert 0.0 < out < 1.0
 
 
+def test_mlp_forward_batch_is_the_loss_forward_without_its_activations():
+    # The held-out accuracy, the PAD and the T-maps run the forward with no
+    # activation list; the loss path's forward keeps the input and every
+    # layer's output, and its probabilities are bitwise the same.
+    rng = np.random.default_rng(9)
+    p = numkit.init_mlp(16, (64, 64), rng)
+    x = rng.normal(size=(50, 16))
+    acts = []
+    probs = numkit._forward_cached(p, x, acts)
+    assert numkit.mlp_forward_batch(p, x).tobytes() == probs.tobytes()
+    assert len(acts) == len(p.weights) + 1 and acts[0] is x
+    # bias and ReLU applied in place give the out-of-place layer bitwise
+    hidden = np.maximum(x @ p.weights[0].T + p.biases[0], 0.0)
+    assert acts[1].tobytes() == hidden.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # MLP backward
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -16,6 +15,7 @@ from segxfer.errors import ConfigError, InputError, ShapeError
 from segxfer.numkit import LOSS_EPS
 from segxfer.serialize import save_arrays
 from segxfer.transferability import TransferabilityMap
+from tracepeak import traced_memory
 
 
 def small_model(seed=0, in_channels=4, num_classes=3, **kw):
@@ -351,19 +351,18 @@ def test_model_gradcheck_vanilla_mode():
 
 def test_ungated_step_forms_no_channels_by_pixels_array():
     # A (C, H*W) float array is 1.2 MB here; with the embedding folded into
-    # the queries a step forms none, and its temporaries stay under 7 MB.
+    # the queries a step forms none.  Its (N, H*W) arrays, 0.59 MB each, are
+    # built in place and dropped at their last reader: the sigmoid and the
+    # mask loss fill two buffers, and the mask logits, their gradient and
+    # each layer's score gradient go once read.  The step peaks at 3.94 MB;
+    # with those arrays copied or kept to the end it peaked at 4.81 MB.
     rng = np.random.default_rng(14)
     params = sm.init_seg_model(16, 5, rng)  # C 16, N 8, 3 layers
     fm = FeatureMap.from_grid(rng.normal(size=(96, 96, 16)))
     item = sm.TrainItem(fm, rng.integers(0, 5, size=(96, 96)))
     sm.model_loss_and_grads(params, [item])  # first-call caches
-    tracemalloc.start()
-    try:
-        sm.model_loss_and_grads(params, [item])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 7e6
+    _, _, peak = traced_memory(lambda: sm.model_loss_and_grads(params, [item]))
+    assert peak < 4.4e6
 
 
 def test_forward_keeps_no_layer_arrays():
@@ -379,12 +378,7 @@ def test_forward_keeps_no_layer_arrays():
         fms = [FeatureMap.from_grid(rng.normal(size=(size, size, 16))) for _ in range(count)]
         assert len(sm._batches(params, fms)) == batches
         sm.forward(params, fms)  # first-call caches
-        tracemalloc.start()
-        try:
-            preds = sm.forward(params, fms)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        preds, kept, peak = traced_memory(lambda: sm.forward(params, fms))
         assert [p.labels.shape for p in preds] == [(size, size)] * count
         assert kept < 0.2e6
         assert peak < peak_bound
