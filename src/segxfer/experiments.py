@@ -28,6 +28,7 @@ from .segmodel import (
     TrainItem,
     forward,
     init_seg_model,
+    key_mask,
     train,
 )
 from .synthdata import LabeledImage, SOURCE, TARGET, generate
@@ -326,10 +327,10 @@ def _variant(name: str) -> Variant:
     return VARIANT_TABLE[name]
 
 
-def _t_inputs(variant: Variant, tmap: TransferabilityMap) -> dict:
+def _t_inputs(variant: Variant, tmap: TransferabilityMap, p_t: float) -> dict:
     """The ``TrainItem`` fields through which a variant uses a T-map."""
     if variant.use_t == "gate":
-        return {"tmap": tmap}
+        return {"key_mask": key_mask(tmap.pixel, p_t)}
     if variant.use_t == "weight":
         return {"pixel_weights": 1.0 + (1.0 - tmap.pixel.reshape(-1))}
     return {}
@@ -339,17 +340,17 @@ def evaluate_variant(params: SegModelParams, bundle: SeedBundle, config: RunConf
                      variant: str, p_t: float) -> tuple[np.ndarray, float, list[SegPrediction]]:
     """Confusion matrix over all held-out pixels, the mean fallback rate and
     the predictions of one ``forward`` call over every held-out image, gated
-    for a gate row by its discriminator's T-map of its regions of each."""
+    for a gate row at p_t by its discriminator's T-map of its regions of each."""
     p_t = _p_t(config, p_t)
     row = _variant(variant)
     images = bundle.eval_images
-    tmaps = None
+    key_masks = None
     if row.use_t == "gate":
         disc = bundle.branch(row.regions).disc.params
-        tmaps = [build_transferability_map(disc, _regions(config, row.regions, img))
-                 for img in images]
-    predictions = forward(params, [img.fm for img in images], tmaps,
-                          lambda_m=config.lambda_m, p_t=p_t)
+        key_masks = [key_mask(build_transferability_map(
+            disc, _regions(config, row.regions, img)).pixel, p_t) for img in images]
+    predictions = forward(params, [img.fm for img in images], key_masks,
+                          lambda_m=config.lambda_m)
     cm = confusion_matrix(np.stack([img.labels for img in images]),
                           np.stack([p.labels for p in predictions]), config.num_classes)
     return cm, float(np.mean([p.fallback_rate for p in predictions])), predictions
@@ -365,13 +366,13 @@ def finetune_variant(bundle: SeedBundle, config: RunConfig, variant: str,
     effective_p = _p_t(config, p_t)
     row = _variant(variant)
     branch = bundle.branch(row.regions)
-    items = [TrainItem(img.fm, img.labels, **_t_inputs(row, tmap))
+    items = [TrainItem(img.fm, img.labels, **_t_inputs(row, tmap, effective_p))
              for img, tmap in zip(bundle.target_images, branch.target_tmaps)]
     ft_seed = int(np.random.default_rng([bundle.seed, _FINETUNE_STREAM]).integers(2**31))
     tuned, losses = train(
         bundle.source_params, items, steps=config.finetune_steps,
         batch_size=config.batch_size, lr=config.model_lr, seed=ft_seed,
-        lambda_m=config.lambda_m, p_t=effective_p)
+        lambda_m=config.lambda_m)
     cm, fallback_rate, _ = evaluate_variant(tuned, bundle, config, variant, effective_p)
     ious = per_class_iou(cm)
     return VariantResult(

@@ -36,17 +36,16 @@ and ``decode_labels`` take the final logits and form the probabilities they
 need.  A decode keeps only each image's labels and fallback count: a batch's
 logits are freed once its labels are decoded, before the next batch runs.
 
-Each forward decides the transferability condition once per image, as its
-T-map enters: the map's values must lie in [0, 1], and the image's key mask
-is its pixels whose T is at most the map's p_t percentile.  Only a query
-that falls back attends outside the key mask, so the key-mask pixels'
-features are gathered once, and every layer computes mask logits, scores,
-weights and their gradients over those columns only.  Each image's columns
-are padded to the batch's widest with more of its own pixels, ones outside
-its key mask; every layer's ``build_mask`` takes the gathered key mask, so
-only a fallback row admits padding.  A layer in which any query of any image
-falls back widens the whole batch to all H*W columns.  An image without a
-map has every pixel in its key mask, so its batch keeps every column.
+Each image's transferability condition reaches the decoder as a boolean
+(H, W) key mask, which its caller builds once per T-map and p_T with
+``key_mask``.  Only a query that falls back attends outside the key mask, so
+the key-mask pixels' features are gathered once, and every layer computes
+mask logits, scores, weights and their gradients over those columns only.
+Each image's columns are padded to the batch's widest with more of its own
+pixels, ones outside its key mask; every layer's ``build_mask`` takes the
+gathered key mask, so only a fallback row admits padding.  A layer in which
+any query of any image falls back widens the whole batch to all H*W
+columns.  A batch with an image that has no key mask keeps every column.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ from .tma import (
     percentile_threshold,
     widen_mask,
 )
-from .transferability import TransferabilityMap
 
 
 @dataclass
@@ -251,8 +249,19 @@ def _batches(params: SegModelParams, fms: list[FeatureMap]) -> list[slice]:
     return [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
+def key_mask(t: np.ndarray, p_t: float) -> np.ndarray:
+    """The transferability condition of one image: its pixels whose T is at
+    most the nearest-rank p_t percentile of its T values, in T's shape.
+    Raises InputError unless every T lies in [0, 1]."""
+    threshold = percentile_threshold(t, p_t)
+    # a NaN fails both comparisons, so it is rejected too
+    if not (t.min() >= 0 and t.max() <= 1):
+        raise InputError("transferability must lie in [0, 1]")
+    return t <= threshold
+
+
 def _forward(params: SegModelParams, fms: list[FeatureMap],
-             tmaps: list[TransferabilityMap | None], lambda_m: float, p_t: float,
+             key_masks: list[np.ndarray | None], lambda_m: float,
              layers: list[_LayerCache] | None = None) -> tuple[np.ndarray, ...]:
     """The decoder over one batch of ``_batches``: the features x
     (B, d_in, H*W), the final queries and their mask embedding (B, C, N),
@@ -264,20 +273,15 @@ def _forward(params: SegModelParams, fms: list[FeatureMap],
     layer computes its own."""
     first = fms[0]
 
-    # an image without a map admits every key
+    # an image without a key mask admits every key
     key_mask = np.ones((len(fms), first.num_pixels), dtype=bool)
-    for b, tmap in enumerate(tmaps):
-        if tmap is not None:
-            if tmap.pixel.shape != (first.height, first.width):
-                raise ShapeError(
-                    f"transferability map {tmap.pixel.shape} does not match "
-                    f"image {first.height}x{first.width}"
-                )
-            t = tmap.pixel.reshape(-1)
-            # a NaN fails both comparisons, so it is rejected too
-            if not (t.min() >= 0 and t.max() <= 1):
-                raise InputError("transferability must lie in [0, 1]")
-            key_mask[b] = t <= percentile_threshold(t, p_t)
+    for b, mask in enumerate(key_masks):
+        if mask is not None:
+            # a T-map or other non-bool array would be cast, admitting every nonzero entry
+            if mask.dtype != bool or mask.shape != (first.height, first.width):
+                raise ShapeError(f"key mask of {mask.dtype} {mask.shape} is not a bool "
+                                 f"mask of image {first.height}x{first.width}")
+            key_mask[b] = mask.reshape(-1)
     keys = int(key_mask.sum(axis=1).max())
     # one image's features are used in place, not copied
     xs = first.features[None] if len(fms) == 1 else np.stack([fm.features for fm in fms])
@@ -324,22 +328,22 @@ def _forward(params: SegModelParams, fms: list[FeatureMap],
 
 
 def forward(params: SegModelParams, fms: list[FeatureMap],
-            tmaps: list[TransferabilityMap | None] | None = None,
-            lambda_m: float = 0.5, p_t: float = 30.0) -> list[SegPrediction]:
+            key_masks: list[np.ndarray | None] | None = None,
+            lambda_m: float = 0.5) -> list[SegPrediction]:
     """One prediction per image, in order, for same-geometry images decoded
-    in the batches of ``_batches``.  An image whose ``tmaps`` entry is a map
-    (None: no image's is) has every layer's attention gated by it, at the
-    p_t percentile of its values; the others get only the mask-probability
-    condition.  A batch pads a gated image's columns to its widest, which
-    reorders their sums; an ungated image decodes bitwise as on its own."""
-    tmaps = [None] * len(fms) if tmaps is None else tmaps
-    if len(tmaps) != len(fms):
-        raise ShapeError(f"{len(tmaps)} transferability maps for {len(fms)} images")
+    in the batches of ``_batches``.  An image whose ``key_masks`` entry is a
+    bool (H, W) mask (None: no image's is) has every layer's attention gated
+    by it; the others get only the mask-probability condition.  A batch pads
+    a gated image's columns to its widest, which reorders their sums; an
+    ungated image decodes bitwise as on its own."""
+    key_masks = [None] * len(fms) if key_masks is None else key_masks
+    if len(key_masks) != len(fms):
+        raise ShapeError(f"{len(key_masks)} key masks for {len(fms)} images")
     preds = []
     slots = params.num_layers * params.num_queries
     for batch in _batches(params, fms):
         *_, class_logits, mask_logits, fallback_count = _forward(
-            params, fms[batch], tmaps[batch], lambda_m, p_t)
+            params, fms[batch], key_masks[batch], lambda_m)
         labels = decode_labels(class_logits, mask_logits, fms[0].height, fms[0].width)
         del _, class_logits, mask_logits  # freed before the next batch runs
         preds += [SegPrediction(lab, int(f), slots) for lab, f in zip(labels, fallback_count)]
@@ -360,6 +364,8 @@ def seg_loss(class_logits: np.ndarray, mask_logits: np.ndarray, labels: np.ndarr
     and pixel weights with that axis and give one loss per image.
     """
     labels = np.asarray(labels)
+    if labels.dtype.kind not in "ui":
+        raise InputError(f"labels must be integers, got {labels.dtype}")
     num_classes = class_logits.shape[-2] - 1
     *batch, n_queries, num_pixels = mask_logits.shape
     if labels.size != math.prod(batch) * num_pixels:
@@ -414,11 +420,12 @@ def seg_loss(class_logits: np.ndarray, mask_logits: np.ndarray, labels: np.ndarr
 
 @dataclass
 class TrainItem:
-    """One training example: features, labels, and optional gating inputs."""
+    """One training example: features, labels, and optional T inputs: a
+    bool (H, W) ``key_mask`` that gates attention, and mask-loss weights."""
 
     fm: FeatureMap
     labels: np.ndarray
-    tmap: TransferabilityMap | None = None
+    key_mask: np.ndarray | None = None
     pixel_weights: np.ndarray | None = None
 
 
@@ -431,12 +438,8 @@ def _pixel_rows(arrays: list[np.ndarray], num_pixels: int, what: str) -> np.ndar
     return np.stack(rows)
 
 
-def model_loss_and_grads(
-    params: SegModelParams,
-    items: list[TrainItem],
-    lambda_m: float = 0.5,
-    p_t: float = 30.0,
-) -> tuple[np.ndarray, np.ndarray]:
+def model_loss_and_grads(params: SegModelParams, items: list[TrainItem], lambda_m: float = 0.5
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Each item's loss and analytic gradients, for items of one geometry.
 
     Returns the (B,) losses and a (B, parameters) array whose row b is item
@@ -446,17 +449,17 @@ def model_loss_and_grads(
     the feed-forward blocks, both heads and the pixel embedding, but not
     through the mask-building comparisons.
     """
-    losses, rows = zip(*(_batch_loss_and_grads(params, items[batch], lambda_m, p_t)
+    losses, rows = zip(*(_batch_loss_and_grads(params, items[batch], lambda_m)
                          for batch in _batches(params, [it.fm for it in items])))
     return np.concatenate(losses), np.concatenate(rows)
 
 
-def _batch_loss_and_grads(params: SegModelParams, items: list[TrainItem], lambda_m: float,
-                          p_t: float) -> tuple[np.ndarray, np.ndarray]:
+def _batch_loss_and_grads(params: SegModelParams, items: list[TrainItem], lambda_m: float
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """``model_loss_and_grads`` of one batch."""
     layers: list[_LayerCache] = []
     x, q_final, memb, class_logits, mask_logits, _ = _forward(
-        params, [it.fm for it in items], [it.tmap for it in items], lambda_m, p_t, layers)
+        params, [it.fm for it in items], [it.key_mask for it in items], lambda_m, layers)
     num_pixels = x.shape[-1]
     pixel_weights = None
     if any(it.pixel_weights is not None for it in items):
@@ -535,7 +538,6 @@ def train(
     lr: float,
     seed: int = 0,
     lambda_m: float = 0.5,
-    p_t: float = 30.0,
 ) -> tuple[SegModelParams, list[float]]:
     """AdamW training (``AdamWState``'s weight decay) over uniformly sampled
     batches; returns new params and the per-step mean batch loss.
@@ -548,6 +550,8 @@ def train(
     """
     if not items:
         raise InputError("training set is empty")
+    if batch_size < 1:
+        raise InputError(f"batch size must be at least 1, got {batch_size}")
     rng = np.random.default_rng(seed)
     arrays = params.param_list()
     vector = flatten(arrays)
@@ -558,8 +562,7 @@ def train(
         picks = rng.integers(0, len(items), size=batch_size).tolist()
         drawn = {idx: items[idx] for idx in picks}  # keys in first-draw order
         taken = list(map(list(drawn).index, picks))  # each draw's row
-        item_losses, rows = model_loss_and_grads(current, list(drawn.values()),
-                                                 lambda_m=lambda_m, p_t=p_t)
+        item_losses, rows = model_loss_and_grads(current, list(drawn.values()), lambda_m=lambda_m)
         # both sums run in pick order, one draw after another
         adamw_step(state, vector, rows[taken].sum(axis=0) / batch_size)
         losses.append(float(np.cumsum(item_losses[taken])[-1]) / batch_size)

@@ -2,9 +2,9 @@
 
 The mask is a boolean (queries x keys) set of admitted pairs: a key is
 admitted for a query only where the predicted mask probability and the
-key's transferability both fall at or below their thresholds.  The caller
-decides the transferability condition once per image and passes it as a
-boolean key mask, which ``build_mask`` ANDs across the queries.  The
+key's transferability both fall at or below their thresholds.  The
+transferability condition comes decided, one boolean key mask per image
+(``segmodel.key_mask``), and ``build_mask`` ANDs it across the queries.  The
 probability condition is evaluated on the mask logits: sigmoid(x) <=
 lambda_m holds exactly when x <= logit_threshold(lambda_m), so no
 probability is computed to build a mask.  A query that admits no key falls

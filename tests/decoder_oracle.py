@@ -2,9 +2,9 @@
 
 The reference below is the decoder written the direct way: every layer
 thresholds full-image mask probabilities, sigmoid(logits) <= lambda_m, and
-attends over all H*W keys, those with transferability above lambda_t
-masked out.  It computes, exponentiates and back-propagates through keys
-that only a fallback row can admit, so it is kept only as an oracle.
+attends over all H*W keys, those outside the image's key mask masked out.
+It computes, exponentiates and back-propagates through keys that only a
+fallback row can admit, so it is kept only as an oracle.
 
 The comparison judges accuracy, not operation order.  The reference runs
 once in float64, whose thresholds give every layer's mask, and once in long
@@ -37,8 +37,8 @@ def softmax_columns(m):
     return z / z.sum(axis=0)
 
 
-def oracle_mask(logits, tvec, lambda_m, lambda_t):
-    allowed = (sigmoid(logits) <= lambda_m) & (tvec[None, :] <= lambda_t)
+def oracle_mask(logits, keys, lambda_m):
+    allowed = (sigmoid(logits) <= lambda_m) & keys[None, :]
     fallback = ~allowed.any(axis=1)
     allowed[fallback] = True
     return tma.AttentionMaskTensor(allowed, fallback)
@@ -85,7 +85,7 @@ def oracle_loss(class_logits, mask_logits, labels, pixel_weights):
     return class_loss + np.sum(bce) * scale, d_class, d_mask * scale
 
 
-def oracle_loss_and_grads(params, fm, labels, tmap, lambda_m, p_t, pixel_weights,
+def oracle_loss_and_grads(params, fm, labels, key_mask, lambda_m, pixel_weights,
                           dtype=np.float64, masks=None):
     """([loss, *gradients in param_list order, class logits, mask logits],
     per-layer masks), evaluated in ``dtype``.  Without ``masks`` each layer
@@ -94,11 +94,7 @@ def oracle_loss_and_grads(params, fm, labels, tmap, lambda_m, p_t, pixel_weights
     p = {n: a.astype(dtype) for n, a in zip(sm.PARAM_NAMES, params.param_list())}
     x = fm.features.T.astype(dtype)
     embed = p["embed_w"] @ x + p["embed_b"][:, None]
-    if tmap is not None:
-        tvec = tmap.pixel.reshape(-1)
-        lambda_t = tma.percentile_threshold(tvec, p_t)
-    else:
-        tvec, lambda_t = np.zeros(fm.num_pixels), 1.0
+    keys = np.ones(fm.num_pixels, dtype=bool) if key_mask is None else key_mask.reshape(-1)
 
     q = p["queries"]
     root_c = np.sqrt(dtype(params.channels))
@@ -106,7 +102,7 @@ def oracle_loss_and_grads(params, fm, labels, tmap, lambda_m, p_t, pixel_weights
     for i in range(params.num_layers):
         memb = p["mask_w"] @ q + p["mask_b"][:, None]
         mask = (masks[i] if masks is not None
-                else oracle_mask(memb.T @ embed, tvec, lambda_m, lambda_t))
+                else oracle_mask(memb.T @ embed, keys, lambda_m))
         used.append(mask)
         weights = oracle_weights(q, embed, mask, root_c)
         u = q + embed @ weights.T
@@ -159,13 +155,12 @@ def error_ratio(actual, oracle, exact):
     return float(np.max(np.abs(actual - exact), initial=0.0) / own)
 
 
-def oracle_check(params, fm, labels, tmap, lambda_m, p_t, pixel_weights, actual):
+def oracle_check(params, fm, labels, key_mask, lambda_m, pixel_weights, actual):
     """Assert the gated path's outputs ``actual`` (in the oracle's order) are
     within ERROR_RATIO of a long-double evaluation over the float64 oracle's
     masks; returns those masks' fallback rows."""
-    oracle, masks = oracle_loss_and_grads(params, fm, labels, tmap, lambda_m, p_t,
-                                          pixel_weights)
-    exact, _ = oracle_loss_and_grads(params, fm, labels, tmap, lambda_m, p_t, pixel_weights,
+    oracle, masks = oracle_loss_and_grads(params, fm, labels, key_mask, lambda_m, pixel_weights)
+    exact, _ = oracle_loss_and_grads(params, fm, labels, key_mask, lambda_m, pixel_weights,
                                      dtype=np.longdouble, masks=masks)
     for a, o, e in zip(actual, oracle, exact, strict=True):
         assert error_ratio(a, o, e) <= ERROR_RATIO
@@ -179,22 +174,22 @@ def one_item_loss_and_grads(params, item, **kwargs):
     return losses[0], flat_views(rows[0], [a.shape for a in params.param_list()])
 
 
-def one_item_loss(params, item, lambda_m=0.5, p_t=30.0):
+def one_item_loss(params, item, lambda_m=0.5):
     """The loss of ``one_item_loss_and_grads``, bitwise, without the
     backward pass: the same one-image decode and ``seg_loss`` call."""
-    *_, class_logits, mask_logits, _ = sm._forward(params, [item.fm], [item.tmap],
-                                                   lambda_m, p_t)
+    *_, class_logits, mask_logits, _ = sm._forward(params, [item.fm], [item.key_mask],
+                                                   lambda_m)
     return sm.seg_loss(class_logits, mask_logits, np.asarray(item.labels).reshape(1, -1))[0][0]
 
 
-def decode_logits(params, fms, tmaps=None, lambda_m=0.5, p_t=30.0):
+def decode_logits(params, fms, key_masks=None, lambda_m=0.5):
     """Each image's (class logits, mask logits, fallback count), from the
     batches and ``_forward`` calls of ``forward``, which keeps only the
     labels and fallback counts."""
-    tmaps = [None] * len(fms) if tmaps is None else tmaps
+    key_masks = [None] * len(fms) if key_masks is None else key_masks
     out = []
     for batch in sm._batches(params, fms):
-        *_, class_logits, mask_logits, fallback = sm._forward(params, fms[batch], tmaps[batch],
-                                                              lambda_m, p_t)
+        *_, class_logits, mask_logits, fallback = sm._forward(
+            params, fms[batch], key_masks[batch], lambda_m)
         out += zip(class_logits, mask_logits, fallback.tolist())
     return out

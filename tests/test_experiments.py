@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from segxfer import adaptive_cluster, experiments
+from segxfer import adaptive_cluster, experiments, segmodel
 from segxfer.adaptive_cluster import ClusterState, FeatureMap
 from segxfer.errors import InputError, ShapeError
 from segxfer.experiments import confusion_matrix
@@ -293,9 +293,9 @@ def test_each_table_row_routes_its_transferability_map(monkeypatch, tiny_bundle,
         trained.extend(items)
         return train(params, items, **kwargs)
 
-    def recorded_forward(params, fms, tmaps, **kwargs):
-        forwarded.append((fms, tmaps))
-        return forward(params, fms, tmaps, **kwargs)
+    def recorded_forward(params, fms, key_masks, **kwargs):
+        forwarded.append((fms, key_masks))
+        return forward(params, fms, key_masks, **kwargs)
 
     monkeypatch.setattr(experiments, "train", recorded_train)
     monkeypatch.setattr(experiments, "forward", recorded_forward)
@@ -306,29 +306,47 @@ def test_each_table_row_routes_its_transferability_map(monkeypatch, tiny_bundle,
     assert len(trained) == config.target_count
     for item, tmap in zip(trained, branch.target_tmaps):
         if row.use_t == "gate":
-            assert item.tmap is tmap and item.pixel_weights is None
+            assert np.array_equal(item.key_mask, experiments.key_mask(tmap.pixel, config.p_t))
+            assert item.pixel_weights is None
         elif row.use_t == "weight":
-            assert item.tmap is None
+            assert item.key_mask is None
             assert np.array_equal(item.pixel_weights, 1.0 + (1.0 - tmap.pixel.reshape(-1)))
         else:
-            assert item.tmap is None and item.pixel_weights is None
+            assert item.key_mask is None and item.pixel_weights is None
 
-    # evaluation decodes every held-out image in one forward call, with
-    # T-maps only for gate rows, built by the row's discriminator on the
+    # evaluation decodes every held-out image in one forward call, with key
+    # masks only for gate rows, from the row's discriminator's T-map of the
     # row's regions of each held-out image
     assert len(forwarded) == 1
-    fms, tmaps = forwarded[0]
+    fms, key_masks = forwarded[0]
     assert len(fms) == config.eval_count
     assert all(fm is img.fm for fm, img in zip(fms, tiny_bundle.eval_images))
     if row.use_t != "gate":
-        assert tmaps is None
+        assert key_masks is None
         return
-    assert len(tmaps) == config.eval_count
-    for img, tmap in zip(tiny_bundle.eval_images, tmaps):
+    assert len(key_masks) == config.eval_count
+    for img, mask in zip(tiny_bundle.eval_images, key_masks):
         expected = experiments.build_transferability_map(
             branch.disc.params, experiments._regions(config, row.regions, img))
-        assert tmap.region_scores.tobytes() == expected.region_scores.tobytes()
-        assert tmap.pixel.tobytes() == expected.pixel.tobytes()
+        assert mask.dtype == bool
+        assert np.array_equal(mask, experiments.key_mask(expected.pixel, config.p_t))
+
+
+@pytest.mark.parametrize("steps", [1, 4])
+def test_finetune_decides_each_gate_once_per_image(monkeypatch, tiny_bundle, steps):
+    # one threshold per target image and per held-out image, however often
+    # training draws an image
+    thresholds = []
+    percentile_threshold = segmodel.percentile_threshold
+
+    def spy(values, p):
+        thresholds.append(p)
+        return percentile_threshold(values, p)
+
+    monkeypatch.setattr(segmodel, "percentile_threshold", spy)
+    config = dataclasses.replace(tiny_bundle.config, finetune_steps=steps)
+    experiments.finetune_variant(tiny_bundle, config, "tmt", 40.0)
+    assert thresholds == [40.0] * (config.target_count + config.eval_count)
 
 
 def _with_fresh_eval_maps(bundle):

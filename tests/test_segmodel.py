@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -14,7 +15,6 @@ from segxfer.adaptive_cluster import FeatureMap
 from segxfer.errors import ConfigError, InputError, ShapeError
 from segxfer.numkit import LOSS_EPS
 from segxfer.serialize import save_arrays
-from segxfer.transferability import TransferabilityMap
 from tracepeak import traced_memory
 
 
@@ -58,13 +58,13 @@ def gradcheck_instance(seed, perturb):
     labels = rng.integers(0, 3, size=(4, 4))
     params = small_model(seed)
     params.self_w += 0.05 * perturb.normal(size=params.self_w.shape)
-    tmap = TransferabilityMap(np.zeros(1), rng.random((4, 4)))
+    key_mask = sm.key_mask(rng.random((4, 4)), 60.0)
     layers = []
-    sm._forward(params, [fm], [tmap], 0.5, 60.0, layers)
+    sm._forward(params, [fm], [key_mask], 0.5, layers)
     mask_margin, relu_margin = seam_margins(params, fm, layers, 0.5)
     if mask_margin < 5e-3 or relu_margin < 1e-2:
         return None
-    return params, fm, labels, tmap
+    return params, fm, labels, key_mask
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +90,10 @@ def test_forward_shape_contract():
 def test_forward_all_ones_tmap_at_p100_equals_vanilla():
     params = small_model(2)
     fm, _ = small_scene(2)
-    tmap = TransferabilityMap(np.ones(4), np.ones((4, 4)))
-    gated = sm.forward(params, [fm], [tmap], lambda_m=0.5, p_t=100.0)[0]
+    key_mask = sm.key_mask(np.ones((4, 4)), 100.0)
+    gated = sm.forward(params, [fm], [key_mask], lambda_m=0.5)[0]
     vanilla = sm.forward(params, [fm], [None], lambda_m=0.5)[0]
-    (gated_class, gated_mask, _), = decode_logits(params, [fm], [tmap], lambda_m=0.5,
-                                                  p_t=100.0)
+    (gated_class, gated_mask, _), = decode_logits(params, [fm], [key_mask], lambda_m=0.5)
     (vanilla_class, vanilla_mask, _), = decode_logits(params, [fm], [None], lambda_m=0.5)
     npt.assert_allclose(gated_class, vanilla_class, atol=1e-9)
     npt.assert_allclose(gated_mask, vanilla_mask, atol=1e-9)
@@ -120,28 +119,40 @@ def test_forward_rejects_channel_mismatch():
         sm.forward(params, [fm])
 
 
-def test_forward_rejects_wrong_tmap_shape():
-    params = small_model(5)
-    fm, _ = small_scene(5)
-    bad = TransferabilityMap(np.zeros(1), np.ones((3, 3)))
-    with pytest.raises(ShapeError):
-        sm.forward(params, [fm], [bad])
+def test_key_mask_matches_a_sort_based_nearest_rank_reference():
+    rng = np.random.default_rng(5)
+    # the second map's T values take five levels, so many of them tie
+    for t in (rng.random((5, 6)), rng.integers(0, 5, size=(5, 6)) / 4.0):
+        ordered = np.sort(t.reshape(-1))
+        for p_t in (0.0, 10.0, 30.0, 100.0):
+            rank = max(math.ceil(p_t * t.size / 100.0), 1)
+            mask = sm.key_mask(t, p_t)
+            assert mask.dtype == bool and mask.shape == t.shape
+            npt.assert_array_equal(mask, t <= ordered[rank - 1])
+            assert mask.sum() >= rank
 
 
 @pytest.mark.parametrize("bad", [1.4, -0.1, np.nan])
-def test_forward_and_loss_reject_tmap_outside_unit_range(bad):
-    # the second image of the batch carries the bad map
+def test_key_mask_rejects_t_outside_unit_range(bad):
+    t = np.full((4, 4), 0.5)
+    t[1, 2] = bad
+    with pytest.raises(InputError, match=r"\[0, 1\]"):
+        sm.key_mask(t, 30.0)
+
+
+@pytest.mark.parametrize("bad", ["transposed", "flat", "integer"])
+def test_forward_and_loss_reject_key_mask_not_bool_of_image_shape(bad):
+    # a 4x5 image, so a transposed mask has another shape; the second image
+    # of the batch carries the bad mask
     params = small_model(5)
-    fm, labels = small_scene(5)
-    good = TransferabilityMap(np.zeros(1), np.full((4, 4), 0.5))
-    pixel = np.full((4, 4), 0.5)
-    pixel[1, 2] = bad
-    bad_map = TransferabilityMap(np.zeros(1), pixel)
-    with pytest.raises(InputError, match=r"\[0, 1\]"):
-        sm.forward(params, [fm, fm], [good, bad_map])
-    with pytest.raises(InputError, match=r"\[0, 1\]"):
+    fm, labels = small_scene(5, h=4, w=5)
+    good = sm.key_mask(np.random.default_rng(5).random((4, 5)), 30.0)
+    mask = {"transposed": good.T, "flat": good.reshape(-1), "integer": good.astype(int)}[bad]
+    with pytest.raises(ShapeError):
+        sm.forward(params, [fm, fm], [good, mask])
+    with pytest.raises(ShapeError):
         sm.model_loss_and_grads(params, [sm.TrainItem(fm, labels, good),
-                                         sm.TrainItem(fm, labels, bad_map)])
+                                         sm.TrainItem(fm, labels, mask)])
 
 
 def test_init_draws_are_pinned():
@@ -258,6 +269,17 @@ def test_seg_loss_rejects_out_of_range_labels():
         sm.seg_loss(*logits, bad)
 
 
+def test_seg_loss_rejects_non_integer_labels():
+    _, labels = small_scene(11)
+    with pytest.raises(InputError, match="integers"):
+        sm.seg_loss(*saturated_logits(labels, 3, 4), labels.astype(float))
+    # a pixel labelled 2.5 would match no query's class and count as
+    # background for every query
+    fm, _ = small_scene(11)
+    with pytest.raises(InputError, match="integers"):
+        sm.model_loss_and_grads(small_model(11), [sm.TrainItem(fm, np.full((4, 4), 2.5))])
+
+
 def test_seg_loss_pixel_weights_scale_mask_term():
     rng = np.random.default_rng(12)
     labels = rng.integers(0, 3, size=(4, 4))
@@ -314,16 +336,15 @@ def test_model_gradcheck_all_trainable_paths():
         seed += 1
         if instance is None:
             continue
-        params, fm, labels, tmap = instance
+        params, fm, labels, key_mask = instance
 
-        item = sm.TrainItem(fm, labels, tmap)
+        item = sm.TrainItem(fm, labels, key_mask)
 
         def f(flat, params=params, item=item):
-            return one_item_loss_and_grads(params.with_params(flat), item,
-                                           lambda_m=0.5, p_t=60.0)
+            return one_item_loss_and_grads(params.with_params(flat), item, lambda_m=0.5)
 
         def loss(flat, params=params, item=item):
-            return one_item_loss(params.with_params(flat), item, lambda_m=0.5, p_t=60.0)
+            return one_item_loss(params.with_params(flat), item, lambda_m=0.5)
 
         errs.append(gradcheck(f, params.param_list(), loss=loss))
     assert max(errs) <= 1e-4
@@ -540,6 +561,14 @@ def test_train_returns_params_that_own_their_arrays():
 def test_train_rejects_empty_dataset():
     with pytest.raises(InputError):
         sm.train(small_model(4), [], steps=1, lr=1e-2)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_train_rejects_batch_size_below_one(batch_size):
+    fm, labels = small_scene(4)
+    with pytest.raises(InputError, match="batch size"):
+        sm.train(small_model(4), [sm.TrainItem(fm, labels)], steps=1, batch_size=batch_size,
+                 lr=1e-2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,18 @@ import pytest
 
 from decoder_oracle import decode_logits, oracle_check
 from segxfer import segmodel as sm
-from segxfer import tma
 from segxfer.adaptive_cluster import FeatureMap
 from segxfer.errors import InputError, ShapeError
 from segxfer.numkit import flat_views
-from segxfer.transferability import TransferabilityMap
 
 H, W, D, CLASSES = 6, 7, 5, 3
 
 
-def batch_case(seed, count=4):
+def batch_case(seed, count=4, p_t=30.0):
     """A decoder off its zero inits and ``count`` images of one geometry,
-    each with labels, a T-map whose values tie (so images keep different
-    numbers of columns at one p_T) and, for odd images, pixel weights."""
+    each with labels, the key mask at ``p_t`` of a T-map whose values tie
+    (so images keep different numbers of columns) and, for odd images, pixel
+    weights."""
     rng = np.random.default_rng(seed)
     params = sm.init_seg_model(D, CLASSES, rng, num_queries=5, channels=6, num_layers=2,
                                ffn_hidden=7)
@@ -34,26 +33,21 @@ def batch_case(seed, count=4):
     for k in range(count):
         fm = FeatureMap.from_grid(rng.normal(size=(H, W, D)))
         labels = rng.integers(0, CLASSES, size=(H, W))
-        tmap = TransferabilityMap(np.zeros(1), rng.integers(0, 5, size=(H, W)) / 4.0)
+        key_mask = sm.key_mask(rng.integers(0, 5, size=(H, W)) / 4.0, p_t)
         weights = rng.uniform(0.5, 2.0, size=H * W) if k % 2 else None
-        items.append(sm.TrainItem(fm, labels, tmap, weights))
+        items.append(sm.TrainItem(fm, labels, key_mask, weights))
     return params, items
 
 
-def kept_columns(item, p_t):
-    t = item.tmap.pixel
-    return int(np.sum(t <= tma.percentile_threshold(t, p_t)))
-
-
-def check_against_oracle(params, items, lambda_m, p_t):
+def check_against_oracle(params, items, lambda_m):
     """Judge the batch's losses and gradient rows, and the logits of
     ``forward``'s batches over the same images, against the oracle, image by
     image.  The labels of one ``forward`` call, decoded once per batch, must
     be bitwise each image's own decode of its logits."""
-    losses, rows = sm.model_loss_and_grads(params, items, lambda_m=lambda_m, p_t=p_t)
-    fms, tmaps = [it.fm for it in items], [it.tmap for it in items]
-    preds = sm.forward(params, fms, tmaps, lambda_m=lambda_m, p_t=p_t)
-    logits = decode_logits(params, fms, tmaps, lambda_m=lambda_m, p_t=p_t)
+    losses, rows = sm.model_loss_and_grads(params, items, lambda_m=lambda_m)
+    fms, key_masks = [it.fm for it in items], [it.key_mask for it in items]
+    preds = sm.forward(params, fms, key_masks, lambda_m=lambda_m)
+    logits = decode_logits(params, fms, key_masks, lambda_m=lambda_m)
     assert losses.shape == (len(items),) and rows.shape[0] == len(items)
     assert len(preds) == len(logits) == len(items)
     shapes = [a.shape for a in params.param_list()]
@@ -63,7 +57,7 @@ def check_against_oracle(params, items, lambda_m, p_t):
         assert np.array_equal(pred.labels, sm.decode_labels(class_logits, mask_logits, H, W))
         assert pred.fallback_count == fallback
         fallbacks.append(oracle_check(
-            params, item.fm, item.labels, item.tmap, lambda_m, p_t, item.pixel_weights,
+            params, item.fm, item.labels, item.key_mask, lambda_m, item.pixel_weights,
             [loss, *flat_views(row, shapes), class_logits, mask_logits]))
     return fallbacks
 
@@ -107,11 +101,10 @@ def test_ungated_batch_is_bitwise_one_item_batches(split, monkeypatch):
 @pytest.mark.parametrize("seed", range(4))
 def test_gated_batch_with_different_column_counts_matches_oracle(seed, mask_widths):
     # every layer's mask is built over the widest image's kept columns
-    params, items = batch_case(seed)
-    p_t = 40.0
-    kept = [kept_columns(it, p_t) for it in items]
+    params, items = batch_case(seed, p_t=40.0)
+    kept = [int(it.key_mask.sum()) for it in items]
     assert len(set(kept)) > 1
-    check_against_oracle(params, items, lambda_m=0.5, p_t=p_t)
+    check_against_oracle(params, items, lambda_m=0.5)
     assert mask_widths[:params.num_layers] == [max(kept)] * params.num_layers
 
 
@@ -119,19 +112,19 @@ def test_gated_batch_with_different_column_counts_matches_oracle(seed, mask_widt
                          + [pytest.param(0, True, id="0-split")])
 def test_mixed_gated_and_ungated_batch_matches_oracle(seed, split, monkeypatch):
     params, items = batch_case(seed)
-    items[0].tmap = items[3].tmap = None
+    items[0].key_mask = items[3].key_mask = None
     if split:  # two batches of 2 images, one gated and one not in each
         monkeypatch.setattr(sm, "_STACK_ELEMENTS", 2 * params.num_queries * H * W)
-    check_against_oracle(params, items, lambda_m=0.5, p_t=30.0)
+    check_against_oracle(params, items, lambda_m=0.5)
 
 
 def test_widening_batch_matches_oracle(mask_widths):
     # lambda_m = 0 admits no logit: every row falls back, so every layer
     # widens the whole batch to all H*W columns.
     params, items = batch_case(5)
-    fallbacks = check_against_oracle(params, items, lambda_m=0.0, p_t=30.0)
+    fallbacks = check_against_oracle(params, items, lambda_m=0.0)
     assert all(f.all() for per_item in fallbacks for f in per_item)
-    kept = [kept_columns(it, 30.0) for it in items]
+    kept = [int(it.key_mask.sum()) for it in items]
     assert max(kept) < H * W
     assert mask_widths[:params.num_layers] == [max(kept)] * params.num_layers
 
@@ -148,12 +141,12 @@ def test_mixed_geometry_raises(split, monkeypatch):
         sm.model_loss_and_grads(params, [*items, other])
     with pytest.raises(ShapeError):
         sm.forward(params, [it.fm for it in [*items, other]])
-    # a T-map list of another length, which slicing per batch would not notice
-    fms, tmaps = [it.fm for it in items], [it.tmap for it in items]
+    # a key-mask list of another length, which slicing per batch would not notice
+    fms, key_masks = [it.fm for it in items], [it.key_mask for it in items]
     with pytest.raises(ShapeError):
-        sm.forward(params, fms, tmaps[:-1])
+        sm.forward(params, fms, key_masks[:-1])
     with pytest.raises(ShapeError):
-        sm.forward(params, fms[:-1], tmaps)
+        sm.forward(params, fms[:-1], key_masks)
     with pytest.raises(InputError):
         sm.forward(params, [])
     with pytest.raises(InputError):

@@ -7,13 +7,11 @@ import pytest
 
 from decoder_oracle import decode_logits, one_item_loss_and_grads, oracle_check
 from segxfer import segmodel as sm
-from segxfer import tma
 from segxfer.adaptive_cluster import FeatureMap
-from segxfer.transferability import TransferabilityMap
 
 
 def random_case(seed):
-    """A random decoder, image, labels, T-map and pixel weights.  The
+    """A random decoder, image, labels, per-pixel T and pixel weights.  The
     embedding bias is drawn off its zero init from a stream of its own, so
     the other draws do not depend on it."""
     rng = np.random.default_rng(seed)
@@ -27,9 +25,9 @@ def random_case(seed):
     params.embed_b = 0.5 * np.random.default_rng([seed, 1]).normal(size=params.embed_b.shape)
     fm = FeatureMap.from_grid(rng.uniform(0.2, 2.0) * rng.normal(size=(h, w, d)))
     labels = rng.integers(0, num_classes, size=(h, w))
-    tmap = TransferabilityMap(np.zeros(1), rng.random((h, w)))
+    t = rng.random((h, w))
     pixel_weights = rng.uniform(0.5, 2.0, size=h * w) if seed % 2 else None
-    return params, fm, labels, tmap, pixel_weights
+    return params, fm, labels, t, pixel_weights
 
 
 @pytest.fixture
@@ -58,19 +56,20 @@ def test_gated_matches_full_width_oracle(p_t, lambda_m, mask_spy):
     # layer falls back, so every layer widens to all columns.
     widened = narrow = 0
     for seed in SEEDS:
-        params, fm, labels, tmap, pixel_weights = random_case(seed)
-        loss, grads = one_item_loss_and_grads(params, sm.TrainItem(fm, labels, tmap, pixel_weights),
-                                              lambda_m=lambda_m, p_t=p_t)
+        params, fm, labels, t, pixel_weights = random_case(seed)
+        key_mask = sm.key_mask(t, p_t)
+        loss, grads = one_item_loss_and_grads(
+            params, sm.TrainItem(fm, labels, key_mask, pixel_weights), lambda_m=lambda_m)
         (class_logits, mask_logits, fallback_count), = decode_logits(
-            params, [fm], [tmap], lambda_m=lambda_m, p_t=p_t)
-        fallbacks = oracle_check(params, fm, labels, tmap, lambda_m, p_t, pixel_weights,
+            params, [fm], [key_mask], lambda_m=lambda_m)
+        fallbacks = oracle_check(params, fm, labels, key_mask, lambda_m, pixel_weights,
                                  [loss, *grads, class_logits, mask_logits])
         assert fallback_count == sum(int(f.sum()) for f in fallbacks)
 
         # one build_mask call per layer and pass, over the gathered columns,
         # with the oracle's fallback rows
         assert len(mask_spy) == 2 * params.num_layers
-        keys = int(np.sum(tmap.pixel <= tma.percentile_threshold(tmap.pixel, p_t)))
+        keys = int(key_mask.sum())
         for (width, (fallback,)), ref in zip(mask_spy, fallbacks * 2):
             assert width == keys
             np.testing.assert_array_equal(fallback, ref)
@@ -90,7 +89,7 @@ def test_ungated_matches_full_width_oracle(lambda_m, mask_spy):
         loss, grads = one_item_loss_and_grads(params, sm.TrainItem(fm, labels, None, pixel_weights),
                                               lambda_m=lambda_m)
         (class_logits, mask_logits, _), = decode_logits(params, [fm], lambda_m=lambda_m)
-        fallbacks = oracle_check(params, fm, labels, None, lambda_m, 30.0, pixel_weights,
+        fallbacks = oracle_check(params, fm, labels, None, lambda_m, pixel_weights,
                                  [loss, *grads, class_logits, mask_logits])
         assert len(mask_spy) == 2 * params.num_layers
         for (width, (fallback,)), ref in zip(mask_spy, fallbacks * 2):

@@ -162,8 +162,8 @@ def test_mask_additive_is_read_only_and_follows_allowed():
 
 
 def test_mask_inputs_validation():
-    # transferability values are checked where segmodel takes a T-map
-    # (test_segmodel.py::test_forward_and_loss_reject_tmap_outside_unit_range)
+    # transferability values are checked where segmodel builds a key mask
+    # (test_segmodel.py::test_key_mask_rejects_t_outside_unit_range)
     for lam_m in (-0.1, 1.5, np.nan):
         with pytest.raises(InputError):
             tma.build_mask(np.array([[0.4]]), np.array([True]), lam_m)
