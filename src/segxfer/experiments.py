@@ -90,6 +90,8 @@ def confusion_matrix(truth: np.ndarray, pred: np.ndarray, num_classes: int) -> n
         raise InputError("label maps differ in size")
     if truth.size == 0:
         raise InputError("label maps are empty")
+    if truth.dtype.kind not in "ui" or pred.dtype.kind not in "ui":
+        raise InputError(f"label maps must be integer, got {truth.dtype} and {pred.dtype}")
     if truth.min() < 0 or truth.max() >= k or pred.min() < 0 or pred.max() >= k:
         raise InputError(f"labels outside [0, {k})")
     pairs = truth.astype(np.intp) * k + pred
@@ -126,9 +128,13 @@ def macc(cm: np.ndarray) -> float:
 
 
 def rank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mann-Whitney AUC of scores against binary labels, ties averaged."""
+    """Mann-Whitney AUC of finite scores against as many 0/1 labels, ties
+    averaged."""
     scores = np.asarray(scores, dtype=float).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
+    if (scores.shape != labels.shape or not np.all(np.isfinite(scores))
+            or not np.all((labels == 0) | (labels == 1))):
+        raise InputError("AUC needs finite scores and as many labels, each 0 or 1")
     pos = scores[labels == 1]
     neg = scores[labels == 0]
     if pos.size == 0 or neg.size == 0:
@@ -340,7 +346,8 @@ def evaluate_variant(params: SegModelParams, bundle: SeedBundle, config: RunConf
                      variant: str, p_t: float) -> tuple[np.ndarray, float, list[SegPrediction]]:
     """Confusion matrix over all held-out pixels, the mean fallback rate and
     the predictions of one ``forward`` call over every held-out image, gated
-    for a gate row at p_t by its discriminator's T-map of its regions of each."""
+    for a gate row at p_t by its discriminator's T-map of its regions of each,
+    clustered with the bundle's settings, as its discriminator's inputs were."""
     p_t = _p_t(config, p_t)
     row = _variant(variant)
     images = bundle.eval_images
@@ -348,7 +355,7 @@ def evaluate_variant(params: SegModelParams, bundle: SeedBundle, config: RunConf
     if row.use_t == "gate":
         disc = bundle.branch(row.regions).disc.params
         key_masks = [key_mask(build_transferability_map(
-            disc, _regions(config, row.regions, img)).pixel, p_t) for img in images]
+            disc, _regions(bundle.config, row.regions, img)).pixel, p_t) for img in images]
     predictions = forward(params, [img.fm for img in images], key_masks,
                           lambda_m=config.lambda_m)
     cm = confusion_matrix(np.stack([img.labels for img in images]),

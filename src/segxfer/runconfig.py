@@ -79,9 +79,11 @@ class RunConfig:
         for name in ("height", "width", "source_count", "target_count", "eval_count", "r",
                      "cluster_iters", "num_queries", "model_channels", "decoder_layers",
                      "ffn_hidden", "source_steps", "finetune_steps", "batch_size",
-                     "disc_epochs", "disc_batch"):
+                     "disc_epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.disc_batch < 2:
+            raise ConfigError(f"disc_batch must be >= 2, got {self.disc_batch}")
         if self.num_queries < self.num_classes:
             raise ConfigError(f"num_queries {self.num_queries} < num_classes {self.num_classes}")
         if any(size < 1 for size in self.disc_hidden):

@@ -5,7 +5,8 @@ A small MLP is trained to tell source region features (label 1) from target
 region features (label 0) with balanced half/half batches.  A region's
 transferability is the discriminator's confusion on it, 2*min(E, 1-E): 1
 where domains are indistinguishable, 0 where the discriminator is certain.
-The proxy distance 2*(1 - 2*eps) comes from the held-out balanced error.
+Each epoch scores the held-out split with one forward; the proxy distance
+2*(1 - 2*eps) is read off the last epoch's held-out balanced error eps.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from .numkit import (
     mlp_params_from_list,
 )
 
-SOURCE_LABEL = 1
-TARGET_LABEL = 0
-
 
 @dataclass
 class TrainingLog:
@@ -45,12 +43,18 @@ class PadEstimate:
     epsilon: float
     distance: float
 
+    @classmethod
+    def from_accuracy(cls, accuracy: float) -> "PadEstimate":
+        """eps = 1 - balanced accuracy; the distance is clamped to [-2, 2]."""
+        epsilon = 1.0 - accuracy
+        return cls(epsilon, float(np.clip(2.0 * (1.0 - 2.0 * epsilon), -2.0, 2.0)))
+
 
 @dataclass
 class DiscriminatorResult:
     params: MlpParams
     log: TrainingLog
-    pad: PadEstimate  # on the held-out split, after the last epoch
+    pad: PadEstimate  # the last epoch's held-out balanced error (one forward per epoch)
 
 
 @dataclass
@@ -61,14 +65,14 @@ class TransferabilityMap:
     pixel: np.ndarray          # (H, W), piecewise constant on the region partition
 
 
-def _split_train_held(features: np.ndarray, rng: np.random.Generator,
-                      frac: float = 0.8) -> tuple[np.ndarray, np.ndarray]:
+def _split_train_held(features: np.ndarray,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Seeded 80/20 shuffle-split of one domain's features."""
     n = features.shape[0]
     if n < 2:
         raise InputError("need at least 2 samples per domain to hold out a split")
     perm = rng.permutation(n)
-    cut = min(n - 1, max(1, int(round(frac * n))))
+    cut = min(n - 1, max(1, int(round(0.8 * n))))
     return features[perm[:cut]], features[perm[cut:]]
 
 
@@ -85,8 +89,11 @@ def train_discriminator(
 
     Each batch is drawn half from source and half from target so supervision
     stays balanced.  Each domain is shuffle-split 80/20; the held-out 20%
-    yields the per-epoch balanced accuracy and the PAD.
+    yields the per-epoch balanced accuracy, and the last one the PAD.
+    Raises InputError for ``epochs < 1`` or ``batch_size < 2``.
     """
+    if epochs < 1 or batch_size < 2:
+        raise InputError(f"need epochs >= 1 and batch_size >= 2, got {epochs} and {batch_size}")
     source = np.atleast_2d(np.asarray(source_regions, dtype=float))
     target = np.atleast_2d(np.asarray(target_regions, dtype=float))
     if source.size == 0 or target.size == 0:
@@ -106,13 +113,9 @@ def train_discriminator(
     params = mlp_params_from_list(flat_views(vector, [a.shape for a in init]))
     state = AdamWState.for_params(vector, lr=lr)
 
-    half = max(1, batch_size // 2)
+    half = batch_size // 2
     steps_per_epoch = max(1, (src_train.shape[0] + tgt_train.shape[0]) // (2 * half))
     held_x = np.vstack([src_held, tgt_held])
-    held_y = np.concatenate([
-        np.full(src_held.shape[0], SOURCE_LABEL, dtype=float),
-        np.full(tgt_held.shape[0], TARGET_LABEL, dtype=float),
-    ])
     y = np.concatenate([np.ones(half), np.zeros(half)])
 
     epoch_losses: list[float] = []
@@ -127,21 +130,20 @@ def train_discriminator(
             adamw_step(state, vector, grads)
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
-        epoch_accuracies.append(_balanced_accuracy(params, held_x, held_y))
+        epoch_accuracies.append(_balanced_accuracy(params, held_x, src_held.shape[0]))
 
     return DiscriminatorResult(
         params=params.copy(),  # not the optimizer's buffer
         log=TrainingLog(epoch_losses, epoch_accuracies),
-        pad=compute_pad(params, held_x, held_y),
+        pad=PadEstimate.from_accuracy(epoch_accuracies[-1]),
     )
 
 
-def _balanced_accuracy(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
-    probs = mlp_forward_batch(params, x)
-    pred = (probs >= 0.5).astype(float)
-    acc_src = float(np.mean(pred[y == SOURCE_LABEL] == SOURCE_LABEL))
-    acc_tgt = float(np.mean(pred[y == TARGET_LABEL] == TARGET_LABEL))
-    return 0.5 * (acc_src + acc_tgt)
+def _balanced_accuracy(params: MlpParams, x: np.ndarray, n_source: int) -> float:
+    """Mean of the per-domain accuracies on rows ``x``: the first ``n_source``
+    are source (predicted source when E >= 0.5), the rest target."""
+    pred = mlp_forward_batch(params, x) >= 0.5
+    return 0.5 * (float(np.mean(pred[:n_source])) + float(np.mean(~pred[n_source:])))
 
 
 def region_transferability_batch(params: MlpParams, region_features: np.ndarray) -> np.ndarray:
@@ -160,25 +162,3 @@ def build_transferability_map(params: MlpParams, state: ClusterState) -> Transfe
     scores = region_transferability_batch(params, state.centers)
     pixel = scores[state.hard_labels].reshape(state.height, state.width)
     return TransferabilityMap(region_scores=scores, pixel=pixel)
-
-
-def compute_pad(params: MlpParams, x: np.ndarray, labels: np.ndarray) -> PadEstimate:
-    """Proxy distance from the held-out balanced error rate of features ``x``
-    (one row each) with domain ``labels`` (1 = source, 0 = target).
-
-    eps is the mean of the two per-domain error rates; the distance
-    2*(1 - 2*eps) is clamped to [-2, 2].
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    labels = np.asarray(labels, dtype=float).reshape(-1)
-    if not np.all((labels == SOURCE_LABEL) | (labels == TARGET_LABEL)):
-        raise InputError("domain labels must be 0 or 1")
-    if not (np.any(labels == SOURCE_LABEL) and np.any(labels == TARGET_LABEL)):
-        raise InputError("held-out set must contain both domains")
-    if x.shape[0] != labels.size:
-        raise InputError(f"{x.shape[0]} feature rows for {labels.size} labels")
-    if not np.all(np.isfinite(x)):
-        raise InputError("non-finite region feature")
-    epsilon = 1.0 - _balanced_accuracy(params, x, labels)
-    distance = float(np.clip(2.0 * (1.0 - 2.0 * epsilon), -2.0, 2.0))
-    return PadEstimate(epsilon=float(epsilon), distance=distance)

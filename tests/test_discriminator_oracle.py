@@ -23,7 +23,6 @@ def oracle_train_discriminator(source, target, epochs, lr, seed, hidden, batch_s
     half = max(1, batch_size // 2)
     steps_per_epoch = max(1, (src_train.shape[0] + tgt_train.shape[0]) // (2 * half))
     held_x = np.vstack([src_held, tgt_held])
-    held_y = np.concatenate([np.ones(src_held.shape[0]), np.zeros(tgt_held.shape[0])])
 
     epoch_losses, epoch_accuracies = [], []
     for _ in range(epochs):
@@ -39,7 +38,7 @@ def oracle_train_discriminator(source, target, epochs, lr, seed, hidden, batch_s
             params = numkit.mlp_params_from_list(new)
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
-        epoch_accuracies.append(tr._balanced_accuracy(params, held_x, held_y))
+        epoch_accuracies.append(tr._balanced_accuracy(params, held_x, src_held.shape[0]))
     return params, epoch_losses, epoch_accuracies
 
 

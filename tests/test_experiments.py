@@ -47,6 +47,36 @@ def test_confusion_matrix_rejects_bad_label_maps(truth, pred):
         confusion_matrix(truth, pred, 3)
 
 
+@pytest.mark.parametrize("truth, pred", [
+    (np.array([0.0, 1.7]), np.array([0, 1])),
+    (np.array([0, 1]), np.array([0.0, 1.0])),
+], ids=["float_truth", "float_pred"])
+def test_confusion_matrix_rejects_non_integer_label_maps(truth, pred):
+    # truth 1.7 would count as class 1; a float prediction would reach np.bincount
+    with pytest.raises(InputError):
+        confusion_matrix(truth, pred, 3)
+
+
+def test_rank_auc_averages_ties():
+    # positive/negative pairs: (0.4, 0.1) 1, (0.4, 0.4) 1/2, (0.8, 0.1) 1, (0.8, 0.4) 1
+    auc = experiments.rank_auc(np.array([0.1, 0.4, 0.4, 0.8]), np.array([0, 0, 1, 1]))
+    assert auc == 3.5 / 4
+    assert experiments.rank_auc(np.ones(4), np.array([0, 1, 0, 1])) == 0.5
+
+
+@pytest.mark.parametrize("scores, labels", [
+    ([0.1, np.nan, 0.3], [0, 1, 1]),
+    ([0.1, np.inf, 0.3], [0, 1, 1]),
+    ([0.1, 0.2, 0.3], [0, 1, 2]),
+    ([0.1, 0.2, 0.3], [-1, 0, 1]),
+    ([0.1, 0.2, 0.3], [0, 1, 0.5]),
+    ([0.1, 0.2, 0.3], [0, 1]),
+], ids=["nan_score", "inf_score", "label_2", "label_-1", "label_half", "fewer_labels"])
+def test_rank_auc_rejects_non_finite_scores_and_non_binary_or_missing_labels(scores, labels):
+    with pytest.raises(InputError):
+        experiments.rank_auc(np.array(scores), np.array(labels))
+
+
 def _state_with_labels(hard_labels, height, width, num_regions):
     return ClusterState(height=height, width=width, centers=np.zeros((num_regions, 1)),
                         hard_labels=hard_labels)
@@ -354,6 +384,29 @@ def _with_fresh_eval_maps(bundle):
     images = [dataclasses.replace(img, fm=FeatureMap(img.fm.height, img.fm.width, img.fm.features))
               for img in bundle.eval_images]
     return dataclasses.replace(bundle, eval_images=images)
+
+
+def test_gated_eval_clusters_held_out_images_with_the_bundles_settings(monkeypatch, tiny_bundle):
+    # the branch's discriminator was trained on regions of the bundle's r, tau
+    # and iterations, so held-out images are clustered the same way whatever
+    # the caller's config says
+    bundle_config = tiny_bundle.config
+    expected = experiments.evaluate_variant(tiny_bundle.source_params, tiny_bundle,
+                                            bundle_config, "tmt", 30.0)[0]
+    calls = []
+    cluster = experiments.cluster
+
+    def recorded_cluster(fm, stride, tau, iters):
+        calls.append((stride, tau, iters))
+        return cluster(fm, stride, tau=tau, iters=iters)
+
+    monkeypatch.setattr(experiments, "cluster", recorded_cluster)
+    config = dataclasses.replace(bundle_config, r=8, tau=0.5, cluster_iters=2)
+    cm = experiments.evaluate_variant(tiny_bundle.source_params, tiny_bundle, config,
+                                      "tmt", 30.0)[0]
+    assert calls == [(bundle_config.r, bundle_config.tau, bundle_config.cluster_iters)] * len(
+        tiny_bundle.eval_images)
+    assert np.array_equal(cm, expected)
 
 
 def test_gated_eval_clusters_each_held_out_image_once(monkeypatch, tiny_bundle):

@@ -56,6 +56,8 @@ def test_bool_for_number_is_config_error(name, value):
     ("seeds", [0, 0, 0]),
     ("seeds", [3, 1, 3]),
     ("seeds", [0, -1]),
+    ("disc_batch", 1),
+    ("disc_batch", 0),
 ], ids=["r_zero", "seeds_float", "disc_hidden_float", "noise_scales_string",
         "shift_classes_string", "height_nan", "out_dir_number", "tau_nan", "tau_zero",
         "disc_lr_inf", "disc_lr_zero", "model_lr_negative", "sigma_nan", "noise_scales_nan",
@@ -64,7 +66,7 @@ def test_bool_for_number_is_config_error(name, value):
         "model_channels_zero",
         "decoder_layers_zero", "ffn_hidden_zero", "disc_hidden_zero",
         "disc_hidden_negative", "seeds_empty", "seeds_one_repeated", "seeds_repeat",
-        "seeds_negative"])
+        "seeds_negative", "disc_batch_one", "disc_batch_zero"])
 def test_bad_value_is_config_error(name, value):
     with pytest.raises(ConfigError):
         RunConfig.from_dict({name: value})

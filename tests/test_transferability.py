@@ -81,8 +81,33 @@ def test_train_discriminator_logs_every_epoch():
     result = tr.train_discriminator(source, target, epochs=3, seed=0)
     assert len(result.log.epoch_losses) == 3
     assert len(result.log.epoch_accuracies) == 3
-    # the PAD is taken on the held-out split the last epoch is scored on
+    # the PAD is read off the last epoch's held-out score
     assert result.pad.epsilon == 1.0 - result.log.epoch_accuracies[-1]
+    assert result.pad == tr.PadEstimate.from_accuracy(result.log.epoch_accuracies[-1])
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_train_discriminator_scores_held_out_split_once_per_epoch(monkeypatch, epochs):
+    held_out_forwards = []
+    forward = tr.mlp_forward_batch
+
+    def spy(params, x):
+        held_out_forwards.append(x.shape[0])
+        return forward(params, x)
+
+    monkeypatch.setattr(tr, "mlp_forward_batch", spy)
+    source, target = gaussian_domains(4, n=60)
+    tr.train_discriminator(source, target, epochs=epochs, seed=0)
+    assert held_out_forwards == [24] * epochs  # 12 held-out rows per domain
+
+
+@pytest.mark.parametrize("kwargs", [{"epochs": 0}, {"epochs": -1},
+                                    {"batch_size": 1}, {"batch_size": 0}],
+                         ids=["epochs_0", "epochs_-1", "batch_1", "batch_0"])
+def test_train_discriminator_rejects_no_epoch_or_batch_below_two(kwargs):
+    source, target = gaussian_domains(4, n=20)
+    with pytest.raises(InputError):
+        tr.train_discriminator(source, target, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +179,20 @@ def test_map_is_piecewise_constant_on_partition():
 
 
 # ---------------------------------------------------------------------------
-# compute_pad
+# PAD from the held-out balanced accuracy
 # ---------------------------------------------------------------------------
+
+
+def pad_of(params, features, n_source):
+    """The PAD of a held-out split whose first ``n_source`` rows are source."""
+    return tr.PadEstimate.from_accuracy(
+        tr._balanced_accuracy(params, np.asarray(features, dtype=float), n_source))
 
 
 def test_pad_indistinguishable():
     # A constant-output net predicts source for everything: balanced error 0.5.
     params = constant_net(2, 0.0)
-    pad = tr.compute_pad(params, np.zeros((4, 2)), [1, 1, 0, 0])
+    pad = pad_of(params, np.zeros((4, 2)), 2)
     assert pad.epsilon == pytest.approx(0.5)
     assert pad.distance == pytest.approx(0.0)
 
@@ -169,7 +200,7 @@ def test_pad_indistinguishable():
 def test_pad_perfectly_separable():
     params = first_coord_net(2, 80.0)
     features = np.array([[1.0, 0.0], [1.0, 0.5], [-1.0, 0.0], [-1.0, 0.5]])
-    pad = tr.compute_pad(params, features, [1, 1, 0, 0])
+    pad = pad_of(params, features, 2)
     assert pad.epsilon == pytest.approx(0.0)
     assert pad.distance == pytest.approx(2.0)
 
@@ -178,41 +209,17 @@ def test_pad_linear_formula_point():
     # Source half wrong, target all right: eps = (0.5 + 0) / 2 = 0.25.
     params = first_coord_net(2, 80.0)
     features = np.array([[1.0, 0.0], [-1.0, 0.0], [-1.0, 1.0], [-1.0, 2.0]])
-    pad = tr.compute_pad(params, features, [1, 1, 0, 0])
+    pad = pad_of(params, features, 2)
     assert pad.epsilon == pytest.approx(0.25)
     assert pad.distance == pytest.approx(1.0)
 
 
 def test_pad_monotone_in_error():
     params = first_coord_net(2, 80.0)
-    d0 = tr.compute_pad(params, np.array([[1.0, 0.0], [-1.0, 0.0]]), [1, 0]).distance
-    d25 = tr.compute_pad(
-        params, np.array([[1.0, 0.0], [-1.0, 0.0], [-1.0, 1.0], [-1.0, 2.0]]),
-        [1, 1, 0, 0]).distance
-    d50 = tr.compute_pad(constant_net(2, 0.0), np.zeros((2, 2)), [1, 0]).distance
+    d0 = pad_of(params, [[1.0, 0.0], [-1.0, 0.0]], 1).distance
+    d25 = pad_of(params, [[1.0, 0.0], [-1.0, 0.0], [-1.0, 1.0], [-1.0, 2.0]], 2).distance
+    d50 = pad_of(constant_net(2, 0.0), np.zeros((2, 2)), 1).distance
     assert d0 > d25 > d50
-
-
-def test_pad_rejects_single_domain():
-    params = constant_net(2, 0.0)
-    with pytest.raises(InputError):
-        tr.compute_pad(params, np.zeros((3, 2)), [1, 1, 1])
-    with pytest.raises(InputError):
-        tr.compute_pad(params, np.zeros((0, 2)), [])
-
-
-@pytest.mark.parametrize("labels", [[1, 0, 2], [1, 0, -1], [1, 0, 0.5]])
-def test_pad_rejects_labels_other_than_0_and_1(labels):
-    with pytest.raises(InputError):
-        tr.compute_pad(constant_net(2, 0.0), np.zeros((3, 2)), labels)
-
-
-def test_pad_rejects_mismatched_or_non_finite_features():
-    params = constant_net(2, 0.0)
-    with pytest.raises(InputError):
-        tr.compute_pad(params, np.zeros((3, 2)), [1, 0])
-    with pytest.raises(InputError):
-        tr.compute_pad(params, np.array([[0.0, np.nan], [0.0, 0.0]]), [1, 0])
 
 
 # ---------------------------------------------------------------------------
