@@ -7,6 +7,9 @@ then fine-tune each variant of ``VARIANT_TABLE`` on the target domain.
 
 Every variant starts from the same source checkpoint and consumes identical
 batch sequences, so metric differences isolate the mechanism under test.
+
+A run has one ``RunConfig``: it names the seeds, and each seed's
+``SeedBundle`` keeps it for that seed's fine-tunes and evaluations.
 """
 
 from __future__ import annotations
@@ -237,10 +240,11 @@ def _region_branch(config: RunConfig, seed: int, source: str,
 
 @dataclass
 class SeedBundle:
-    """Everything one seed's variants share: data, the region branches and
-    the pretrained source model.  Each branch holds its own target regions.
-    The grid branch is built on first use, so a seed that runs no grid
-    variant never trains its discriminator."""
+    """Everything one seed's variants share: the run's one config, which
+    every phase reads, data, the region branches and the pretrained source
+    model.  Each branch holds its own target regions.  The grid branch is
+    built on first use, so a seed that runs no grid variant never trains its
+    discriminator."""
 
     config: RunConfig
     seed: int
@@ -342,12 +346,14 @@ def _t_inputs(variant: Variant, tmap: TransferabilityMap, p_t: float) -> dict:
     return {}
 
 
-def evaluate_variant(params: SegModelParams, bundle: SeedBundle, config: RunConfig,
-                     variant: str, p_t: float) -> tuple[np.ndarray, float, list[SegPrediction]]:
+def evaluate_variant(params: SegModelParams, bundle: SeedBundle, variant: str,
+                     p_t: float) -> tuple[np.ndarray, float, list[SegPrediction]]:
     """Confusion matrix over all held-out pixels, the mean fallback rate and
     the predictions of one ``forward`` call over every held-out image, gated
-    for a gate row at p_t by its discriminator's T-map of its regions of each,
-    clustered with the bundle's settings, as its discriminator's inputs were."""
+    for a gate row at p_t by its discriminator's T-map of its regions of each.
+    Every setting comes from ``bundle.config``, so the held-out images are
+    clustered as the discriminator's inputs were."""
+    config = bundle.config
     p_t = _p_t(config, p_t)
     row = _variant(variant)
     images = bundle.eval_images
@@ -355,7 +361,7 @@ def evaluate_variant(params: SegModelParams, bundle: SeedBundle, config: RunConf
     if row.use_t == "gate":
         disc = bundle.branch(row.regions).disc.params
         key_masks = [key_mask(build_transferability_map(
-            disc, _regions(bundle.config, row.regions, img)).pixel, p_t) for img in images]
+            disc, _regions(config, row.regions, img)).pixel, p_t) for img in images]
     predictions = forward(params, [img.fm for img in images], key_masks,
                           lambda_m=config.lambda_m)
     cm = confusion_matrix(np.stack([img.labels for img in images]),
@@ -368,8 +374,12 @@ def finetune_variant(bundle: SeedBundle, config: RunConfig, variant: str,
     """Fine-tune one variant from the shared source checkpoint and score it.
 
     All variants draw identical batch indices (same fine-tune seed), so they
-    differ only in the mechanism being ablated.
+    differ only in the mechanism being ablated.  Every setting comes from
+    ``bundle.config``; ``config`` must equal it (InputError before training
+    otherwise) and is kept only for callers that pass it positionally.
     """
+    if config != bundle.config:
+        raise InputError("config differs from the config the bundle was prepared with")
     effective_p = _p_t(config, p_t)
     row = _variant(variant)
     branch = bundle.branch(row.regions)
@@ -380,7 +390,7 @@ def finetune_variant(bundle: SeedBundle, config: RunConfig, variant: str,
         bundle.source_params, items, steps=config.finetune_steps,
         batch_size=config.batch_size, lr=config.model_lr, seed=ft_seed,
         lambda_m=config.lambda_m)
-    cm, fallback_rate, _ = evaluate_variant(tuned, bundle, config, variant, effective_p)
+    cm, fallback_rate, _ = evaluate_variant(tuned, bundle, variant, effective_p)
     ious = per_class_iou(cm)
     return VariantResult(
         variant=variant,
@@ -395,35 +405,31 @@ def finetune_variant(bundle: SeedBundle, config: RunConfig, variant: str,
     )
 
 
-def run_ablation(config: RunConfig, seeds: tuple[int, ...] | None = None) -> ExperimentReport:
-    """Every variant of ``VARIANT_TABLE`` over the given seeds (at least 3)."""
-    seeds = tuple(seeds if seeds is not None else config.seeds)
-    if len(seeds) < 3:
-        raise InputError(f"ablation needs at least 3 seeds, got {len(seeds)}")
-    return _run(config, seeds, [(variant, None) for variant in VARIANTS])
+def run_ablation(config: RunConfig) -> ExperimentReport:
+    """Every variant of ``VARIANT_TABLE`` over ``config.seeds`` (at least 3)."""
+    if len(config.seeds) < 3:
+        raise InputError(f"ablation needs at least 3 seeds, got {len(config.seeds)}")
+    return _run(config, [(variant, None) for variant in VARIANTS])
 
 
-def sweep_pt(config: RunConfig, p_values: tuple[float, ...] = (10, 20, 30, 40, 50),
-             seeds: tuple[int, ...] | None = None) -> ExperimentReport:
-    """Fine-tune the gated model once per percentile value per seed."""
+def sweep_pt(config: RunConfig, p_values: tuple[float, ...] = (10, 20, 30, 40, 50)
+             ) -> ExperimentReport:
+    """Fine-tune the gated model once per percentile value per seed of
+    ``config.seeds``."""
     if not p_values:
         raise InputError("p_values must be non-empty")
-    return _run(config, seeds, [("tmt", p) for p in p_values])
+    return _run(config, [("tmt", p) for p in p_values])
 
 
-def _run(config: RunConfig, seeds: tuple[int, ...] | None,
-         runs: list[tuple[str, float | None]]) -> ExperimentReport:
-    """One ``prepare_seed`` per seed, then one ``finetune_variant`` per (variant, p_T).
-    Every seed and p_T is checked, and a repeated one rejected, before the
-    first seed runs."""
-    seeds = tuple(config.seeds if seeds is None else seeds)
-    if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
-        raise InputError(f"need at least one seed, none negative and no repeats, got {seeds}")
+def _run(config: RunConfig, runs: list[tuple[str, float | None]]) -> ExperimentReport:
+    """One ``prepare_seed`` per seed of ``config.seeds``, then one
+    ``finetune_variant`` per (variant, p_T).  Every p_T is checked, and a
+    repeated (variant, p_T) rejected, before the first seed runs."""
     runs = [(variant, _p_t(config, p_t)) for variant, p_t in runs]
     if len(set(runs)) != len(runs):
         raise InputError(f"runs {runs} repeat a (variant, p_T) pair")
     rows = []
-    for seed in seeds:
+    for seed in config.seeds:
         bundle = prepare_seed(config, seed)
         rows += [finetune_variant(bundle, config, variant, p_t) for variant, p_t in runs]
     return ExperimentReport(rows=rows, config=config.to_dict())

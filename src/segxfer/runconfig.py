@@ -94,10 +94,9 @@ class RunConfig:
             raise ConfigError(f"r={self.r} must divide {self.height}x{self.width}")
 
     def synth_config(self, seed: int) -> SynthConfig:
-        """The data config of one seed: every field the two configs share,
-        plus ``rectangular_layout`` under its data-side name."""
+        """The data config of one seed: every field the two configs share."""
         shared = {f.name: getattr(self, f.name) for f in fields(SynthConfig) if f.name in _HINTS}
-        return SynthConfig(**shared, rectangular=self.rectangular_layout, seed=seed)
+        return SynthConfig(**shared, seed=seed)
 
     def to_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}

@@ -49,7 +49,7 @@ class SynthConfig:
     # instead of isotropic space: domain-stable camouflage that resembles
     # random mixtures of the real classes.
     camouflage_classes: tuple[int, ...] = ()
-    rectangular: bool = True
+    rectangular_layout: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -167,7 +167,7 @@ def _guillotine_layout(config: SynthConfig, rng: np.random.Generator) -> np.ndar
 def _sample_layout(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     threshold = MIN_CLASS_FRACTION * config.height * config.width
     for _ in range(_MAX_LAYOUT_TRIES):
-        labels = _rect_layout(config, rng) if config.rectangular else _guillotine_layout(config, rng)
+        labels = (_rect_layout if config.rectangular_layout else _guillotine_layout)(config, rng)
         counts = np.bincount(labels.reshape(-1), minlength=config.num_classes)
         if np.all(counts >= threshold):
             return labels

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,46 +53,32 @@ def percentile_threshold(values: np.ndarray, p: float) -> float:
     return float(np.partition(values, idx)[idx])
 
 
-_SIGN_BIT = 1 << 63
-
-
-def _ordered(x: float) -> int:
-    """Position of the double ``x`` in the ordered doubles; +0.0 (and -0.0)
-    is 0, each step is one ``nextafter``."""
-    bits = struct.unpack("<Q", struct.pack("<d", x))[0]
-    return -(bits & ~_SIGN_BIT) if bits & _SIGN_BIT else bits
-
-
-def _double(i: int) -> float:
-    """Inverse of ``_ordered``."""
-    return struct.unpack("<d", struct.pack("<Q", -i | _SIGN_BIT if i < 0 else i))[0]
-
-
 @functools.cache
 def logit_threshold(lam: float) -> float:
     """The largest double t with ``numkit.sigmoid(t) <= lam``: the logit form
-    of the mask-probability condition, exact for every double logit.
+    of the mask-probability condition, exact for every double logit where
+    sigmoid is monotone across the crossing.  Rounding breaks that by an ulp
+    for about one random lam in 200; there t is one of the crossings.
 
-    Found by bisection over the ordered doubles, once per ``lam``.  It is
-    +inf for lam = 1; for lam = 0.5 it is ~1.56e-16, not 0, because sigmoid
-    rounds to 0.5 just above 0.
+    Found by bisection over the doubles in [-1000, 1000], where sigmoid runs
+    from 0 to 1, once per ``lam``.  It is +inf for lam = 1; for lam = 0.5 it
+    is ~1.56e-16, not 0, because sigmoid rounds to 0.5 just above 0.
     """
     if not 0.0 <= lam <= 1.0:
         raise InputError(f"lambda_m must lie in [0, 1], got {lam}")
 
-    def admits(i: int) -> bool:
-        return bool(sigmoid(np.array([_double(i)]))[0] <= lam)
+    def admits(x: float) -> bool:
+        return bool(sigmoid(np.array([x]))[0] <= lam)
 
-    lo, hi = _ordered(-math.inf), _ordered(math.inf)  # sigmoid(-inf) = 0 <= lam
-    if admits(hi):
+    if admits(math.inf):
         return math.inf
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
+    lo, hi = -1000.0, 1000.0  # admits(lo), not admits(hi)
+    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
         if admits(mid):
             lo = mid
         else:
             hi = mid
-    return _double(lo)
+    return lo
 
 
 @dataclass

@@ -203,33 +203,12 @@ def test_tiny_clutter_report_csv_bytes_are_pinned():
         "3364aa8cb1f91cb90983b3a2d978f4e0177fb72e907779469b0e58cc79c29f1b")
 
 
-def _ablation(config, seeds):
-    return experiments.run_ablation(config, seeds)
-
-
-def _sweep(config, seeds):
-    return experiments.sweep_pt(config, (30,), seeds)
-
-
-@pytest.mark.parametrize("run, seeds", [
-    pytest.param(_ablation, (0, 0, 0), id="ablation-one_seed"),
-    pytest.param(_ablation, (0, 1, 0), id="ablation-one_repeat"),
-    pytest.param(_sweep, (0, 0, 0), id="sweep-one_seed"),
-    pytest.param(_sweep, (0, 1, 0), id="sweep-one_repeat"),
-    pytest.param(_sweep, (), id="sweep-no_seed"),
-    pytest.param(_ablation, (0, 1, -1), id="ablation-negative"),
-    pytest.param(_sweep, (-3,), id="sweep-negative"),
-])
-def test_repeated_seed_override_is_rejected_before_any_seed_runs(monkeypatch, run, seeds):
-    # (0, 0, 0) would pass the ablation's "at least 3 seeds" with one seed;
-    # () would give the sweep a report with no rows; a negative seed would
-    # fail inside the data generator, after the seeds before it ran
-    def prepare_seed(config, seed):
-        raise AssertionError(f"seed {seed} ran")
-
-    monkeypatch.setattr(experiments, "prepare_seed", prepare_seed)
+def test_ablation_rejects_fewer_than_three_seeds_before_any_seed_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "prepare_seed", lambda config, seed: calls.append(seed))
     with pytest.raises(InputError):
-        run(RunConfig(**TINY), seeds)
+        experiments.run_ablation(RunConfig(**dict(TINY, seeds=(0, 1))))
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", [150.0, -5.0, float("nan")])
@@ -247,12 +226,13 @@ def test_sweep_rejects_a_repeated_percentile_before_any_seed_runs(monkeypatch, p
     monkeypatch.setattr(experiments, "prepare_seed", lambda config, seed: calls.append(seed))
     monkeypatch.setattr(experiments, "finetune_variant", lambda *args: calls.append(args))
     with pytest.raises(InputError):
-        experiments.sweep_pt(RunConfig(**TINY), p_values=p_values, seeds=(0,))
+        experiments.sweep_pt(RunConfig(**TINY), p_values=p_values)
     assert calls == []
 
 
 def test_tiny_clutter_sweep_csv_bytes_are_pinned():
     report = experiments.sweep_pt(RunConfig(**TINY, **CLUTTER), p_values=(10, 30, 50))
+    assert [r.seed for r in report.rows] == [s for s in report.config["seeds"] for _ in range(3)]
     assert _sha256(report) == (
         "b41cf659c62fb3ef8768622e8fc300be5ae6169399042e0ec50c3620f092f4a8")
 
@@ -366,6 +346,8 @@ def test_each_table_row_routes_its_transferability_map(monkeypatch, tiny_bundle,
 def test_finetune_decides_each_gate_once_per_image(monkeypatch, tiny_bundle, steps):
     # one threshold per target image and per held-out image, however often
     # training draws an image
+    config = dataclasses.replace(tiny_bundle.config, finetune_steps=steps)
+    bundle = experiments.prepare_seed(config, 0)
     thresholds = []
     percentile_threshold = segmodel.percentile_threshold
 
@@ -374,9 +356,23 @@ def test_finetune_decides_each_gate_once_per_image(monkeypatch, tiny_bundle, ste
         return percentile_threshold(values, p)
 
     monkeypatch.setattr(segmodel, "percentile_threshold", spy)
-    config = dataclasses.replace(tiny_bundle.config, finetune_steps=steps)
-    experiments.finetune_variant(tiny_bundle, config, "tmt", 40.0)
+    experiments.finetune_variant(bundle, config, "tmt", 40.0)
     assert thresholds == [40.0] * (config.target_count + config.eval_count)
+
+
+@pytest.mark.parametrize("changes", [
+    dict(r=8), dict(disc_epochs=1), dict(num_queries=12), dict(source_count=2, sigma=0.9),
+    dict(lambda_m=1.0), dict(num_classes=5), dict(finetune_steps=4),
+], ids=lambda changes: ",".join(changes))
+def test_finetune_rejects_a_config_other_than_the_bundles(monkeypatch, tiny_bundle, changes):
+    # the bundle was prepared with its own config; a fine-tune under any
+    # other would mix the two
+    calls = []
+    monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: calls.append(args))
+    config = dataclasses.replace(tiny_bundle.config, **changes)
+    with pytest.raises(InputError):
+        experiments.finetune_variant(tiny_bundle, config, "tmt")
+    assert calls == []
 
 
 def _with_fresh_eval_maps(bundle):
@@ -388,11 +384,8 @@ def _with_fresh_eval_maps(bundle):
 
 def test_gated_eval_clusters_held_out_images_with_the_bundles_settings(monkeypatch, tiny_bundle):
     # the branch's discriminator was trained on regions of the bundle's r, tau
-    # and iterations, so held-out images are clustered the same way whatever
-    # the caller's config says
-    bundle_config = tiny_bundle.config
-    expected = experiments.evaluate_variant(tiny_bundle.source_params, tiny_bundle,
-                                            bundle_config, "tmt", 30.0)[0]
+    # and iterations, so held-out images are clustered the same way
+    config = tiny_bundle.config
     calls = []
     cluster = experiments.cluster
 
@@ -401,12 +394,8 @@ def test_gated_eval_clusters_held_out_images_with_the_bundles_settings(monkeypat
         return cluster(fm, stride, tau=tau, iters=iters)
 
     monkeypatch.setattr(experiments, "cluster", recorded_cluster)
-    config = dataclasses.replace(bundle_config, r=8, tau=0.5, cluster_iters=2)
-    cm = experiments.evaluate_variant(tiny_bundle.source_params, tiny_bundle, config,
-                                      "tmt", 30.0)[0]
-    assert calls == [(bundle_config.r, bundle_config.tau, bundle_config.cluster_iters)] * len(
-        tiny_bundle.eval_images)
-    assert np.array_equal(cm, expected)
+    experiments.evaluate_variant(tiny_bundle.source_params, tiny_bundle, "tmt", 30.0)
+    assert calls == [(config.r, config.tau, config.cluster_iters)] * len(tiny_bundle.eval_images)
 
 
 def test_gated_eval_clusters_each_held_out_image_once(monkeypatch, tiny_bundle):
@@ -414,7 +403,7 @@ def test_gated_eval_clusters_each_held_out_image_once(monkeypatch, tiny_bundle):
     p_values = (10, 50)
     # each reference call gets maps of its own, so it clusters every image from scratch
     expected = [experiments.evaluate_variant(tiny_bundle.source_params,
-                                             _with_fresh_eval_maps(tiny_bundle), config, "tmt", p)[0]
+                                             _with_fresh_eval_maps(tiny_bundle), "tmt", p)[0]
                 for p in p_values]
     bundle = _with_fresh_eval_maps(tiny_bundle)
     calls = []
@@ -425,7 +414,7 @@ def test_gated_eval_clusters_each_held_out_image_once(monkeypatch, tiny_bundle):
         return soft_assign(similarity)
 
     monkeypatch.setattr(adaptive_cluster, "soft_assign", counted_soft_assign)
-    got = [experiments.evaluate_variant(tiny_bundle.source_params, bundle, config, "tmt", p)[0]
+    got = [experiments.evaluate_variant(tiny_bundle.source_params, bundle, "tmt", p)[0]
            for p in p_values]
     assert len(calls) == config.eval_count * config.cluster_iters
     for cm, ref in zip(got, expected):
@@ -442,7 +431,7 @@ def test_variant_rejects_a_non_percentile_before_training(monkeypatch, tiny_bund
         experiments.finetune_variant(tiny_bundle, config, name, p)
     assert calls == []
     with pytest.raises(InputError):
-        experiments.evaluate_variant(tiny_bundle.source_params, tiny_bundle, config, name, p)
+        experiments.evaluate_variant(tiny_bundle.source_params, tiny_bundle, name, p)
 
 
 def test_unknown_variant_is_rejected(tiny_bundle):
@@ -450,5 +439,5 @@ def test_unknown_variant_is_rejected(tiny_bundle):
     with pytest.raises(InputError):
         experiments.finetune_variant(tiny_bundle, config, "no_such_variant")
     with pytest.raises(InputError):
-        experiments.evaluate_variant(tiny_bundle.source_params, tiny_bundle, config,
-                                     "no_such_variant", config.p_t)
+        experiments.evaluate_variant(tiny_bundle.source_params, tiny_bundle, "no_such_variant",
+                                     config.p_t)

@@ -122,7 +122,7 @@ def test_shifted_class_features_move_by_delta():
 
 
 def test_irregular_layout_flag():
-    cfg = small_config(rectangular=False, height=32, width=32)
+    cfg = small_config(rectangular_layout=False, height=32, width=32)
     imgs = sd.generate(cfg, 5, sd.SOURCE)
     threshold = 0.05 * cfg.height * cfg.width
     for img in imgs:
