@@ -359,9 +359,10 @@ def seg_loss(class_logits: np.ndarray, mask_logits: np.ndarray, labels: np.ndarr
     Query n is responsible for class n (queries beyond the class count target
     no-object and an empty mask).  The loss is mean per-query class
     cross-entropy plus mean per-pixel binary mask loss; optional pixel
-    weights rescale the mask term per pixel.  Returns (loss,
-    d_class_logits, d_mask_logits).  Logits with a batch axis take labels
-    and pixel weights with that axis and give one loss per image.
+    weights, finite and non-negative, rescale the mask term per pixel.
+    Returns (loss, d_class_logits, d_mask_logits).  Logits with a batch axis
+    take labels and pixel weights with that axis and give one loss per
+    image.
     """
     labels = np.asarray(labels)
     if labels.dtype.kind not in "ui":
@@ -381,6 +382,8 @@ def seg_loss(class_logits: np.ndarray, mask_logits: np.ndarray, labels: np.ndarr
             raise ShapeError(
                 f"pixel weights {pixel_weights.shape} do not cover {num_pixels} pixels "
                 f"of batch {tuple(batch)}")
+        if not np.all((pixel_weights >= 0.0) & (pixel_weights < np.inf)):
+            raise InputError("pixel weights must be finite and non-negative")
         pixel_weights = pixel_weights.reshape(*batch, 1, num_pixels)
 
     # Class term: stable log-softmax cross-entropy against the fixed targets.
@@ -400,10 +403,16 @@ def seg_loss(class_logits: np.ndarray, mask_logits: np.ndarray, labels: np.ndarr
     # Two (N, H*W) float arrays serve the term, each updated in place: the
     # gradient d_mask is taken from the probabilities first, and then the
     # probabilities are clipped in place and become the loss buffer bce.
+    # The gradient is 0 where the clamp holds: d_mask is multiplied by the
+    # 0/1 mask of probabilities inside it, which takes no branch per entry
+    # (most probabilities of a trained model lie beyond the clamp, scattered
+    # irregularly), and += 0.0 turns the -0.0 of a negative entry times 0
+    # into +0.0.
     probs = sigmoid(mask_logits)
     y = flat[..., None, :] == queries[:, None]
     d_mask = np.subtract(probs, y)
-    np.copyto(d_mask, 0.0, where=(probs <= LOSS_EPS) | (probs >= 1.0 - LOSS_EPS))
+    d_mask *= (probs > LOSS_EPS) & (probs < 1.0 - LOSS_EPS)
+    d_mask += 0.0
     bce = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS, out=probs)
     np.subtract(1.0, bce, out=bce, where=~y)
     np.log(bce, out=bce)

@@ -5,12 +5,14 @@ admitted for a query only where the predicted mask probability and the
 key's transferability both fall at or below their thresholds.  The
 transferability condition comes decided, one boolean key mask per image
 (``segmodel.key_mask``), and ``build_mask`` ANDs it across the queries.  The
-probability condition is evaluated on the mask logits: sigmoid(x) <=
-lambda_m holds exactly when x <= logit_threshold(lambda_m), so no
-probability is computed to build a mask.  A query that admits no key falls
-back to attending everywhere, and the fallback is flagged so callers can
-count how often it fires.  Mask entries are constants: no gradient flows
-through the threshold comparisons.
+probability condition is evaluated on the mask logits as x <=
+logit_threshold(lambda_m), so no probability is computed to build a mask.
+That test is sigmoid(x) <= lambda_m wherever sigmoid is monotone across the
+crossing; rounding breaks that by an ulp for about one random lambda_m in
+200.  A query that admits no key falls back to attending everywhere, and
+the fallback is flagged so callers can count how often it fires.  Mask
+entries are constants: no gradient flows through the threshold
+comparisons.
 
 A key outside the key mask is never admitted except by a fallback row, so
 callers may build the mask over the columns the key mask admits only, and
@@ -39,6 +41,8 @@ import numpy as np
 
 from .errors import DegenerateColumnError, InputError, ShapeError
 from .numkit import mt, sigmoid
+
+_LOWEST = np.finfo(float).min  # the lowest double, added to masked scores
 
 
 def percentile_threshold(values: np.ndarray, p: float) -> float:
@@ -102,10 +106,11 @@ def build_mask(mask_logits: np.ndarray, key_mask: np.ndarray,
     """Dual-thresholded mask of (..., N, keys) mask logits, any value but
     NaN, and a (..., keys) boolean key mask.
 
-    Pair (i, j) is admitted iff sigmoid(mask_logits[i, j]) <= lambda_m,
-    tested as mask_logits[i, j] <= logit_threshold(lambda_m), and key j is
-    in the key mask.  Queries left with no admissible key admit every key
-    and get their fallback flag set.
+    Pair (i, j) is admitted when mask_logits[i, j] <=
+    logit_threshold(lambda_m), the logit form of sigmoid(mask_logits[i, j])
+    <= lambda_m (exact where sigmoid is monotone across the crossing, see
+    ``logit_threshold``), and key j is in the key mask.  Queries left with no
+    admissible key admit every key and get their fallback flag set.
     """
     mask_logits = np.asarray(mask_logits, dtype=float)
     key_mask = np.asarray(key_mask)
@@ -140,6 +145,15 @@ def widen_mask(mask: AttentionMaskTensor, cols: np.ndarray,
     return AttentionMaskTensor(allowed=allowed, fallback=mask.fallback)
 
 
+def _rows(flags: np.ndarray) -> str:
+    """The rows flagged in a (..., N) boolean array, named for a message:
+    query indices, or (image, query) pairs with a batch axis."""
+    if flags.ndim == 1:
+        return f"queries {np.flatnonzero(flags).tolist()}"
+    pairs = [tuple(idx) for idx in np.argwhere(flags).tolist()]
+    return f"(image, query) pairs {pairs}"
+
+
 def masked_attention_weights(queries: np.ndarray, proj: np.ndarray, features: np.ndarray,
                              mask: AttentionMaskTensor) -> np.ndarray:
     """Attention weights (queries x keys); each row sums to 1 over its
@@ -149,11 +163,19 @@ def masked_attention_weights(queries: np.ndarray, proj: np.ndarray, features: np
     is (..., C, N), ``proj`` is P, (C, d), and ``features`` is X, (..., d, keys).
     Scores are Q^T K / sqrt(C), computed as (P^T Q)^T X, then scaled, so no
     (C, keys) array is formed.  A key bias b adds a per-query constant to
-    the scores, which the softmax cancels, so it is not an argument.  Each
-    row is shifted by its maximum over the admitted keys; shifted scores are
-    capped at 0 so a masked key scoring above that maximum cannot overflow
-    the exponential before the mask zeroes it.  A row that admits no key
-    raises DegenerateColumnError: callers must apply their fallback first.
+    the scores, which the softmax cancels, so it is not an argument.
+
+    Each row is shifted by its maximum over the admitted keys.  That maximum
+    is taken without a branch per entry, as the plain maximum of the scores
+    plus (not admitted) times the lowest double: an admitted score gains
+    -0.0 and stays itself, and a masked one sinks to about the lowest
+    double or overflows to -inf, below every admitted score while scores
+    stay under 1e307 in magnitude.  Shifted scores are capped at 0 so a
+    masked key scoring above that maximum cannot overflow the exponential
+    before the mask zeroes it.  A row that admits no key raises
+    DegenerateColumnError: callers must apply their fallback first.  A NaN
+    or +inf score, admitted or not, and a row whose admitted scores are all
+    -inf raise InputError.
     """
     channels, num_queries = queries.shape[-2:]
     if proj.shape[0] != channels:
@@ -163,13 +185,22 @@ def masked_attention_weights(queries: np.ndarray, proj: np.ndarray, features: np
     expected = (*features.shape[:-2], num_queries, features.shape[-1])
     if mask.allowed.shape != expected:
         raise ShapeError(f"mask {mask.allowed.shape} does not match {expected}")
+    empty = ~mask.allowed.any(axis=-1)
+    if empty.any():
+        raise DegenerateColumnError(
+            f"{_rows(empty)} admit no key; apply the fallback first")
     scores = mt(proj.T @ queries) @ features
     scores *= 1.0 / math.sqrt(channels)
-    row_max = np.where(mask.allowed, scores, -np.inf).max(axis=-1, keepdims=True)
-    if not np.isfinite(row_max).all():
-        bad = np.flatnonzero(~np.isfinite(row_max))
-        raise DegenerateColumnError(
-            f"queries {bad.tolist()} admit no key; apply the fallback first")
+    shifted = np.multiply(~mask.allowed, _LOWEST)
+    with np.errstate(over="ignore"):
+        shifted += scores
+    row_max = shifted.max(axis=-1, keepdims=True)
+    del shifted
+    # A maximum below _LOWEST / 2 means no admitted score above -inf; a NaN
+    # or +inf score anywhere in the row fails both tests.
+    bad = ~((row_max[..., 0] > _LOWEST / 2) & (row_max[..., 0] < np.inf))
+    if bad.any():
+        raise InputError(f"{_rows(bad)} have a NaN or infinite attention score")
     scores -= row_max
     np.minimum(scores, 0.0, out=scores)
     weights = np.exp(scores, out=scores)

@@ -292,6 +292,17 @@ def test_seg_loss_pixel_weights_scale_mask_term():
     assert doubled == pytest.approx(class_part + 2.0 * mask_part, rel=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_seg_loss_rejects_non_finite_or_negative_pixel_weights(bad):
+    rng = np.random.default_rng(14)
+    labels = rng.integers(0, 3, size=(2, 4, 4))
+    weights = np.ones((2, 16))
+    weights[1, 5] = bad
+    with pytest.raises(InputError, match="pixel weights"):
+        sm.seg_loss(rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 16)), labels,
+                    pixel_weights=weights)
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_seg_loss_mask_term_is_bitwise_the_where_formula(weighted):
     # Today's expressions as the oracle; saturated logits put probabilities
@@ -319,7 +330,8 @@ def test_seg_loss_mask_term_is_bitwise_the_where_formula(weighted):
     scale = 1.0 / (num_queries * h * w)
     ref_d_mask *= scale
     assert loss == class_loss + float(np.sum(bce) * scale)
-    assert np.array_equal(d_mask, ref_d_mask)
+    # bit patterns, so a -0.0 where the oracle writes +0.0 fails
+    assert np.array_equal(d_mask.view(np.uint64), ref_d_mask.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

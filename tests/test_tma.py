@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from gradcheck import gradcheck
 from segxfer import numkit, tma
-from segxfer.errors import InputError, ShapeError
+from segxfer.errors import DegenerateColumnError, InputError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +339,104 @@ def test_batched_attention_is_bitwise_per_image_attention():
         for got, ref in zip(grads, tma.attention_backward_from_weights(proj, feats[b], w,
                                                                        upstream[b])):
             npt.assert_array_equal(got[b], ref)
+
+
+def where_row_max_weights(queries, proj, feats, mask):
+    """The oracle: ``masked_attention_weights`` with each row's maximum taken
+    over ``np.where(allowed, scores, -inf)``, every other step the same."""
+    scores = numkit.mt(proj.T @ queries) @ feats
+    scores *= 1.0 / math.sqrt(queries.shape[-2])
+    scores -= np.where(mask.allowed, scores, -np.inf).max(axis=-1, keepdims=True)
+    np.minimum(scores, 0.0, out=scores)
+    np.exp(scores, out=scores)
+    scores *= mask.allowed
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
+def row_max_case(seed, batch=3, n=16):
+    """Scores (batch, n, keys) and a mask whose rows cycle through five
+    kinds: admitted scores all negative, a masked score above the admitted
+    maximum, masked scores so negative that adding the lowest double
+    overflows them to -inf, one admitted key, and a fallback row."""
+    rng = np.random.default_rng(seed)
+    keys = 1 if seed % 5 == 0 else int(rng.integers(2, 14))
+    scores = rng.normal(scale=rng.choice([0.1, 3.0, 40.0]), size=(batch, n, keys))
+    allowed = np.zeros((batch, n, keys), dtype=bool)
+    fallback = np.zeros((batch, n), dtype=bool)
+    for b in range(batch):
+        for i in range(n):
+            row, ok, kind = scores[b, i], allowed[b, i], i % 5
+            if kind == 4:
+                ok[:] = fallback[b, i] = True
+            elif kind == 3 or keys == 1:
+                ok[rng.integers(keys)] = True
+            else:
+                ok[:] = rng.random(keys) < 0.5
+                on, off = rng.choice(keys, size=2, replace=False)
+                ok[on], ok[off] = True, False
+                if kind == 0:
+                    row[ok] = -np.abs(row[ok]) - 0.5
+                elif kind == 1:
+                    row[~ok] = row[ok].max() + rng.uniform(0.1, 100.0, size=(~ok).sum())
+                else:
+                    row[~ok] = -rng.uniform(1e293, 1e300, size=(~ok).sum())
+    return scores, tma.AttentionMaskTensor(allowed, fallback)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_weights_are_bitwise_the_where_row_max(seed):
+    scores, mask = row_max_case(seed)
+    batch, n, keys = scores.shape
+    assert mask.allowed.any(axis=-1).all() and mask.fallback.any()
+    if keys > 1:
+        masked = np.where(mask.allowed, -np.inf, scores)
+        admitted_max = np.where(mask.allowed, scores, -np.inf).max(axis=-1)
+        assert (masked.max(axis=-1) > admitted_max).any()
+        assert (np.where(mask.allowed, 0.0, scores) < -1e293).any()
+        assert (admitted_max < 0.0).any()
+    # With Q = P = I and C = d = n = 16, the scores are the features / 4
+    # exactly, so each case's scores reach the row max as built.
+    eye = np.eye(n)
+    cases = [(np.broadcast_to(eye, (batch, n, n)), eye, 4.0 * scores)]
+    npt.assert_array_equal(numkit.mt(eye @ cases[0][0]) @ cases[0][2] * 0.25, scores)
+    rng = np.random.default_rng(seed + 100)
+    cases.append((rng.normal(size=(batch, 5, n)), rng.normal(size=(5, 3)),
+                  rng.normal(size=(batch, 3, keys))))
+    for queries, proj, feats in cases:
+        got = tma.masked_attention_weights(queries, proj, feats, mask)
+        ref = where_row_max_weights(queries, proj, feats, mask)
+        npt.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_batched_row_admitting_no_key_names_image_and_query():
+    rng = np.random.default_rng(12)
+    allowed = np.ones((2, 3, 5), dtype=bool)
+    allowed[1, 2] = False
+    mask = tma.AttentionMaskTensor(allowed, np.zeros((2, 3), dtype=bool))
+    with pytest.raises(DegenerateColumnError, match=r"\(image, query\) pairs \[\(1, 2\)\]"):
+        tma.masked_attention_weights(rng.normal(size=(2, 4, 3)), np.eye(4),
+                                     rng.normal(size=(2, 4, 5)), mask)
+
+
+@pytest.mark.parametrize("admitted", [False, True])
+def test_nan_score_raises_admitted_or_not(admitted):
+    rng = np.random.default_rng(13)
+    feats = rng.normal(size=(2, 4, 5))
+    feats[1, 0, 3] = np.nan  # every score of image 1's key 3
+    allowed = np.ones((2, 3, 5), dtype=bool)
+    allowed[1, :, 3] = admitted
+    mask = tma.AttentionMaskTensor(allowed, np.zeros((2, 3), dtype=bool))
+    with pytest.raises(InputError, match=r"\[\(1, 0\), \(1, 1\), \(1, 2\)\]"):
+        tma.masked_attention_weights(rng.normal(size=(2, 4, 3)), np.eye(4), feats, mask)
+
+
+def test_row_whose_admitted_scores_are_all_minus_inf_raises():
+    # the masked key's score is finite, so the shifted row maximum is too
+    queries, keys = np.array([[1.0]]), np.array([[-np.inf, 3.0, -np.inf]])
+    mask = tma.AttentionMaskTensor(np.array([[True, False, True]]), np.zeros(1, dtype=bool))
+    with pytest.raises(InputError, match=r"queries \[0\]"):
+        tma.masked_attention_weights(queries, np.eye(1), keys, mask)
 
 
 # ---------------------------------------------------------------------------
