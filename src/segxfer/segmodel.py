@@ -559,8 +559,8 @@ def train(
     """
     if not items:
         raise InputError("training set is empty")
-    if batch_size < 1:
-        raise InputError(f"batch size must be at least 1, got {batch_size}")
+    if batch_size < 1 or steps < 0:
+        raise InputError(f"need batch size >= 1 and steps >= 0, got {batch_size} and {steps}")
     rng = np.random.default_rng(seed)
     arrays = params.param_list()
     vector = flatten(arrays)

@@ -13,6 +13,7 @@ layouts where any class covers less than 5% of pixels are resampled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,9 @@ class SynthConfig:
             raise ConfigError(
                 f"shifted classes {self.shift_classes} outside [0, {self.num_classes})"
             )
-        if self.delta < 0 or self.sigma < 0:
-            raise ConfigError("delta and sigma must be non-negative")
+        if not (0 <= self.delta < math.inf and 0 <= self.sigma < math.inf):
+            raise ConfigError(f"delta and sigma must be finite and non-negative, "
+                              f"got {self.delta} and {self.sigma}")
         self.camouflage_classes = tuple(sorted(set(int(c) for c in self.camouflage_classes)))
         if any(c < 0 or c >= self.num_classes for c in self.camouflage_classes):
             raise ConfigError(
@@ -75,8 +77,9 @@ class SynthConfig:
                     f"noise_scales needs one entry per class, got "
                     f"{len(self.noise_scales)} for {self.num_classes} classes"
                 )
-            if any(s < 0 for s in self.noise_scales):
-                raise ConfigError("noise_scales must be non-negative")
+            if not all(0 <= s < math.inf for s in self.noise_scales):
+                raise ConfigError(f"noise_scales must be finite and non-negative, "
+                                  f"got {self.noise_scales}")
         if self.channels < 2 * self.num_classes:
             raise ConfigError(
                 f"need channels >= 2 * num_classes for orthogonal prototypes and "
@@ -189,6 +192,8 @@ def generate(config: SynthConfig, count: int, domain: str, stream: int = 0) -> l
         raise InputError(f"count must be >= 1, got {count}")
     if domain not in _DOMAIN_CODE:
         raise InputError(f"unknown domain {domain!r}")
+    if stream < 0:
+        raise InputError(f"stream must be >= 0, got {stream}")
     rng = np.random.default_rng([config.seed, _DOMAIN_CODE[domain], stream])
     protos = class_prototypes(config, domain)
     noise_by_class = config.class_noise()

@@ -5,14 +5,11 @@ admitted for a query only where the predicted mask probability and the
 key's transferability both fall at or below their thresholds.  The
 transferability condition comes decided, one boolean key mask per image
 (``segmodel.key_mask``), and ``build_mask`` ANDs it across the queries.  The
-probability condition is evaluated on the mask logits as x <=
-logit_threshold(lambda_m), so no probability is computed to build a mask.
-That test is sigmoid(x) <= lambda_m wherever sigmoid is monotone across the
-crossing; rounding breaks that by an ulp for about one random lambda_m in
-200.  A query that admits no key falls back to attending everywhere, and
-the fallback is flagged so callers can count how often it fires.  Mask
-entries are constants: no gradient flows through the threshold
-comparisons.
+probability condition p <= lambda_m is defined on the mask logit x as x <=
+logit(lambda_m), so no probability is computed to build a mask.  A query
+that admits no key falls back to attending everywhere, and the fallback is
+flagged so callers can count how often it fires.  Mask entries are
+constants: no gradient flows through the threshold comparisons.
 
 A key outside the key mask is never admitted except by a fallback row, so
 callers may build the mask over the columns the key mask admits only, and
@@ -33,14 +30,13 @@ never form the (C, keys) keys.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateColumnError, InputError, ShapeError
-from .numkit import mt, sigmoid
+from .numkit import mt
 
 _LOWEST = np.finfo(float).min  # the lowest double, added to masked scores
 
@@ -57,32 +53,14 @@ def percentile_threshold(values: np.ndarray, p: float) -> float:
     return float(np.partition(values, idx)[idx])
 
 
-@functools.cache
 def logit_threshold(lam: float) -> float:
-    """The largest double t with ``numkit.sigmoid(t) <= lam``: the logit form
-    of the mask-probability condition, exact for every double logit where
-    sigmoid is monotone across the crossing.  Rounding breaks that by an ulp
-    for about one random lam in 200; there t is one of the crossings.
-
-    Found by bisection over the doubles in [-1000, 1000], where sigmoid runs
-    from 0 to 1, once per ``lam``.  It is +inf for lam = 1; for lam = 0.5 it
-    is ~1.56e-16, not 0, because sigmoid rounds to 0.5 just above 0.
-    """
+    """logit(lam) = log(lam / (1 - lam)), the logit form of the
+    mask-probability threshold: -inf for lam = 0, +inf for lam = 1."""
     if not 0.0 <= lam <= 1.0:
         raise InputError(f"lambda_m must lie in [0, 1], got {lam}")
-
-    def admits(x: float) -> bool:
-        return bool(sigmoid(np.array([x]))[0] <= lam)
-
-    if admits(math.inf):
-        return math.inf
-    lo, hi = -1000.0, 1000.0  # admits(lo), not admits(hi)
-    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
-        if admits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if lam in (0.0, 1.0):
+        return math.inf if lam else -math.inf
+    return math.log(lam) - math.log1p(-lam)
 
 
 @dataclass
@@ -107,10 +85,8 @@ def build_mask(mask_logits: np.ndarray, key_mask: np.ndarray,
     NaN, and a (..., keys) boolean key mask.
 
     Pair (i, j) is admitted when mask_logits[i, j] <=
-    logit_threshold(lambda_m), the logit form of sigmoid(mask_logits[i, j])
-    <= lambda_m (exact where sigmoid is monotone across the crossing, see
-    ``logit_threshold``), and key j is in the key mask.  Queries left with no
-    admissible key admit every key and get their fallback flag set.
+    logit_threshold(lambda_m) and key j is in the key mask.  Queries left
+    with no admissible key admit every key and get their fallback flag set.
     """
     mask_logits = np.asarray(mask_logits, dtype=float)
     key_mask = np.asarray(key_mask)

@@ -90,10 +90,12 @@ def train_discriminator(
     Each batch is drawn half from source and half from target so supervision
     stays balanced.  Each domain is shuffle-split 80/20; the held-out 20%
     yields the per-epoch balanced accuracy, and the last one the PAD.
-    Raises InputError for ``epochs < 1`` or ``batch_size < 2``.
+    Raises InputError for ``epochs < 1``, ``batch_size < 2`` or a hidden
+    width below 1.
     """
-    if epochs < 1 or batch_size < 2:
-        raise InputError(f"need epochs >= 1 and batch_size >= 2, got {epochs} and {batch_size}")
+    if epochs < 1 or batch_size < 2 or min(hidden, default=1) < 1:
+        raise InputError(f"need epochs >= 1, batch_size >= 2 and hidden widths >= 1, "
+                         f"got {epochs}, {batch_size} and {hidden}")
     source = np.atleast_2d(np.asarray(source_regions, dtype=float))
     target = np.atleast_2d(np.asarray(target_regions, dtype=float))
     if source.size == 0 or target.size == 0:

@@ -575,12 +575,22 @@ def test_train_rejects_empty_dataset():
         sm.train(small_model(4), [], steps=1, lr=1e-2)
 
 
-@pytest.mark.parametrize("batch_size", [0, -1])
-def test_train_rejects_batch_size_below_one(batch_size):
+@pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"batch_size": -1}, {"steps": -3}],
+                         ids=["0", "-1", "steps_-3"])
+def test_train_rejects_batch_size_below_one(kwargs):
     fm, labels = small_scene(4)
-    with pytest.raises(InputError, match="batch size"):
-        sm.train(small_model(4), [sm.TrainItem(fm, labels)], steps=1, batch_size=batch_size,
-                 lr=1e-2)
+    items = [sm.TrainItem(fm, labels)]
+    with pytest.raises(InputError, match="batch size >= 1 and steps >= 0"):
+        sm.train(small_model(4), items, **{"steps": 1, **kwargs}, lr=1e-2)
+
+
+def test_train_of_no_steps_returns_the_params_unchanged():
+    fm, labels = small_scene(4)
+    params = small_model(4)
+    trained, losses = sm.train(params, [sm.TrainItem(fm, labels)], steps=0, lr=1e-2)
+    assert losses == []
+    for a, b in zip(trained.param_list(), params.param_list()):
+        npt.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

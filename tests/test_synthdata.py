@@ -145,6 +145,12 @@ def test_config_validation():
                 small_config(**{dim: size})
     with pytest.raises(ConfigError):
         small_config(seed=-1)     # not a generator seed
+    for bad in (np.nan, np.inf, -np.inf):  # non-finite features, found late otherwise
+        for field in ("delta", "sigma"):
+            with pytest.raises(ConfigError):
+                small_config(**{field: bad})
+        with pytest.raises(ConfigError):
+            small_config(noise_scales=(1.0, bad, 1.0, 1.0))
 
 
 def test_generate_validation():
@@ -153,6 +159,8 @@ def test_generate_validation():
         sd.generate(cfg, 0, sd.SOURCE)
     with pytest.raises(InputError):
         sd.generate(cfg, 1, "weird")
+    with pytest.raises(InputError):
+        sd.generate(cfg, 1, sd.SOURCE, stream=-1)
 
 
 def test_labeled_image_rejects_bits_of_another_shape():

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -52,11 +53,8 @@ def test_percentile_matches_integer_rank_oracle(n):
 
 
 # ---------------------------------------------------------------------------
-# logit_threshold: sigmoid(x) <= lambda_m  <=>  x <= logit_threshold(lambda_m)
+# logit_threshold: the mask-probability condition p <= lambda_m on the logit
 # ---------------------------------------------------------------------------
-
-
-LAMBDAS = [0.0, 1e-300, 0.1, 0.5, 0.9, 0.99, 1.0]
 
 
 def logit(p):
@@ -65,33 +63,64 @@ def logit(p):
     return np.log(p) - np.log1p(-p)
 
 
-def doubles_around(t, steps):
-    """The doubles within ``steps`` nextafter steps of finite ``t`` (or
-    below the largest finite double for t = +inf)."""
-    if np.isinf(t):
-        return (np.array(np.finfo(float).max).view(np.int64)
-                - np.arange(steps + 1)).view(float)
-    return (np.array(t).view(np.int64) + np.arange(-steps, steps + 1)).view(float)
+LAMBDAS = [0.0, 1e-300, 0.1, 0.5, 0.9, 0.99, 1.0]
+
+
+def exact_logit(lam):
+    """logit(lam) worked out at 50 significant digits, then rounded to a
+    double; -inf at 0 and +inf at 1."""
+    if lam in (0.0, 1.0):
+        return math.inf if lam else -math.inf
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        p = decimal.Decimal(lam)  # the double's exact value
+        return float(p.ln() - (1 - p).ln())
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_logit_threshold_is_exact_for_the_sigmoid(lam):
     t = tma.logit_threshold(lam)
+    ref = exact_logit(lam)
+    if np.isfinite(ref):
+        assert abs(t - ref) <= np.spacing(abs(ref)), (t, ref)
+    else:
+        assert t == ref
+    assert abs(numkit.sigmoid(np.array([t]))[0] - lam) <= 1e-12 * lam
+    # x <= t decides like sigmoid(x) <= lam for every x outside a 1e-12
+    # relative band around t at which sigmoid does not underflow to 0
     rng = np.random.default_rng(12)
     scales = 10.0 ** np.linspace(-300, np.log10(800.0), 40)
-    samples = [s * rng.normal(size=(200, 150)) for s in scales]
-    samples.append(doubles_around(t, 100_000))
+    samples = [s * rng.normal(size=(20, 150)) for s in scales]
+    if np.isfinite(t):
+        samples.append(t + rng.normal(scale=1e-6, size=3000) * max(abs(t), 1.0))
     samples.append(np.array([-np.inf, -0.0, 0.0, np.inf]))
     for x in samples:
-        npt.assert_array_equal(numkit.sigmoid(x) <= lam, x <= t)
-    assert numkit.sigmoid(np.array([t]))[0] <= lam
-    if np.isfinite(t):
-        assert numkit.sigmoid(np.array([np.nextafter(t, np.inf)]))[0] > lam
+        keep = numkit.sigmoid(x) > 0
+        if np.isfinite(t):
+            keep &= np.abs(x - t) > 1e-12 * max(abs(t), 1.0)
+        npt.assert_array_equal(x[keep] <= t, numkit.sigmoid(x[keep]) <= lam)
+
+
+def test_logit_threshold_inverts_the_sigmoid():
+    assert tma.logit_threshold(0.0) == -np.inf
+    assert tma.logit_threshold(0.5) == 0.0
+    assert tma.logit_threshold(1.0) == np.inf
+    lams = np.concatenate([np.linspace(0.001, 0.999, 999), [1e-300, 1e-12, 1 - 1e-12]])
+    for lam in lams:
+        t = tma.logit_threshold(lam)
+        assert abs(numkit.sigmoid(np.array([t]))[0] - lam) <= 1e-12 * lam, lam
+    # away from the threshold, the logit test decides like the probability test
+    rng = np.random.default_rng(12)
+    for lam in rng.random(50):
+        t = tma.logit_threshold(lam)
+        x = t + rng.normal(scale=10.0, size=2000)
+        x = x[np.abs(x - t) > 1e-12 * max(abs(t), 1.0)]
+        npt.assert_array_equal(x <= t, numkit.sigmoid(x) <= lam)
 
 
 def test_logit_threshold_values_and_errors():
     assert tma.logit_threshold(1.0) == np.inf
-    assert 1e-16 < tma.logit_threshold(0.5) < 2e-16  # sigmoid rounds to 0.5 above 0
+    assert tma.logit_threshold(0.5) == 0.0
     assert tma.logit_threshold(0.1) == pytest.approx(-tma.logit_threshold(0.9))
     for lam in (-0.1, 1.5, np.nan):
         with pytest.raises(InputError):
@@ -132,6 +161,26 @@ def test_mask_boundary_values_admit():
                          np.ones(3, dtype=bool), 0.5)
     npt.assert_array_equal(out.allowed[0], [True, False, True])
     assert not out.fallback[0]
+
+
+def test_mask_lambda_m_zero_admits_no_finite_logit():
+    # sigmoid(-800) underflows to 0, but logit(0) = -inf lies below every finite logit
+    rng = np.random.default_rng(3)
+    logits = np.vstack([rng.normal(scale=50.0, size=(3, 6)), np.full((1, 6), -800.0)])
+    out = tma.build_mask(logits, np.ones(6, dtype=bool), 0.0)
+    assert np.all(out.fallback)
+    assert np.all(out.allowed)
+
+
+def test_mask_lambda_m_one_admits_exactly_the_key_mask():
+    rng = np.random.default_rng(4)
+    logits = rng.normal(scale=50.0, size=(2, 4, 6))
+    logits[0, 0, :2] = [800.0, np.inf]
+    key_mask = np.array([[True, True, False, True, False, False],
+                         [False, False, False, False, False, True]])
+    out = tma.build_mask(logits, key_mask, 1.0)
+    npt.assert_array_equal(out.allowed, np.broadcast_to(key_mask[:, None, :], out.allowed.shape))
+    assert not out.fallback.any()
 
 
 def test_mask_all_above_lambda_t_fallback():

@@ -102,8 +102,8 @@ def test_train_discriminator_scores_held_out_split_once_per_epoch(monkeypatch, e
 
 
 @pytest.mark.parametrize("kwargs", [{"epochs": 0}, {"epochs": -1},
-                                    {"batch_size": 1}, {"batch_size": 0}],
-                         ids=["epochs_0", "epochs_-1", "batch_1", "batch_0"])
+                                    {"batch_size": 1}, {"batch_size": 0}, {"hidden": (0,)}],
+                         ids=["epochs_0", "epochs_-1", "batch_1", "batch_0", "hidden_0"])
 def test_train_discriminator_rejects_no_epoch_or_batch_below_two(kwargs):
     source, target = gaussian_domains(4, n=20)
     with pytest.raises(InputError):
