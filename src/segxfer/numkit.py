@@ -2,8 +2,9 @@
 
 Everything operates on float64 numpy arrays.  Functions are pure except
 ``adamw_step``, which updates the parameter vector and the optimizer state it
-is given in place.  The optimizer works on one flat vector; ``flatten`` and
-``flat_views`` move arrays onto it and back.
+is given in place, and ``binary_cross_entropy``, which overwrites the
+probabilities it is given.  The optimizer works on one flat vector;
+``flatten`` and ``flat_views`` move arrays onto it and back.
 """
 
 from __future__ import annotations
@@ -91,6 +92,30 @@ def flatten(arrays: list[np.ndarray]) -> np.ndarray:
     """A new vector holding ``arrays`` end to end, each in C order: the
     layout that ``flat_views`` reads back."""
     return np.concatenate([a.ravel() for a in arrays])
+
+
+def binary_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-entry binary cross-entropy of sigmoid outputs ``probs`` against
+    bool ``targets``, and its gradient at the logits, ``probs - targets``.
+
+    Probabilities are clamped to [LOSS_EPS, 1 - LOSS_EPS], so the loss stays
+    finite at saturation.  With 0/1 targets, -log of the probability given
+    to the target is the usual two-log formula exactly.  ``probs`` is
+    overwritten: it becomes the returned loss array.
+    """
+    # The gradient is 0 where the clamp holds: it is multiplied by the 0/1
+    # mask of probabilities inside it, which takes no branch per entry (most
+    # probabilities of a trained model lie beyond the clamp, scattered
+    # irregularly), and += 0.0 turns the -0.0 of a negative entry times 0
+    # into +0.0.
+    grad = np.subtract(probs, targets)
+    grad *= (probs > LOSS_EPS) & (probs < 1.0 - LOSS_EPS)
+    grad += 0.0
+    loss = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS, out=probs)
+    np.subtract(1.0, loss, out=loss, where=~targets)
+    np.log(loss, out=loss)
+    np.negative(loss, out=loss)
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +219,9 @@ def mlp_loss_and_grads(
     """Mean binary cross-entropy of the net against 0/1 labels, with gradients.
 
     The loss per sample is -(d*log(E) + (1-d)*log(1-E)), i.e. the output is
-    pushed toward the numeric label.  Probabilities are clamped to
-    [LOSS_EPS, 1-LOSS_EPS] inside the loss only.  The gradients come back as
-    one vector: the arrays in ``param_list`` order, laid out by ``flatten``.
+    pushed toward the numeric label, with ``binary_cross_entropy``'s clamp.
+    The gradients come back as one vector: the arrays in ``param_list``
+    order, laid out by ``flatten``.
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -208,30 +233,19 @@ def mlp_loss_and_grads(
         raise InputError("labels must be 0 or 1")
 
     acts: list[np.ndarray] = []
-    probs = _forward_cached(p, x, acts)
-    clamped = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS)
-    per_sample = -(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))
+    per_sample, dz = binary_cross_entropy(_forward_cached(p, x, acts), labels == 1.0)
     scale = 1.0 / x.shape[0]
     loss = float(np.sum(per_sample) * scale)
 
-    # d(loss)/d(output logit); zero where the clamp froze the loss.
-    inside = (probs > LOSS_EPS) & (probs < 1.0 - LOSS_EPS)
-    dz = np.where(inside, probs - labels, 0.0)[:, None] * scale
-
     w_grads: list[np.ndarray] = [np.empty(0)] * len(p.weights)
     b_grads: list[np.ndarray] = [np.empty(0)] * len(p.biases)
-    delta = dz
+    delta = dz[:, None] * scale
     for i in range(len(p.weights) - 1, -1, -1):
         w_grads[i] = delta.T @ acts[i]
         b_grads[i] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ p.weights[i]) * (acts[i] > 0)
-
-    grads: list[np.ndarray] = []
-    for gw, gb in zip(w_grads, b_grads):
-        grads.append(gw)
-        grads.append(gb)
-    return loss, flatten(grads)
+    return loss, flatten(MlpParams(w_grads, b_grads).param_list())
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +270,8 @@ class AdamWState:
     def for_params(cls, params: np.ndarray, lr: float = 1e-4) -> "AdamWState":
         if params.ndim != 1:
             raise ShapeError(f"AdamW expects a 1-D parameter vector, got {params.shape}")
+        if not 0.0 <= lr < math.inf:
+            raise InputError(f"learning rate must be finite and >= 0, got {lr}")
         return cls(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 

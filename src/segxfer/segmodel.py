@@ -58,8 +58,8 @@ import numpy as np
 
 from .adaptive_cluster import FeatureMap
 from .errors import ConfigError, InputError, ShapeError
-from .numkit import (LOSS_EPS, AdamWState, adamw_step, flat_views, flatten, mt, relu,
-                     sigmoid, softmax_columns)
+from .numkit import (AdamWState, adamw_step, binary_cross_entropy, flat_views, flatten, mt,
+                     relu, sigmoid, softmax_columns)
 from .serialize import load_arrays, save_arrays
 from .tma import (
     attention_backward_from_weights,
@@ -133,8 +133,10 @@ def init_seg_model(
     num_layers: int = 3,
     ffn_hidden: int = 32,
 ) -> SegModelParams:
-    if num_layers < 1:
-        raise ConfigError(f"need at least one decoder layer, got {num_layers}")
+    if min(in_channels, num_classes, channels, num_layers, ffn_hidden) < 1:
+        raise ConfigError(f"need in_channels, num_classes, channels, num_layers and "
+                          f"ffn_hidden >= 1, got {in_channels}, {num_classes}, {channels}, "
+                          f"{num_layers} and {ffn_hidden}")
     if num_queries < num_classes:
         raise ConfigError(
             f"need at least one query per class: {num_queries} < {num_classes}"
@@ -396,27 +398,10 @@ def seg_loss(class_logits: np.ndarray, mask_logits: np.ndarray, labels: np.ndarr
     d_class[..., targets, queries] -= 1.0
     d_class /= n_queries
 
-    # Mask term: per-pixel binary cross-entropy, probabilities clamped so the
-    # loss stays finite at saturation.  With 0/1 targets, -log of the
-    # probability given to the target is the usual two-log formula exactly.
-    # Query n's target mask is class n's pixels, empty past the class count.
-    # Two (N, H*W) float arrays serve the term, each updated in place: the
-    # gradient d_mask is taken from the probabilities first, and then the
-    # probabilities are clipped in place and become the loss buffer bce.
-    # The gradient is 0 where the clamp holds: d_mask is multiplied by the
-    # 0/1 mask of probabilities inside it, which takes no branch per entry
-    # (most probabilities of a trained model lie beyond the clamp, scattered
-    # irregularly), and += 0.0 turns the -0.0 of a negative entry times 0
-    # into +0.0.
-    probs = sigmoid(mask_logits)
+    # Mask term: per-pixel binary cross-entropy.  Query n's target mask is
+    # class n's pixels, empty past the class count.
     y = flat[..., None, :] == queries[:, None]
-    d_mask = np.subtract(probs, y)
-    d_mask *= (probs > LOSS_EPS) & (probs < 1.0 - LOSS_EPS)
-    d_mask += 0.0
-    bce = np.clip(probs, LOSS_EPS, 1.0 - LOSS_EPS, out=probs)
-    np.subtract(1.0, bce, out=bce, where=~y)
-    np.log(bce, out=bce)
-    np.negative(bce, out=bce)
+    bce, d_mask = binary_cross_entropy(sigmoid(mask_logits), y)
     if pixel_weights is not None:
         bce *= pixel_weights
         d_mask *= pixel_weights

@@ -108,7 +108,10 @@ class LabeledImage:
 
     def __post_init__(self) -> None:
         self.labels = np.asarray(self.labels)
-        self.transfer_bits = np.asarray(self.transfer_bits, dtype=np.uint8)
+        bits = np.asarray(self.transfer_bits)
+        if not np.all((bits == 0) | (bits == 1)):
+            raise InputError("transfer bits must be 0 or 1")
+        self.transfer_bits = bits.astype(np.uint8, copy=False)
         if not self.labels.shape == self.transfer_bits.shape == (self.fm.height, self.fm.width):
             raise InputError(f"labels {self.labels.shape} and transfer bits "
                              f"{self.transfer_bits.shape} do not match image "
@@ -188,6 +191,9 @@ def generate(config: SynthConfig, count: int, domain: str, stream: int = 0) -> l
     always reproduces identical images.  Labels are stored in the narrowest
     unsigned type that holds num_classes - 1.
     """
+    for name, value in (("count", count), ("stream", stream)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InputError(f"{name} must be an integer, got {value!r}")
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
     if domain not in _DOMAIN_CODE:

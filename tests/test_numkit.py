@@ -6,7 +6,8 @@ import pytest
 
 from adamw_oracle import ListAdamWState, list_adamw_step
 from gradcheck import EvaluationError, gradcheck
-from segxfer import numkit
+from segxfer import numkit, segmodel, transferability
+from segxfer.adaptive_cluster import FeatureMap
 from segxfer.errors import DegenerateColumnError, InputError, ShapeError
 
 
@@ -232,6 +233,109 @@ def test_mlp_backward_rejects_bad_label():
         _grads_one(p, np.ones(4), 2)
 
 
+def _bits(a):
+    """Bit patterns, so a -0.0 where the oracle writes +0.0 fails."""
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _bce_inputs():
+    """Probabilities beyond both clamp edges, exactly on them and between,
+    each against both targets."""
+    rng = np.random.default_rng(21)
+    eps = numkit.LOSS_EPS
+    edges = [0.0, 1e-300, eps / 2, np.nextafter(eps, 0.0), eps, np.nextafter(eps, 1.0),
+             0.5, np.nextafter(1.0 - eps, 0.0), 1.0 - eps, np.nextafter(1.0 - eps, 1.0),
+             1.0 - eps / 2, 1.0]
+    probs = np.concatenate([edges, numkit.sigmoid(rng.normal(scale=20.0, size=2000))])
+    probs = np.tile(probs, 2)
+    targets = np.arange(probs.size) >= probs.size // 2
+    return probs, targets
+
+
+def test_binary_cross_entropy_is_bitwise_the_two_log_formula():
+    # The discriminator's former loss: float 0/1 labels, two logs, np.where.
+    probs, targets = _bce_inputs()
+    labels = targets.astype(float)
+    eps = numkit.LOSS_EPS
+    clamped = np.clip(probs, eps, 1.0 - eps)
+    ref_loss = -(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))
+    inside = (probs > eps) & (probs < 1.0 - eps)
+    ref_grad = np.where(inside, probs - labels, 0.0)
+    assert (probs < eps).any() and (probs > 1.0 - eps).any()
+    loss, grad = numkit.binary_cross_entropy(probs.copy(), targets)
+    npt.assert_array_equal(_bits(loss), _bits(ref_loss))
+    npt.assert_array_equal(_bits(grad), _bits(ref_grad))
+
+
+def test_binary_cross_entropy_is_bitwise_the_where_formula():
+    # The decoder's former mask term: one log of the target's probability.
+    probs, targets = _bce_inputs()
+    eps = numkit.LOSS_EPS
+    clamped = np.clip(probs, eps, 1.0 - eps)
+    ref_loss = -np.log(np.where(targets, clamped, 1.0 - clamped))
+    inside = (probs > eps) & (probs < 1.0 - eps)
+    ref_grad = np.where(inside, probs - targets, 0.0)
+    loss, grad = numkit.binary_cross_entropy(probs.copy(), targets)
+    npt.assert_array_equal(_bits(loss), _bits(ref_loss))
+    npt.assert_array_equal(_bits(grad), _bits(ref_grad))
+
+
+def test_binary_cross_entropy_overwrites_probs_with_the_loss():
+    probs, targets = _bce_inputs()
+    loss, _ = numkit.binary_cross_entropy(probs, targets)
+    assert loss is probs
+
+
+def _two_log_mlp_loss_and_grads(p, x, labels):
+    """The MLP loss in its two-log form, with the np.where gradient and its
+    own weight/bias interleave: the oracle, and the probabilities."""
+    acts = [x]
+    h = x
+    for i, (w, b) in enumerate(zip(p.weights, p.biases)):
+        h = h @ w.T
+        h += b
+        if i != len(p.weights) - 1:
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
+    probs = numkit.sigmoid(h[:, 0])
+    eps = numkit.LOSS_EPS
+    clamped = np.clip(probs, eps, 1.0 - eps)
+    per_sample = -(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))
+    scale = 1.0 / x.shape[0]
+    loss = float(np.sum(per_sample) * scale)
+    inside = (probs > eps) & (probs < 1.0 - eps)
+    dz = np.where(inside, probs - labels, 0.0)[:, None] * scale
+    w_grads = [None] * len(p.weights)
+    b_grads = [None] * len(p.biases)
+    delta = dz
+    for i in range(len(p.weights) - 1, -1, -1):
+        w_grads[i] = delta.T @ acts[i]
+        b_grads[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ p.weights[i]) * (acts[i] > 0)
+    grads = []
+    for gw, gb in zip(w_grads, b_grads):
+        grads.append(gw)
+        grads.append(gb)
+    return loss, numkit.flatten(grads), probs
+
+
+def test_mlp_loss_and_grads_is_bitwise_the_two_log_oracle_on_a_saturated_net():
+    rng = np.random.default_rng(22)
+    p = numkit.init_mlp(6, (16, 8), rng)
+    p.weights[-1] *= 40.0
+    p.biases[-1][0] = -20.0
+    x = rng.normal(size=(256, 6))
+    labels = rng.integers(0, 2, size=256).astype(float)
+    ref_loss, ref_grads, probs = _two_log_mlp_loss_and_grads(p, x, labels)
+    eps = numkit.LOSS_EPS
+    assert (probs < eps).any() and (probs > 1.0 - eps).any()
+    assert ((probs > eps) & (probs < 1.0 - eps)).any()
+    loss, grads = numkit.mlp_loss_and_grads(p, x, labels)
+    assert _bits(loss) == _bits(ref_loss)
+    npt.assert_array_equal(_bits(grads), _bits(ref_grads))
+
+
 # ---------------------------------------------------------------------------
 # AdamW
 # ---------------------------------------------------------------------------
@@ -281,6 +385,30 @@ def test_adamw_shape_mismatch():
         numkit.adamw_step(state, params, np.zeros(4))
     with pytest.raises(ShapeError):
         numkit.AdamWState.for_params(np.zeros((3, 1)))
+
+
+def _train_discriminator(lr):
+    rng = np.random.default_rng(23)
+    transferability.train_discriminator(rng.normal(size=(40, 4)), rng.normal(size=(40, 4)),
+                                        epochs=1, lr=lr)
+
+
+def _train_decoder(lr):
+    rng = np.random.default_rng(24)
+    params = segmodel.init_seg_model(4, 3, rng, num_queries=4, channels=8, num_layers=1,
+                                     ffn_hidden=8)
+    item = segmodel.TrainItem(FeatureMap(4, 4, rng.normal(size=(16, 4))),
+                              rng.integers(0, 3, size=(4, 4)))
+    segmodel.train(params, [item], steps=1, batch_size=1, lr=lr)
+
+
+@pytest.mark.parametrize("trainer", [_train_discriminator, _train_decoder])
+@pytest.mark.parametrize("lr", [np.nan, np.inf, -1e-3])
+def test_trainers_reject_a_learning_rate_that_is_not_finite_and_non_negative(trainer, lr):
+    # AdamWState.for_params makes the check for both
+    with pytest.raises(InputError, match="learning rate"):
+        trainer(lr)
+    trainer(0.0)
 
 
 def test_adamw_step_count_strictly_increases():

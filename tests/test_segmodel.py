@@ -175,6 +175,14 @@ def test_init_rejects_too_few_queries():
         sm.init_seg_model(4, 5, rng, num_queries=4)
 
 
+@pytest.mark.parametrize("size", ["in_channels", "num_classes", "channels", "ffn_hidden"])
+def test_init_rejects_a_size_below_one(size):
+    sizes = dict(in_channels=4, num_classes=3, channels=8, ffn_hidden=8)
+    sizes[size] = 0
+    with pytest.raises(ConfigError):
+        small_model(6, **sizes)
+
+
 def test_decode_labels_idempotent():
     params = small_model(7)
     fm, _ = small_scene(7)

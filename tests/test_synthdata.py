@@ -161,12 +161,27 @@ def test_generate_validation():
         sd.generate(cfg, 1, "weird")
     with pytest.raises(InputError):
         sd.generate(cfg, 1, sd.SOURCE, stream=-1)
+    for count, stream in ((1.5, 0), (True, 0), (np.float64(2.0), 0), (1, 1.5), (1, True)):
+        with pytest.raises(InputError, match="must be an integer"):
+            sd.generate(cfg, count, sd.SOURCE, stream=stream)
+    assert len(sd.generate(cfg, np.int64(2), sd.SOURCE, stream=np.uint8(1))) == 2
 
 
 def test_labeled_image_rejects_bits_of_another_shape():
     img = sd.generate(small_config(), 1, sd.TARGET)[0]
     with pytest.raises(InputError):
         sd.LabeledImage(img.fm, img.labels, img.transfer_bits[:, :-1])
+
+
+@pytest.mark.parametrize("bad", [2, 0.5, -1, np.nan])
+def test_labeled_image_rejects_bits_other_than_0_and_1(bad):
+    img = sd.generate(small_config(), 1, sd.TARGET)[0]
+    bits = img.transfer_bits.astype(float)
+    bits[0, 0] = bad
+    with pytest.raises(InputError, match="transfer bits"):
+        sd.LabeledImage(img.fm, img.labels, bits)
+    bits[0, 0] = 1.0
+    assert sd.LabeledImage(img.fm, img.labels, bits).transfer_bits.dtype == np.uint8
 
 
 def test_generate_stores_labels_in_the_narrowest_unsigned_type():
