@@ -5,7 +5,7 @@ The harness runs the full desk-scale protocol per seed: generate both
 domains, cluster, train the domain discriminator, pretrain a source model,
 then fine-tune each variant of ``VARIANT_TABLE`` on the target domain.
 
-Every variant starts from the same source checkpoint and consumes identical
+Every variant starts from the same source model and consumes identical
 batch sequences, so metric differences isolate the mechanism under test.
 
 A run has one ``RunConfig``: it names the seeds, and each seed's
@@ -371,7 +371,7 @@ def evaluate_variant(params: SegModelParams, bundle: SeedBundle, variant: str,
 
 def finetune_variant(bundle: SeedBundle, config: RunConfig, variant: str,
                      p_t: float | None = None) -> VariantResult:
-    """Fine-tune one variant from the shared source checkpoint and score it.
+    """Fine-tune one variant from the shared source model and score it.
 
     All variants draw identical batch indices (same fine-tune seed), so they
     differ only in the mechanism being ablated.  Every setting comes from

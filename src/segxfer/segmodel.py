@@ -9,8 +9,8 @@ logits as dot products with the embedded pixels.
 
 The parameters are one flat record, ``SegModelParams``: the L layers'
 self-attention and feed-forward arrays are stacked on a leading layer axis,
-and the record's field order is the order of the gradients, of the
-optimizer's vector and of the checkpoint.
+and the record's field order is the order of the gradients and of the
+optimizer's vector.
 
 E is never formed.  The embedding is linear and mixes no pixels, so every
 product the decoder takes with E runs against the raw features x and a small
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -60,7 +59,6 @@ from .adaptive_cluster import FeatureMap
 from .errors import ConfigError, InputError, ShapeError
 from .numkit import (AdamWState, adamw_step, binary_cross_entropy, flat_views, flatten, mt,
                      relu, sigmoid, softmax_columns)
-from .serialize import load_arrays, save_arrays
 from .tma import (
     attention_backward_from_weights,
     build_mask,
@@ -78,8 +76,8 @@ class SegModelParams:
     i's self-attention value projection is ``self_w[i]`` and its feed-forward
     block ``ffn_w1[i]``, ``ffn_b1[i]``, ``ffn_w2[i]``, ``ffn_b2[i]``.
     ``param_list`` gives the arrays in ``PARAM_NAMES`` order, the field order:
-    the order of the loss gradients, of the optimizer's vector and of the
-    saved file.  ``with_params`` is its inverse."""
+    the order of the loss gradients and of the optimizer's vector.
+    ``with_params`` is its inverse."""
 
     num_classes: int
     embed_w: np.ndarray   # (C, d_in)
@@ -562,59 +560,3 @@ def train(
         losses.append(float(np.cumsum(item_losses[taken])[-1]) / batch_size)
     return current.copy(), losses  # not the optimizer's buffer
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def save_params(params: SegModelParams, bin_path: str | Path, json_path: str | Path) -> None:
-    """Write ``params`` through ``serialize.save_arrays``.
-
-    The checkpoint holds one array per entry of ``PARAM_NAMES``, in that
-    order, with the shapes of ``SegModelParams`` (the five decoder-layer
-    arrays stacked on a leading layer axis), and a meta that holds
-    ``num_classes`` only; the layer, query, channel and hidden counts are
-    read off the shapes."""
-    save_arrays({n: getattr(params, n) for n in PARAM_NAMES}, bin_path, json_path,
-                meta={"num_classes": params.num_classes})
-
-
-def load_params(bin_path: str | Path, json_path: str | Path) -> SegModelParams:
-    """Read a model written by ``save_params``.
-
-    Raises InputError unless the meta's ``num_classes`` is a positive
-    integer, the arrays are exactly ``PARAM_NAMES``, their shapes chain into
-    one decoder with at least one query per class and ``num_classes + 1``
-    class-head rows, and every value is finite.
-    """
-    named, meta = load_arrays(bin_path, json_path)
-    num_classes = meta.get("num_classes")
-    if not (isinstance(num_classes, int) and not isinstance(num_classes, bool)
-            and num_classes >= 1):
-        raise InputError(f"meta num_classes {num_classes!r} is not a positive integer")
-    odd = set(named) ^ set(PARAM_NAMES)
-    if odd:
-        raise InputError(f"arrays {sorted(odd)} are missing or extra for a decoder")
-    dims = [named[n].shape for n in ("embed_w", "queries", "self_w", "ffn_w1")]
-    if [len(d) for d in dims] != [2, 2, 3, 3] or any(0 in d for d in dims):
-        raise InputError(f"embed_w, queries, self_w, ffn_w1 of shapes {dims} do not "
-                         "start a decoder")
-    (c, d_in), (_, n), (layers, _, _), (_, f, _) = dims
-    rows = num_classes + 1
-    expected = dict(embed_w=(c, d_in), embed_b=(c,), queries=(c, n), self_w=(layers, c, c),
-                    ffn_w1=(layers, f, c), ffn_b1=(layers, f), ffn_w2=(layers, c, f),
-                    ffn_b2=(layers, c), class_w=(rows, c), class_b=(rows,), mask_w=(c, c),
-                    mask_b=(c,))
-    wrong = [f"{name} {named[name].shape} (expected {shape})"
-             for name, shape in expected.items() if named[name].shape != shape]
-    if wrong:
-        raise InputError(f"arrays do not form one {num_classes}-class decoder: "
-                         + ", ".join(wrong))
-    if n < num_classes:
-        raise InputError(f"{n} queries cannot predict {num_classes} classes: "
-                         "need one per class")
-    bad = [name for name in PARAM_NAMES if not np.all(np.isfinite(named[name]))]
-    if bad:
-        raise InputError(f"arrays {bad} hold non-finite values")
-    return SegModelParams(num_classes=num_classes, **named)

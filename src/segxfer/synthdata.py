@@ -203,6 +203,10 @@ def generate(config: SynthConfig, count: int, domain: str, stream: int = 0) -> l
     rng = np.random.default_rng([config.seed, _DOMAIN_CODE[domain], stream])
     protos = class_prototypes(config, domain)
     noise_by_class = config.class_noise()
+    # class membership, decided once per call; each image indexes by label
+    classes = np.arange(config.num_classes)
+    camouflaged = np.isin(classes, config.camouflage_classes)
+    transfers = (~np.isin(classes, config.shift_classes)).astype(np.uint8)
     images = []
     for _ in range(count):
         labels = _sample_layout(config, rng)
@@ -214,12 +218,12 @@ def generate(config: SynthConfig, count: int, domain: str, stream: int = 0) -> l
         features = rng.standard_normal((config.height * config.width, config.channels))
         features *= noise_by_class[flat, None]
         if config.camouflage_classes:
-            camo = np.isin(flat, config.camouflage_classes)
+            camo = camouflaged[flat]
             features[np.ix_(camo, np.arange(config.num_classes, config.channels))] = 0.0
         features += protos[flat]
         fm = FeatureMap(config.height, config.width, features)
         del features  # the map holds its own copy; dropped before the next image
-        bits = (~np.isin(labels, list(config.shift_classes))).astype(np.uint8)
+        bits = transfers[labels]
         labels = labels.astype(np.min_scalar_type(config.num_classes - 1))
         images.append(LabeledImage(fm=fm, labels=labels, transfer_bits=bits))
     return images

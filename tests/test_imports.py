@@ -1,7 +1,7 @@
 """The package is numpy-only: every module under ``src/segxfer`` imports
 nothing but numpy, the standard library and ``segxfer`` itself.  And it
 imports nothing it does not use, so a fold that removes the last use of a
-name removes its import too."""
+name removes its import too.  And it reads and writes no files."""
 
 import ast
 import sys
@@ -45,3 +45,25 @@ def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert set(imported_names(tree)) - used == set()
+
+
+FILE_CALLS = {"open", "numpy.load", "numpy.save", "numpy.fromfile", "json.load", "json.dump"}
+
+
+def called_names(tree):
+    """The dotted names the module calls, with ``import x as y`` aliases
+    resolved: ``np.load(...)`` is ``numpy.load``."""
+    aliases = {alias.asname: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names if alias.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            root, dot, rest = ast.unparse(node.func).partition(".")
+            yield aliases.get(root, root) + dot + rest
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_does_no_file_io(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert {name for name in called_names(tree)
+            if name in FILE_CALLS or name.endswith(".tofile")} == set()
+    assert "pathlib" not in set(imported_roots(tree))

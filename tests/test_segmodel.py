@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 from dataclasses import fields
 
@@ -14,7 +13,6 @@ from segxfer import segmodel as sm
 from segxfer.adaptive_cluster import FeatureMap
 from segxfer.errors import ConfigError, InputError, ShapeError
 from segxfer.numkit import LOSS_EPS
-from segxfer.serialize import save_arrays
 from tracepeak import traced_memory
 
 
@@ -599,124 +597,6 @@ def test_train_of_no_steps_returns_the_params_unchanged():
     assert losses == []
     for a, b in zip(trained.param_list(), params.param_list()):
         npt.assert_array_equal(a, b)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_save_load_roundtrip(tmp_path):
-    params = small_model(5)
-    bin_path, json_path = tmp_path / "m.bin", tmp_path / "m.json"
-    sm.save_params(params, bin_path, json_path)
-    manifest = json.loads(json_path.read_text())
-    assert manifest["meta"] == {"num_classes": 3}
-    assert tuple(e["name"] for e in manifest["arrays"]) == sm.PARAM_NAMES
-    loaded = sm.load_params(bin_path, json_path)
-    assert loaded.num_classes == params.num_classes
-    for a, b in zip(params.param_list(), loaded.param_list(), strict=True):
-        npt.assert_array_equal(a, b)
-
-
-def test_save_is_byte_deterministic(tmp_path):
-    params = small_model(6)
-    sm.save_params(params, tmp_path / "a.bin", tmp_path / "a.json")
-    sm.save_params(params, tmp_path / "b.bin", tmp_path / "b.json")
-    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-
-
-def _saved_model(tmp_path):
-    """A 2-layer, 3-class model on disk, plus its parsed manifest."""
-    bin_path, json_path = tmp_path / "m.bin", tmp_path / "m.json"
-    sm.save_params(small_model(7), bin_path, json_path)
-    return bin_path, json_path, json.loads(json_path.read_text())
-
-
-def _write_arrays(tmp_path, named, num_classes):
-    bin_path, json_path = tmp_path / "m.bin", tmp_path / "m.json"
-    save_arrays(named, bin_path, json_path, meta={"num_classes": num_classes})
-    return bin_path, json_path
-
-
-@pytest.mark.parametrize("meta", [
-    {},
-    {"num_classes": 0},
-    {"num_classes": True},
-    {"num_classes": "3"},
-], ids=["no_classes", "zero_classes", "bool_classes", "string_classes"])
-def test_load_rejects_bad_meta_counts(tmp_path, meta):
-    bin_path, json_path, manifest = _saved_model(tmp_path)
-    manifest["meta"] = meta
-    json_path.write_text(json.dumps(manifest))
-    with pytest.raises(InputError):
-        sm.load_params(bin_path, json_path)
-
-
-@pytest.mark.parametrize("layers", [3, 1], ids=["extra_arrays", "missing_arrays"])
-def test_load_rejects_arrays_not_matching_layer_count(tmp_path, layers):
-    # one stacked array holds a layer more or fewer than self_w's 2
-    named = dict(zip(sm.PARAM_NAMES, small_model(7).param_list()))
-    named["ffn_b2"] = np.resize(named["ffn_b2"], (layers, 8))
-    with pytest.raises(InputError, match="ffn_b2"):
-        sm.load_params(*_write_arrays(tmp_path, named, 3))
-
-
-def _four_class_decoder():
-    """The default decoder shape (C 16, N 8, 3 layers, F 32) for 4 classes."""
-    params = sm.init_seg_model(16, 4, np.random.default_rng(15))
-    return dict(zip(sm.PARAM_NAMES, params.param_list()))
-
-
-def _set(name, value):
-    def edit(named):
-        named[name] = value(named[name])
-    return edit
-
-
-def _no_layers(named):
-    for name in ("self_w", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2"):
-        named[name] = named[name][:0]
-
-
-def _poison(name, value):
-    def edit(named):
-        named[name].reshape(-1)[-1] = value
-    return edit
-
-
-@pytest.mark.parametrize("edit, match", [
-    (_set("ffn_w1", lambda a: a[:, :5]), "ffn_b1"),    # (3, 5, 16) next to ffn_b1 (3, 32)
-    (_set("embed_w", lambda a: a[None]), "do not start a decoder"),
-    (_no_layers, "do not start a decoder"),
-    (_set("queries", lambda a: a[:, :2]), "2 queries"),
-    (_set("class_w", lambda a: a[:-1]), "class_w"),
-    (_set("class_b", lambda a: np.append(a, 0.0)), "class_b"),
-    (_poison("mask_w", np.nan), "non-finite"),
-    (_poison("ffn_b2", -np.inf), "non-finite"),
-], ids=["shapes_do_not_chain", "embed_w_not_a_matrix", "no_layers", "two_queries_for_four_classes",
-        "class_w_rows", "class_b_rows", "nan", "inf"])
-def test_load_rejects_checkpoint_that_is_not_one_decoder(tmp_path, edit, match):
-    named = _four_class_decoder()
-    edit(named)
-    with pytest.raises(InputError, match=match):
-        sm.load_params(*_write_arrays(tmp_path, named, 4))
-
-
-def test_load_rejects_missing_array(tmp_path):
-    named = dict(zip(sm.PARAM_NAMES, small_model(7).param_list()))
-    del named["mask_b"]
-    with pytest.raises(InputError):
-        sm.load_params(*_write_arrays(tmp_path, named, 3))
-
-
-def test_load_rejects_class_head_of_wrong_size(tmp_path):
-    bin_path, json_path, manifest = _saved_model(tmp_path)
-    manifest["meta"]["num_classes"] = 2
-    json_path.write_text(json.dumps(manifest))
-    with pytest.raises(InputError):
-        sm.load_params(bin_path, json_path)
 
 
 def test_param_list_follows_param_names():
